@@ -21,7 +21,7 @@ func main() {
 	var (
 		table    = flag.Int("table", 0, "paper table number to regenerate (1-8)")
 		fig      = flag.Int("fig", 0, "paper figure number to regenerate (6 or 7)")
-		ablation = flag.String("ablation", "", "ablation to run: pruning, ordering, parallel, leafcount, swap")
+		ablation = flag.String("ablation", "", "ablation to run: pruning, ordering, parallel, leafcount, bitset, swap")
 		all      = flag.Bool("all", false, "run every table, figure and ablation")
 		full     = flag.Bool("full", false, "full sweep (all datasets, k=3..6) instead of the quick subset")
 		shapes   = flag.Bool("shapes", false, "verify the paper's qualitative claims (exits non-zero on failure)")

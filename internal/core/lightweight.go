@@ -1,7 +1,6 @@
 package core
 
 import (
-	"container/heap"
 	"time"
 
 	"repro/internal/graph"
@@ -20,14 +19,19 @@ type heapEntry struct {
 	seq    int64 // discovery sequence, the default tie-break
 }
 
-// cliqueHeap orders entries ascending by (score, tie-break).
+// cliqueHeap is a binary min-heap of entries ordered by (score,
+// tie-break). Its typed sift methods stand in for container/heap, whose
+// Push and Pop box every entry in an interface. Both tie-breaks make the
+// order strict and total (seq is unique; under StrictTies each root holds
+// at most one entry and a clique is found only from its own root, so no
+// two entries share a member list), so the pop sequence is the same as
+// any other correct heap's.
 type cliqueHeap struct {
 	entries []heapEntry
 	strict  bool
 }
 
-func (h *cliqueHeap) Len() int { return len(h.entries) }
-func (h *cliqueHeap) Less(i, j int) bool {
+func (h *cliqueHeap) less(i, j int) bool {
 	a, b := &h.entries[i], &h.entries[j]
 	if a.score != b.score {
 		return a.score < b.score
@@ -37,14 +41,59 @@ func (h *cliqueHeap) Less(i, j int) bool {
 	}
 	return a.seq < b.seq
 }
-func (h *cliqueHeap) Swap(i, j int) { h.entries[i], h.entries[j] = h.entries[j], h.entries[i] }
-func (h *cliqueHeap) Push(x any)    { h.entries = append(h.entries, x.(heapEntry)) }
-func (h *cliqueHeap) Pop() any {
-	old := h.entries
-	n := len(old)
-	e := old[n-1]
-	h.entries = old[:n-1]
+
+func (h *cliqueHeap) swap(i, j int) { h.entries[i], h.entries[j] = h.entries[j], h.entries[i] }
+
+// init establishes the heap order over entries.
+func (h *cliqueHeap) init() {
+	n := len(h.entries)
+	for i := n/2 - 1; i >= 0; i-- {
+		h.down(i, n)
+	}
+}
+
+func (h *cliqueHeap) push(e heapEntry) {
+	h.entries = append(h.entries, e)
+	h.up(len(h.entries) - 1)
+}
+
+// pop removes and returns the minimum entry; the heap must not be empty.
+func (h *cliqueHeap) pop() heapEntry {
+	n := len(h.entries) - 1
+	h.swap(0, n)
+	h.down(0, n)
+	e := h.entries[n]
+	h.entries = h.entries[:n]
 	return e
+}
+
+func (h *cliqueHeap) up(j int) {
+	for j > 0 {
+		i := (j - 1) / 2 // parent
+		if !h.less(j, i) {
+			break
+		}
+		h.swap(i, j)
+		j = i
+	}
+}
+
+// down sifts entry i toward the leaves of the heap's first n entries.
+func (h *cliqueHeap) down(i, n int) {
+	for {
+		j := 2*i + 1 // left child
+		if j >= n {
+			return
+		}
+		if r := j + 1; r < n && h.less(r, j) {
+			j = r
+		}
+		if !h.less(j, i) {
+			return
+		}
+		h.swap(i, j)
+		i = j
+	}
 }
 
 // runLightweight is Algorithm 3 (the L and LP competitors): compute node
@@ -101,7 +150,7 @@ func runLightweight(g *graph.Graph, opt *Options, prune bool) ([][]int32, uint64
 			seq++
 		}
 	}
-	heap.Init(h)
+	h.init()
 
 	// Calculation (lines 31-39).
 	valid := make([]bool, n)
@@ -112,12 +161,12 @@ func runLightweight(g *graph.Graph, opt *Options, prune bool) ([][]int32, uint64
 	defer kclique.PutScratch(sc)
 	var out [][]int32
 	pops := 0
-	for h.Len() > 0 {
+	for len(h.entries) > 0 {
 		pops++
 		if !deadline.IsZero() && pops&1023 == 0 && time.Now().After(deadline) {
 			return nil, total, ErrOOT
 		}
-		e := heap.Pop(h).(heapEntry)
+		e := h.pop()
 		ok := true
 		for _, v := range e.clique {
 			if !valid[v] {
@@ -140,7 +189,7 @@ func runLightweight(g *graph.Graph, opt *Options, prune bool) ([][]int32, uint64
 		}
 		if c, s, found := findMin(d, k, root, scores, valid, prune, sc); found {
 			sortClique(c)
-			heap.Push(h, heapEntry{clique: c, root: root, score: s, seq: seq})
+			h.push(heapEntry{clique: c, root: root, score: s, seq: seq})
 			seq++
 		}
 	}

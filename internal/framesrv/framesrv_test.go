@@ -504,6 +504,16 @@ func TestGracefulShutdown(t *testing.T) {
 	go func() { done <- srv.Serve(ln) }()
 
 	c := dial(t, ln.Addr().String())
+	// One round trip first, so the server has accepted the connection
+	// before Shutdown closes the listener: a connection still in the
+	// kernel's accept queue at that point is reset, not drained.
+	c.SendCliqueOf(0)
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Recv(); err != nil {
+		t.Fatal(err)
+	}
 	const depth = 50
 	for i := 0; i < depth; i++ {
 		c.SendCliqueOf(int32(i))

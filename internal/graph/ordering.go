@@ -148,48 +148,54 @@ func ListingOrdering(g *Graph) Ordering {
 }
 
 // DAG is the oriented version of a Graph under an Ordering: the
-// out-neighbours of u are its neighbours with smaller rank, sorted by rank
-// descending is not required — they are kept sorted by node id, matching the
-// parent graph's adjacency order.
+// out-neighbours of u are its neighbours with smaller rank, kept sorted by
+// node id, matching the parent graph's adjacency order. Out-rows are stored
+// in CSR form like the Graph itself: one offsets array and one flat array.
 type DAG struct {
-	G   *Graph
-	Ord Ordering
-	out [][]int32
+	G       *Graph
+	Ord     Ordering
+	offsets []int64 // len N+1; Out(u) is out[offsets[u]:offsets[u+1]]
+	out     []int32 // len M
 }
 
-// Orient builds the DAG of g under ord.
+// Orient builds the DAG of g under ord in two passes: out-degrees into the
+// offsets, then the rows into one flat array.
 func Orient(g *Graph, ord Ordering) *DAG {
 	n := g.N()
-	counts := make([]int32, n)
+	offsets := make([]int64, n+1)
 	for u := int32(0); int(u) < n; u++ {
+		ru := ord.Rank[u]
+		cnt := int64(0)
 		for _, v := range g.Neighbors(u) {
-			if ord.Rank[v] < ord.Rank[u] {
-				counts[u]++
+			if ord.Rank[v] < ru {
+				cnt++
+			}
+		}
+		offsets[u+1] = offsets[u] + cnt
+	}
+	out := make([]int32, offsets[n])
+	w := 0
+	for u := int32(0); int(u) < n; u++ {
+		ru := ord.Rank[u]
+		for _, v := range g.Neighbors(u) {
+			if ord.Rank[v] < ru {
+				out[w] = v
+				w++
 			}
 		}
 	}
-	out := make([][]int32, n)
-	for u := int32(0); int(u) < n; u++ {
-		if counts[u] == 0 {
-			continue
-		}
-		lst := make([]int32, 0, counts[u])
-		for _, v := range g.Neighbors(u) {
-			if ord.Rank[v] < ord.Rank[u] {
-				lst = append(lst, v)
-			}
-		}
-		out[u] = lst
-	}
-	return &DAG{G: g, Ord: ord, out: out}
+	return &DAG{G: g, Ord: ord, offsets: offsets, out: out}
 }
 
 // Out returns the out-neighbours of u (neighbours with smaller rank),
-// sorted by node id. The slice aliases internal storage.
-func (d *DAG) Out(u int32) []int32 { return d.out[u] }
+// sorted by node id. The slice aliases internal storage and must not be
+// modified.
+func (d *DAG) Out(u int32) []int32 {
+	return d.out[d.offsets[u]:d.offsets[u+1]:d.offsets[u+1]]
+}
 
 // OutDegree returns |N+(u)|.
-func (d *DAG) OutDegree(u int32) int { return len(d.out[u]) }
+func (d *DAG) OutDegree(u int32) int { return int(d.offsets[u+1] - d.offsets[u]) }
 
 // N returns the number of nodes.
 func (d *DAG) N() int { return d.G.N() }

@@ -46,7 +46,7 @@ var (
 
 // Adj returns the out-neighbours of u — the View accessor; identical to
 // Out.
-func (d *DAG) Adj(u int32) []int32 { return d.out[u] }
+func (d *DAG) Adj(u int32) []int32 { return d.Out(u) }
 
 // IdOrdered reports false: a DAG's orientation is its explicit Ordering,
 // and out-rows already encode it.

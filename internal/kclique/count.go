@@ -15,9 +15,11 @@ var ErrDeadline = errors.New("kclique: deadline exceeded")
 // counts s_n(u) (Definition 5: the number of k-cliques containing u),
 // without storing any clique. workers <= 0 means GOMAXPROCS.
 //
-// It uses the leaf-level optimisation described in DESIGN.md: at the last
-// recursion level every remaining candidate completes one clique with the
-// current stack, so counts are accumulated in bulk instead of per clique.
+// Roots whose out-neighbourhood has at most wordBits members run on the
+// word-packed kernel (words.go) and flush their per-node counts once per
+// root; larger ones run the merge recursion, where at the last level every
+// remaining candidate completes one clique with the current stack, so
+// counts are accumulated in bulk instead of per clique.
 func Count(d *graph.DAG, k int, workers int) (uint64, []int64) {
 	return ParallelCountPerNode(d, k, workers)
 }
@@ -46,10 +48,12 @@ func CountWithDeadline(d *graph.DAG, k int, workers int, deadline time.Time) (ui
 			}
 		}
 		cc := &ctxs[worker]
-		cc.d, cc.scores, cc.sc = d, scores, sc
-		sc.stack = append(sc.stack[:0], u)
-		cand := append(sc.level(k-1), d.Out(u)...)
-		cc.rec(k-1, cand)
+		cc.d, cc.k, cc.scores, cc.sc = d, k, scores, sc
+		if d.OutDegree(u) <= wordBits {
+			cc.rootWords(u)
+		} else {
+			cc.rootMerge(u)
+		}
 		return true
 	})
 	var total uint64
@@ -64,9 +68,40 @@ func CountWithDeadline(d *graph.DAG, k int, workers int, deadline time.Time) (ui
 
 type countCtx struct {
 	d      *graph.DAG
+	k      int
 	scores []int64
 	sc     *Scratch
 	total  uint64
+}
+
+// rootWords counts the k-cliques rooted at u on the word-packed kernel,
+// then adds each member's count to the shared scores with one atomic add.
+func (c *countCtx) rootWords(u int32) {
+	sc, out := c.sc, c.d.Out(u)
+	sc.loadWords(c.d.N(), out)
+	for i := range out {
+		sc.row(c.d, i) // countWords reads every row: build them all
+		sc.local[i] = 0
+	}
+	n := sc.countWords(c.k-1, fullWord(len(out)))
+	if n == 0 {
+		return
+	}
+	c.total += n
+	atomic.AddInt64(&c.scores[u], int64(n))
+	for i, v := range out {
+		if sc.local[i] != 0 {
+			atomic.AddInt64(&c.scores[v], sc.local[i])
+		}
+	}
+}
+
+// rootMerge counts the k-cliques rooted at u on the merge recursion, with
+// one atomic add per node per leaf.
+func (c *countCtx) rootMerge(u int32) {
+	sc := c.sc
+	sc.stack = append(sc.stack[:0], u)
+	c.rec(c.k-1, append(sc.level(c.k-1), c.d.Out(u)...))
 }
 
 func (c *countCtx) rec(l int, cand []int32) {
@@ -99,8 +134,9 @@ func (c *countCtx) rec(l int, cand []int32) {
 	}
 }
 
-// CountSerial is Count restricted to a single goroutine without atomics,
-// used by the ablation bench and as a reference in tests.
+// CountSerial counts like Count on a single goroutine without atomics,
+// with the merge recursion for every root: the reference the word-packed
+// kernel is tested and ablated against.
 func CountSerial(d *graph.DAG, k int) (uint64, []int64) {
 	n := d.N()
 	scores := make([]int64, n)

@@ -7,7 +7,9 @@
 //
 // All routines work on a graph.DAG oriented so that the out-neighbours of a
 // node have strictly smaller rank; every k-clique is then visited exactly
-// once, rooted at its maximum-rank member.
+// once, rooted at its maximum-rank member. Count and FindMin run each root
+// whose candidate set fits in one machine word on a word-packed kernel
+// (words.go), and larger ones on the merge recursion.
 package kclique
 
 import (
@@ -23,12 +25,20 @@ type Scratch struct {
 	stack []int32   // current partial clique
 	best  []int32   // best clique found by FindMin
 
-	// mark/epoch implement the stamped-intersection fast path for large
-	// candidate sets (see forEachFrom): mark[v] == epoch means v is in the
-	// current first-level candidate set. Sized lazily to the view's node
-	// count on first use, so the cheap merge-only paths never pay for it.
+	// mark/epoch stamp one candidate set at a time: mark[v]>>6 == epoch
+	// means v is in the current set, and the low six bits hold v's local
+	// id in the word-packed kernel (words.go). The stamped-intersection
+	// fast path for large sets (see forEachFrom) stamps with local id 0.
+	// Sized lazily to the graph's node count on first use.
 	mark  []uint32
 	epoch uint32
+
+	// Word-packed kernel state for one root's candidate set of at most
+	// wordBits members (words.go).
+	ids   [wordBits]int32  // local id -> node id, ascending
+	rows  [wordBits]uint64 // rows[i]: ids[i]'s out-row inside the set
+	built uint64           // rows built so far (FindMin builds lazily)
+	local [wordBits]int64  // Count: cliques of the root through ids[i]
 
 	// NoStamp disables the stamped-intersection fast path, forcing every
 	// level onto the pure merge scan. Ablation knob (cmd/experiments
@@ -59,21 +69,22 @@ func (s *Scratch) level(l int) []int32 {
 	return s.cand[l][:0]
 }
 
-// beginStamp starts a fresh stamping epoch over a graph of n nodes.
+// beginStamp starts a fresh stamping epoch over a graph of n nodes. The
+// epoch wraps before epoch<<6 overflows a mark.
 func (s *Scratch) beginStamp(n int) {
 	if len(s.mark) < n {
 		s.mark = make([]uint32, n)
 		s.epoch = 0
 	}
 	s.epoch++
-	if s.epoch == 0 {
+	if s.epoch == 1<<26 {
 		clear(s.mark)
 		s.epoch = 1
 	}
 }
 
-func (s *Scratch) stamp(v int32)        { s.mark[v] = s.epoch }
-func (s *Scratch) stamped(v int32) bool { return s.mark[v] == s.epoch }
+func (s *Scratch) stamp(v int32)        { s.mark[v] = s.epoch << 6 }
+func (s *Scratch) stamped(v int32) bool { return s.mark[v]>>6 == s.epoch }
 
 // intersect writes cand ∩ out into dst (both inputs sorted ascending by
 // node id) and returns the filled slice. dst must not alias the inputs.
@@ -349,8 +360,25 @@ func FindMinStrict(d *graph.DAG, k int, root int32, score []int64, valid []bool,
 }
 
 func findMin(d *graph.DAG, k int, root int32, score []int64, valid []bool, prune, strict bool, sc *Scratch) ([]int32, int64, bool) {
-	if k < 2 {
+	st, cand, ok := newFindMin(d, k, root, score, valid, prune, strict, sc)
+	if !ok {
 		return nil, 0, false
+	}
+	if len(cand) <= wordBits {
+		st.sc.loadWords(d.N(), cand)
+		st.recWords(k-1, fullWord(len(cand)), score[root])
+	} else {
+		st.rec(k-1, cand, score[root])
+	}
+	return st.result()
+}
+
+// newFindMin sets up the search rooted at root: the candidate set is
+// root's valid out-neighbourhood, ascending by node id. It reports false
+// when the set is too small to hold a clique.
+func newFindMin(d *graph.DAG, k int, root int32, score []int64, valid []bool, prune, strict bool, sc *Scratch) (findMinState, []int32, bool) {
+	if k < 2 {
+		return findMinState{}, nil, false
 	}
 	if sc == nil {
 		sc = NewScratch(k, d.G.MaxDegree())
@@ -362,18 +390,11 @@ func findMin(d *graph.DAG, k int, root int32, score []int64, valid []bool, prune
 		cand = filterValid(sc.level(k-1), d.Out(root), valid)
 	}
 	if len(cand) < k-1 {
-		return nil, 0, false
+		return findMinState{}, nil, false
 	}
 	sc.stack = append(sc.stack[:0], root)
 	sc.best = sc.best[:0]
-	st := findMinState{d: d, score: score, prune: prune, strict: strict, bestScore: math.MaxInt64, sc: sc}
-	st.rec(k-1, cand, score[root])
-	if len(sc.best) == 0 {
-		return nil, 0, false
-	}
-	out := make([]int32, len(sc.best))
-	copy(out, sc.best)
-	return out, st.bestScore, true
+	return findMinState{d: d, score: score, prune: prune, strict: strict, bestScore: math.MaxInt64, sc: sc}, cand, true
 }
 
 type findMinState struct {
@@ -383,6 +404,15 @@ type findMinState struct {
 	strict    bool
 	bestScore int64
 	sc        *Scratch
+}
+
+// result returns a fresh copy of the best clique found, its score, and
+// whether there was one.
+func (st *findMinState) result() ([]int32, int64, bool) {
+	if len(st.sc.best) == 0 {
+		return nil, 0, false
+	}
+	return append([]int32(nil), st.sc.best...), st.bestScore, true
 }
 
 // cliqueLexLess compares cliques by their sorted member lists.
@@ -407,25 +437,33 @@ func sortInt32(s []int32) {
 	}
 }
 
+// offer considers the completion sc.stack + v, of clique score s, as the
+// new best.
+func (st *findMinState) offer(v int32, s int64) {
+	sc := st.sc
+	better := s < st.bestScore
+	if !better && st.strict && s == st.bestScore && len(sc.best) > 0 {
+		// Fixed total clique ordering: break the score tie by the sorted
+		// member lists (Theorem 4).
+		candidate := append(append([]int32(nil), sc.stack...), v)
+		better = cliqueLexLess(candidate, sc.best)
+	}
+	if better {
+		st.bestScore = s
+		sc.best = append(sc.best[:0], sc.stack...)
+		sc.best = append(sc.best, v)
+	}
+}
+
 // rec extends the partial clique on sc.stack (current score sCur) by l more
-// nodes drawn from cand, tracking the minimum-score completion.
+// nodes drawn from cand, tracking the minimum-score completion. It is the
+// merge-scan recursion for candidate sets over wordBits members, and the
+// reference the word-packed recWords is tested against.
 func (st *findMinState) rec(l int, cand []int32, sCur int64) {
 	sc := st.sc
 	if l == 1 {
 		for _, v := range cand {
-			s := sCur + st.score[v]
-			better := s < st.bestScore
-			if !better && st.strict && s == st.bestScore && len(sc.best) > 0 {
-				// Fixed total clique ordering: break the score tie by the
-				// sorted member lists (Theorem 4).
-				candidate := append(append([]int32(nil), sc.stack...), v)
-				better = cliqueLexLess(candidate, sc.best)
-			}
-			if better {
-				st.bestScore = s
-				sc.best = append(sc.best[:0], sc.stack...)
-				sc.best = append(sc.best, v)
-			}
+			st.offer(v, sCur+st.score[v])
 		}
 		return
 	}

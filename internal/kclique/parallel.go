@@ -38,9 +38,8 @@ func Workers(workers, n int) int {
 // ParallelIndex runs visit(worker, i) for every i in [0, n), handing
 // indexes out dynamically across the worker pool. It is the scratch-free
 // sibling of ParallelRoots for work that is indexed but not rooted in a
-// DAG (per-clique index rebuilds, dense-kernel roots); visit runs
-// concurrently across workers and must only write worker-local or
-// atomically-updated state.
+// DAG (per-clique index rebuilds); visit runs concurrently across workers
+// and must only write worker-local or atomically-updated state.
 func ParallelIndex(n, workers int, visit func(worker, i int)) {
 	if n <= 0 {
 		return
@@ -141,7 +140,10 @@ func ParallelForEach(d *graph.DAG, k, workers int, fn func(worker int, clique []
 // identical to CountSerial for every worker count. Per-worker totals are
 // merged at the end; per-node counts use atomic adds on a shared vector,
 // which profiles cheaper than merging n-sized vectors per worker on the
-// sparse graphs the paper targets.
+// sparse graphs the paper targets. Roots on the word-packed kernel flush
+// their counts once per root, one add per member that lies in one of the
+// root's cliques; only roots with more than wordBits out-neighbours add
+// once per leaf.
 func ParallelCountPerNode(d *graph.DAG, k, workers int) (uint64, []int64) {
 	total, scores, _ := CountWithDeadline(d, k, workers, time.Time{})
 	return total, scores

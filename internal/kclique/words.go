@@ -1,0 +1,110 @@
+package kclique
+
+import (
+	"math/bits"
+
+	"repro/internal/graph"
+)
+
+// The word-packed kernel runs Count and FindMin on a root whose candidate
+// set has at most wordBits members, which on the sparse social graphs the
+// paper targets is nearly every root. The set is relabelled to local ids
+// 0..m-1 in ascending node-id order, so iterating a mask from its lowest
+// bit visits candidates in the same order as the merge recursion, and
+// each member's out-row inside the set becomes one uint64. Intersections
+// become AND, candidate-set sizes popcount, and member loops
+// trailing-zero scans (Yuan et al., ICDE'22, apply the same local bitmap
+// idea to k-clique listing). Larger sets keep the merge recursion.
+
+// wordBits is the largest candidate set the word-packed kernel takes: one
+// local out-row per machine word.
+const wordBits = 64
+
+// fullWord returns the mask of local ids 0..m-1.
+func fullWord(m int) uint64 { return ^uint64(0) >> (wordBits - m) }
+
+// loadWords relabels cand (ascending node ids, at most wordBits members)
+// to local ids and stamps each member with its local id. No row is built
+// yet.
+func (sc *Scratch) loadWords(n int, cand []int32) {
+	sc.beginStamp(n)
+	for i, v := range cand {
+		sc.ids[i] = v
+		sc.mark[v] = sc.epoch<<6 | uint32(i)
+	}
+	sc.built = 0
+}
+
+// row returns local member i's out-row inside the loaded set, building it
+// from the DAG on first use.
+func (sc *Scratch) row(d *graph.DAG, i int) uint64 {
+	if sc.built&(1<<i) == 0 {
+		var r uint64
+		mark, epoch := sc.mark, sc.epoch
+		for _, w := range d.Out(sc.ids[i]) {
+			// Branch-free: whether w is a member is unpredictable.
+			m := mark[w]
+			var in uint64
+			if m>>6 == epoch {
+				in = 1
+			}
+			r |= in << (m & 63)
+		}
+		sc.rows[i] = r
+		sc.built |= 1 << i
+	}
+	return sc.rows[i]
+}
+
+// countWords returns how many cliques complete the current partial
+// clique with l more members drawn from cand, and adds to sc.local[i],
+// for each member i drawn at this level or below, the number of those
+// cliques that contain it. Every row of the loaded set must be built.
+func (sc *Scratch) countWords(l int, cand uint64) uint64 {
+	if l == 1 {
+		for c := cand; c != 0; c &= c - 1 {
+			sc.local[bits.TrailingZeros64(c)]++
+		}
+		return uint64(bits.OnesCount64(cand))
+	}
+	var total uint64
+	for c := cand; c != 0; c &= c - 1 {
+		i := bits.TrailingZeros64(c)
+		next := cand & sc.rows[i]
+		if bits.OnesCount64(next) < l-1 {
+			continue
+		}
+		n := sc.countWords(l-1, next)
+		sc.local[i] += int64(n)
+		total += n
+	}
+	return total
+}
+
+// recWords is rec on the loaded set: the same visit order, prune test and
+// tie rules, with cand a mask of local ids. Rows are built only for the
+// members the prune test lets through.
+func (st *findMinState) recWords(l int, cand uint64, sCur int64) {
+	sc := st.sc
+	if l == 1 {
+		for c := cand; c != 0; c &= c - 1 {
+			v := sc.ids[bits.TrailingZeros64(c)]
+			st.offer(v, sCur+st.score[v])
+		}
+		return
+	}
+	for c := cand; c != 0; c &= c - 1 {
+		i := bits.TrailingZeros64(c)
+		v := sc.ids[i]
+		if st.prune && sCur+st.score[v] >= st.bestScore {
+			continue // see rec
+		}
+		next := cand & sc.row(st.d, i)
+		if bits.OnesCount64(next) < l-1 {
+			continue
+		}
+		sc.stack = append(sc.stack, v)
+		st.recWords(l-1, next, sCur+st.score[v])
+		sc.stack = sc.stack[:len(sc.stack)-1]
+	}
+}

@@ -1,0 +1,320 @@
+package kclique
+
+import (
+	"math/rand"
+	"slices"
+	"testing"
+
+	"repro/internal/gen"
+	"repro/internal/graph"
+)
+
+// rootCount counts the k-cliques rooted at u on one path of Count: the
+// word-packed kernel or the merge recursion.
+func rootCount(d *graph.DAG, k int, u int32, words bool) (uint64, []int64) {
+	cc := countCtx{d: d, k: k, scores: make([]int64, d.N()), sc: NewScratch(k, 0)}
+	if words {
+		cc.rootWords(u)
+	} else {
+		cc.rootMerge(u)
+	}
+	return cc.total, cc.scores
+}
+
+// findMinMerge is findMin forced onto the merge recursion, whatever the
+// candidate set's size.
+func findMinMerge(d *graph.DAG, k int, root int32, score []int64, valid []bool, prune, strict bool) ([]int32, int64, bool) {
+	st, cand, ok := newFindMin(d, k, root, score, valid, prune, strict, NewScratch(k, 0))
+	if !ok {
+		return nil, 0, false
+	}
+	st.rec(k-1, cand, score[root])
+	return st.result()
+}
+
+// kernelSides counts the roots of d whose out-neighbourhood takes the
+// word-packed kernel and those that take the merge recursion.
+func kernelSides(d *graph.DAG, k int) (words, merge int) {
+	for u := int32(0); int(u) < d.N(); u++ {
+		switch deg := d.OutDegree(u); {
+		case deg < k-1:
+		case deg <= wordBits:
+			words++
+		default:
+			merge++
+		}
+	}
+	return words, merge
+}
+
+// checkCount compares Count, for every worker count given, with
+// CountSerial and CountNaive, and every word-packed root with the merge
+// recursion on the same root.
+func checkCount(t *testing.T, d *graph.DAG, k int, workers ...int) {
+	t.Helper()
+	wantTotal, wantScores := CountSerial(d, k)
+	naiveTotal, naiveScores := CountNaive(d, k)
+	if naiveTotal != wantTotal || !slices.Equal(naiveScores, wantScores) {
+		t.Fatalf("k=%d: CountNaive %d and CountSerial %d disagree", k, naiveTotal, wantTotal)
+	}
+	for _, w := range workers {
+		total, scores := Count(d, k, w)
+		if total != wantTotal || !slices.Equal(scores, wantScores) {
+			t.Fatalf("k=%d workers=%d: Count total %d, CountSerial %d (scores equal: %v)",
+				k, w, total, wantTotal, slices.Equal(scores, wantScores))
+		}
+	}
+	for u := int32(0); int(u) < d.N(); u++ {
+		if deg := d.OutDegree(u); deg < k-1 || deg > wordBits {
+			continue
+		}
+		gotTotal, got := rootCount(d, k, u, true)
+		refTotal, ref := rootCount(d, k, u, false)
+		if gotTotal != refTotal || !slices.Equal(got, ref) {
+			t.Fatalf("k=%d root %d: word-packed kernel counts %d cliques, merge recursion %d (scores equal: %v)",
+				k, u, gotTotal, refTotal, slices.Equal(got, ref))
+		}
+	}
+}
+
+// checkFindMin compares FindMin and FindMinStrict, pruned and not, with
+// the merge recursion for every root, under valid (nil means all).
+func checkFindMin(t *testing.T, d *graph.DAG, k int, score []int64, valid []bool) {
+	t.Helper()
+	sc := NewScratch(k, 0)
+	for u := int32(0); int(u) < d.N(); u++ {
+		if valid != nil && !valid[u] {
+			continue
+		}
+		for _, prune := range []bool{false, true} {
+			for _, strict := range []bool{false, true} {
+				find := FindMin
+				if strict {
+					find = FindMinStrict
+				}
+				c, s, ok := find(d, k, u, score, valid, prune, sc)
+				rc, rs, rok := findMinMerge(d, k, u, score, valid, prune, strict)
+				if ok != rok || s != rs || !slices.Equal(c, rc) {
+					t.Fatalf("k=%d root %d prune=%v strict=%v: kernel (%v, %d, %v), merge recursion (%v, %d, %v)",
+						k, u, prune, strict, c, s, ok, rc, rs, rok)
+				}
+			}
+		}
+	}
+}
+
+// checkKernel runs both differential checks on g for one k: Count on the
+// listing DAG and on the score DAG, FindMin on the score DAG with all
+// nodes valid and under random valid masks.
+func checkKernel(t *testing.T, g *graph.Graph, k int, rng *rand.Rand, workers ...int) {
+	t.Helper()
+	checkCount(t, graph.Orient(g, graph.ListingOrdering(g)), k, workers...)
+	_, score := CountSerial(graph.Orient(g, graph.ListingOrdering(g)), k)
+	d := graph.Orient(g, graph.ScoreOrdering(g, score))
+	checkCount(t, d, k, workers...)
+	checkFindMin(t, d, k, score, nil)
+	for trial := 0; trial < 3; trial++ {
+		valid := make([]bool, g.N())
+		for i := range valid {
+			valid[i] = rng.Intn(5) != 0
+		}
+		checkFindMin(t, d, k, score, valid)
+	}
+}
+
+// bipartiteCore is a complete bipartite graph on two sides of 70 nodes
+// with 10% chords inside each side: a 70-core, so listing-DAG roots exceed
+// wordBits, with few enough cliques for the exhaustive searches.
+func bipartiteCore() *graph.Graph {
+	const side = 70
+	rng := rand.New(rand.NewSource(11))
+	b := graph.NewBuilder(2 * side)
+	for u := int32(0); u < 2*side; u++ {
+		for v := u + 1; v < 2*side; v++ {
+			if (u < side) != (v < side) || rng.Float64() < 0.1 {
+				b.AddEdge(u, v)
+			}
+		}
+	}
+	return b.MustBuild()
+}
+
+// hubOnClique joins one hub (node 7) to every node of a 7-clique and to a
+// ring of further nodes with chords. The hub lies in the most cliques, so
+// its out-neighbourhood in the score DAG is all 7+ring of its neighbours,
+// while every other one fits in a word.
+func hubOnClique(ring int32) *graph.Graph {
+	const clique = 7
+	hub := int32(clique)
+	b := graph.NewBuilder(int(clique + 1 + ring))
+	for u := int32(0); u < clique; u++ {
+		for v := u + 1; v < clique; v++ {
+			b.AddEdge(u, v)
+		}
+		b.AddEdge(u, hub)
+	}
+	for i := int32(0); i < ring; i++ {
+		u := hub + 1 + i
+		b.AddEdge(hub, u)
+		b.AddEdge(u, hub+1+(i+1)%ring)
+		b.AddEdge(u, hub+1+(i+2)%ring)
+	}
+	return b.MustBuild()
+}
+
+// TestLocalKernelMatchesMerge is the differential test of the word-packed
+// kernel: on graphs whose candidate sets fall on both sides of wordBits,
+// Count and FindMin must agree with the merge recursion root by root.
+func TestLocalKernelMatchesMerge(t *testing.T) {
+	core := bipartiteCore()
+	community := gen.CommunitySocial(600, 12, 0.2, 10000, 12)
+	hub := hubOnClique(90)
+
+	// Each graph must put roots on both sides of the cap, in the DAG that
+	// is meant to exercise them.
+	listing := func(g *graph.Graph) *graph.DAG { return graph.Orient(g, graph.ListingOrdering(g)) }
+	scoreDAG := func(g *graph.Graph) *graph.DAG {
+		_, score := CountSerial(listing(g), 3)
+		return graph.Orient(g, graph.ScoreOrdering(g, score))
+	}
+	for _, c := range []struct {
+		name string
+		d    *graph.DAG
+	}{{"core listing", listing(core)}, {"community score", scoreDAG(community)}, {"hub score", scoreDAG(hub)}} {
+		if w, m := kernelSides(c.d, 3); w == 0 || m == 0 {
+			t.Fatalf("%s DAG: %d word-packed roots, %d merge roots; want both", c.name, w, m)
+		}
+	}
+	if community.MaxDegree() <= wordBits {
+		t.Fatalf("community graph max degree %d, want > %d", community.MaxDegree(), wordBits)
+	}
+
+	rng := rand.New(rand.NewSource(5))
+	for k := 3; k <= 6; k++ {
+		checkKernel(t, core, k, rng, 1, 4)
+		checkKernel(t, community, k, rng, 1, 4)
+		checkKernel(t, hub, k, rng, 1, 4)
+	}
+}
+
+// TestLocalKernelCapBoundary runs the differential checks on a root whose
+// candidate set has exactly wordBits members, the full-word case, and on
+// one with a member more, the smallest merge case.
+func TestLocalKernelCapBoundary(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for _, ring := range []int32{wordBits - 7, wordBits - 6} {
+		g := hubOnClique(ring)
+		_, score := CountSerial(graph.Orient(g, graph.ListingOrdering(g)), 3)
+		if deg := graph.Orient(g, graph.ScoreOrdering(g, score)).OutDegree(7); deg != int(7+ring) {
+			t.Fatalf("ring %d: hub out-degree %d in the score DAG, want %d", ring, deg, 7+ring)
+		}
+		for k := 3; k <= 5; k++ {
+			checkKernel(t, g, k, rng, 1, 4)
+		}
+	}
+}
+
+// TestLocalKernelEmptyAndOneNode runs the differential checks on graphs
+// with no roots at all.
+func TestLocalKernelEmptyAndOneNode(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, n := range []int{0, 1} {
+		g := graph.NewBuilder(n).MustBuild()
+		for k := 3; k <= 6; k++ {
+			checkKernel(t, g, k, rng, 1, 4)
+			if total, scores := Count(graph.Orient(g, graph.ListingOrdering(g)), k, 4); total != 0 || len(scores) != n {
+				t.Fatalf("n=%d k=%d: Count = %d cliques over %d scores", n, k, total, len(scores))
+			}
+		}
+	}
+}
+
+// FuzzLocalKernel runs the differential checks on small graphs decoded
+// from the fuzz input: byte 0 picks k in 3..6, byte 1 the node count, and
+// each following byte pair one edge.
+func FuzzLocalKernel(f *testing.F) {
+	f.Add([]byte{0, 4, 0, 1, 1, 2, 0, 2, 2, 3, 1, 3, 0, 3})
+	f.Add([]byte{1, 8, 0, 1, 0, 2, 0, 3, 0, 4, 1, 2, 1, 3, 1, 4, 2, 3, 2, 4, 3, 4, 5, 6, 6, 7})
+	f.Add([]byte{3, 30, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		k := 3 + int(data[0]%4)
+		n := 1 + int(data[1]%24)
+		b := graph.NewBuilder(n)
+		for i := 2; i+1 < len(data); i += 2 {
+			b.AddEdge(int32(int(data[i])%n), int32(int(data[i+1])%n))
+		}
+		g := b.MustBuild()
+		checkKernel(t, g, k, rand.New(rand.NewSource(int64(len(data)))), 1, 2)
+	})
+}
+
+// TestCountDenseGraph checks Count on a clique-dense community graph, the
+// word-packed kernel's target case.
+func TestCountDenseGraph(t *testing.T) {
+	g := gen.RelaxedCaveman(12, 8, 0.1, 7)
+	d := listingDAG(g)
+	for k := 3; k <= 6; k++ {
+		checkCount(t, d, k, 0, 1, 4)
+	}
+}
+
+// TestCountDAGEmptyAndTiny runs Count directly on the listing DAGs of an
+// empty graph, a single node and a triangle, for every worker count.
+func TestCountDAGEmptyAndTiny(t *testing.T) {
+	empty := graph.NewBuilder(0).MustBuild()
+	single, _ := graph.FromEdges(1, nil)
+	tri, _ := graph.FromEdges(3, [][2]int32{{0, 1}, {1, 2}, {0, 2}})
+	for _, workers := range []int{0, 1, 4} {
+		total, scores := Count(listingDAG(empty), 3, workers)
+		if total != 0 || len(scores) != 0 {
+			t.Fatalf("workers=%d: empty graph counted %d, scores %v", workers, total, scores)
+		}
+		total, scores = Count(listingDAG(single), 3, workers)
+		if total != 0 || len(scores) != 1 || scores[0] != 0 {
+			t.Fatalf("workers=%d: single node counted %d, scores %v", workers, total, scores)
+		}
+		total, scores = Count(listingDAG(tri), 3, workers)
+		if total != 1 || scores[0] != 1 || scores[1] != 1 || scores[2] != 1 {
+			t.Fatalf("workers=%d: triangle total=%d scores=%v", workers, total, scores)
+		}
+	}
+}
+
+// TestCountKnownValues checks the K10 binomials.
+func TestCountKnownValues(t *testing.T) {
+	b := graph.NewBuilder(10)
+	for u := 0; u < 10; u++ {
+		for v := u + 1; v < 10; v++ {
+			b.AddEdge(int32(u), int32(v))
+		}
+	}
+	d := listingDAG(b.MustBuild())
+	for k, want := range map[int]uint64{3: 120, 4: 210, 5: 252} {
+		for _, workers := range []int{1, 4} {
+			total, scores := Count(d, k, workers)
+			if total != want {
+				t.Fatalf("K10 k=%d workers=%d: %d, want %d", k, workers, total, want)
+			}
+			// Each node lies in C(9, k-1) = want*k/10 of the cliques.
+			for u, s := range scores {
+				if s != int64(want)*int64(k)/10 {
+					t.Fatalf("K10 k=%d: score[%d] = %d, want %d", k, u, s, int64(want)*int64(k)/10)
+				}
+			}
+		}
+	}
+}
+
+// TestCountWorkerCounts checks that Count returns CountSerial's totals
+// and scores on random graphs for every worker count.
+func TestCountWorkerCounts(t *testing.T) {
+	for seed := int64(0); seed < 5; seed++ {
+		d := listingDAG(randomGraph(45, 0.3, 700+seed))
+		for k := 2; k <= 6; k++ {
+			checkCount(t, d, k, 1, 2, 4)
+		}
+	}
+}

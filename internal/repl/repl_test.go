@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -72,6 +73,14 @@ func startRepl(t testing.TB, svc *serve.Service, epoch uint64, opt PrimaryOption
 // stream frame), and returns the resulting version.
 func churn(t testing.TB, svc *serve.Service, rng *rand.Rand, batches, perBatch int) uint64 {
 	t.Helper()
+	if err := applyChurn(context.Background(), svc, rng, batches, perBatch); err != nil {
+		t.Fatal(err)
+	}
+	return svc.Snapshot().Version()
+}
+
+// applyChurn is churn for goroutines that cannot call t.Fatal.
+func applyChurn(ctx context.Context, svc *serve.Service, rng *rand.Rand, batches, perBatch int) error {
 	n := int32(svc.Snapshot().N())
 	for b := 0; b < batches; b++ {
 		ops := make([]workload.Op, perBatch)
@@ -83,14 +92,14 @@ func churn(t testing.TB, svc *serve.Service, rng *rand.Rand, batches, perBatch i
 			}
 			ops[i] = workload.Op{Insert: rng.Intn(10) < 6, U: u, V: v}
 		}
-		if err := svc.Enqueue(context.Background(), ops...); err != nil {
-			t.Fatal(err)
+		if err := svc.Enqueue(ctx, ops...); err != nil {
+			return err
 		}
-		if err := svc.Flush(context.Background()); err != nil {
-			t.Fatal(err)
+		if err := svc.Flush(ctx); err != nil {
+			return err
 		}
 	}
-	return svc.Snapshot().Version()
+	return nil
 }
 
 // waitFor polls cond until it holds or the deadline passes.
@@ -378,6 +387,19 @@ func TestEpochFencePrimaryRefuses(t *testing.T) {
 	}
 }
 
+// trimPast advances the primary past version and captures a new install
+// base there, at a writer barrier. The capture trims every history entry
+// at or below the base, so a follower at version can no longer resume
+// and must re-install.
+func trimPast(ctx context.Context, svc *serve.Service, p *Primary, version uint64, rng *rand.Rand) error {
+	for svc.Snapshot().Version() <= version {
+		if err := applyChurn(ctx, svc, rng, 1, 8); err != nil {
+			return err
+		}
+	}
+	return svc.Barrier(ctx, p.capture)
+}
+
 // TestFaultScheduleConvergence is the fault-injection property test:
 // for several seeded fault schedules (fragmented writes, short reads,
 // delays, and injected connection kills on every dial), a follower
@@ -393,34 +415,75 @@ func TestFaultScheduleConvergence(t *testing.T) {
 			svc := newPrimaryService(t, g, "")
 			// A small history window forces captures and trims during the
 			// run, so kills land followers on the re-install path too.
-			_, addr := startRepl(t, svc, 1, PrimaryOptions{HistoryLimit: 128})
+			p, addr := startRepl(t, svc, 1, PrimaryOptions{HistoryLimit: 128})
 			rng := rand.New(rand.NewSource(seed))
 
-			var attempt atomic.Int64
-			f := newTestFollower(t, addr, func(o *FollowerOptions) {
+			// Besides the random kills, each schedule kills the live stream
+			// once the follower holds state, and holds the redial until the
+			// primary has trimmed past the follower's version, so that
+			// reconnect re-installs by construction. (Random kills tend to
+			// land during the first install, and a redial after one that
+			// lands later resumes inside the history window.) mu orders each
+			// dial, and the conn it publishes in live, against the kill: the
+			// kill closes the latest conn, and the next dial sees trimNext.
+			var (
+				mu       sync.Mutex
+				live     net.Conn
+				attempt  int64
+				trimNext bool
+				f        *Follower
+			)
+			trimRng := rand.New(rand.NewSource(-seed))
+			f = newTestFollower(t, addr, func(o *FollowerOptions) {
 				o.Dial = func(ctx context.Context, a string) (net.Conn, error) {
+					mu.Lock()
+					defer mu.Unlock()
+					if trimNext {
+						// The previous stream has ended, so the follower's
+						// version cannot move under us.
+						if err := trimPast(ctx, svc, p, f.Status().Version, trimRng); err != nil {
+							return nil, err
+						}
+						trimNext = false
+					}
 					d := net.Dialer{Timeout: time.Second}
 					c, err := d.DialContext(ctx, "tcp", a)
 					if err != nil {
 						return nil, err
 					}
-					return faultconn.Wrap(c, faultconn.Options{
-						Seed:          seed*1000 + attempt.Add(1),
+					attempt++
+					live = faultconn.Wrap(c, faultconn.Options{
+						Seed:          seed*1000 + attempt,
 						FragmentProb:  0.3,
 						ShortReadProb: 0.3,
 						DelayProb:     0.05,
 						MaxDelay:      200 * time.Microsecond,
 						KillProb:      0.05,
-					}), nil
+					})
+					return live, nil
 				}
 			})
 			runFollower(t, f)
 
-			var ver uint64
 			for round := 0; round < 5; round++ {
-				ver = churn(t, svc, rng, 15, 8)
+				churn(t, svc, rng, 15, 8)
+				if round == 0 {
+					waitFor(t, 10*time.Second, "first install", func() bool { return f.Status().Installs > 0 })
+					mu.Lock()
+					trimNext = true
+					live.Close()
+					mu.Unlock()
+				}
 				time.Sleep(10 * time.Millisecond) // let faults land mid-stream
 			}
+			// The trim writes to the primary too; the writes stop once it
+			// is done.
+			waitFor(t, 10*time.Second, "the scheduled trim", func() bool {
+				mu.Lock()
+				defer mu.Unlock()
+				return !trimNext
+			})
+			ver := svc.Snapshot().Version()
 			waitFor(t, 60*time.Second, fmt.Sprintf("convergence to version %d", ver), func() bool {
 				return f.Status().Version >= ver
 			})
