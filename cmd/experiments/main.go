@@ -27,7 +27,7 @@ func main() {
 		shapes   = flag.Bool("shapes", false, "verify the paper's qualitative claims (exits non-zero on failure)")
 		updates  = flag.Bool("updates", false, "update-path throughput: mixed workload, single-op vs batched")
 		workers  = flag.Int("workers", 0, "worker-pool size for every parallel phase (0 = GOMAXPROCS, 1 = serial)")
-		unified  = flag.String("unified", "on", "on|off: stamped-intersection fast path of the unified enumeration core (ablation row for -updates)")
+		unified  = flag.String("unified", "on", "on|off: word-packed kernel and stamped first level of the unified enumeration core; off runs the merge recursion only (ablation row for -updates)")
 	)
 	flag.Parse()
 

@@ -1,7 +1,9 @@
 package dynamic
 
 import (
+	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -163,6 +165,102 @@ func TestNewWorkersDeterminism(t *testing.T) {
 		}
 		if !reflect.DeepEqual(e.Result(), base.Result()) {
 			t.Fatalf("workers=%d: result diverges", workers)
+		}
+	}
+}
+
+// candidatesOfGlobal is candidatesOf with the lookup owner-local matching
+// replaced: every enumerated clique probes the global dedup index.
+func candidatesOfGlobal(e *Engine, id int32) (kept []int32, fresh, allFree [][]int32) {
+	sc := newEnumScratch(e.k)
+	buf := make([]int32, e.k)
+	e.forEachCliqueAmong(sc, e.freeNeighborhood(sc, e.cliques[id]), func(c []int32) bool {
+		copy(buf, c)
+		slices.Sort(buf)
+		nonFree := 0
+		for _, u := range buf {
+			if e.nodeClique[u] != free {
+				nonFree++
+			}
+		}
+		switch {
+		case nonFree == e.k:
+		case nonFree == 0:
+			allFree = append(allFree, slices.Clone(buf))
+		default:
+			if c, ok := e.candDedup.lookup(buf, hashNodes(buf)); ok {
+				kept = append(kept, c.id)
+			} else {
+				fresh = append(fresh, slices.Clone(buf))
+			}
+		}
+		return true
+	})
+	return kept, fresh, allFree
+}
+
+// TestCandidatesOfOwnerLocal: matching each enumerated clique against the
+// owner's own indexed candidates finds exactly what a probe of the global
+// dedup index finds, for every owner. The check runs in the state
+// ApplyBatch's parallel rebuilds see, a graph that moved on from the
+// index: after a random batch, the engine deletes random edges and the
+// graph alone re-inserts them (deleted again afterwards), so owners
+// enumerate both indexed candidates and ones the index lacks.
+func TestCandidatesOfOwnerLocal(t *testing.T) {
+	g := gen.CommunitySocial(1500, 10, 0.25, 7500, 41)
+	res, err := core.Find(g, core.Options{K: 4, Algorithm: core.LP})
+	if err != nil {
+		t.Fatal(err)
+	}
+	equalLists := func(a, b [][]int32) bool { return slices.EqualFunc(a, b, slices.Equal[[]int32]) }
+	for _, workers := range []int{1, 4} {
+		e, err := NewWorkers(g, 4, res.Cliques, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(7))
+		var kepts, freshes int
+		for round := 0; round < 6; round++ {
+			e.ApplyBatch(randomBatch(e, rng, 64))
+			edges := e.g.Snapshot().EdgeList()
+			var dels []workload.Op
+			for range 64 {
+				ed := edges[rng.Intn(len(edges))]
+				dels = append(dels, workload.Op{U: ed[0], V: ed[1]})
+			}
+			e.ApplyBatch(dels)
+			for _, op := range dels {
+				e.g.InsertEdge(op.U, op.V)
+			}
+			owners := make([]int32, 0, len(e.cliques))
+			for id := range e.cliques {
+				owners = append(owners, id)
+			}
+			slices.Sort(owners)
+			kept, fresh, allFree := e.collectCandidates(owners)
+			for i, id := range owners {
+				wantKept, wantFresh, wantAllFree := candidatesOfGlobal(e, id)
+				if !slices.Equal(kept[i], wantKept) || !equalLists(fresh[i], wantFresh) || !equalLists(allFree[i], wantAllFree) {
+					t.Fatalf("workers=%d round %d owner %d: kept %v fresh %v allFree %v; global probe: kept %v fresh %v allFree %v",
+						workers, round, id, kept[i], fresh[i], allFree[i], wantKept, wantFresh, wantAllFree)
+				}
+				for _, c := range fresh[i] {
+					if got, ok := e.candDedup.lookup(c, hashNodes(c)); ok {
+						t.Fatalf("workers=%d owner %d: fresh %v is indexed as candidate %d", workers, id, c, got.id)
+					}
+				}
+				kepts += len(kept[i])
+				freshes += len(fresh[i])
+			}
+			for _, op := range dels {
+				e.g.DeleteEdge(op.U, op.V)
+			}
+			if err := e.Verify(); err != nil {
+				t.Fatalf("workers=%d round %d: %v", workers, round, err)
+			}
+		}
+		if kepts == 0 || freshes == 0 {
+			t.Fatalf("workers=%d: %d kept and %d fresh candidates; want both", workers, kepts, freshes)
 		}
 	}
 }

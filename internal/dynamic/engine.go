@@ -104,9 +104,10 @@ type Engine struct {
 	esc *enumScratch
 	wsc []*enumScratch
 
-	// noStamp disables the stamped-intersection fast path of the unified
-	// enumeration core (ablation: cmd/experiments -unified=off). Results
-	// are identical either way; only the intersection strategy changes.
+	// noStamp puts every enumeration on the merge recursion of the
+	// unified core (kclique.Scratch.NoStamp; ablation: cmd/experiments
+	// -unified=off). Results are identical either way; only the
+	// intersection strategy changes.
 	noStamp bool
 
 	// snapSlab / snapUsed carve published Snapshot structs out of
@@ -120,11 +121,14 @@ type Engine struct {
 	// orderCliques hold S sorted by clique id, maintained incrementally by
 	// orderInstall/orderRemove, so publication clones flat arrays instead
 	// of sorting; the member slices are shared with e.cliques and never
-	// mutated in place. snap holds the latest published snapshot — the
-	// only engine state readers may touch.
+	// mutated in place. Between publishes the order may hold orderHoles
+	// removed entries (nil member slices); publish compacts them. snap
+	// holds the latest published snapshot — the only engine state readers
+	// may touch.
 	sgen         uint64
 	orderIds     []int32
 	orderCliques [][]int32
+	orderHoles   int
 	snap         atomic.Pointer[Snapshot]
 
 	// ver0 seeds the version counter of the first published snapshot
@@ -152,10 +156,11 @@ type Engine struct {
 func (e *Engine) DisableSwaps() { e.noSwaps = true }
 
 // DisableUnifiedFastPath forces every enumeration the engine issues onto
-// the pure merge-scan path, turning off the stamped-intersection first
-// level the unified core shares with the static enumerators. Used by the
-// cmd/experiments -unified=off ablation to make the speedup of the shared
-// fast path reproducible; the maintained result is identical either way.
+// the merge recursion, turning off the word-packed kernel and the stamped
+// first level the unified core shares with the static enumerators. Used
+// by the cmd/experiments -unified=off ablation to make the speedup of the
+// shared fast paths reproducible; the maintained result is identical
+// either way.
 func (e *Engine) DisableUnifiedFastPath() {
 	e.noStamp = true
 	e.esc.kc.NoStamp = true

@@ -27,6 +27,7 @@ type enumScratch struct {
 	hits      []int32          // candidate ids gathered by dropCandidatesWithEdge
 	adjOwners []int32          // ownersAdjacentTo output
 	keep      []int32          // surviving candidate ids in differential rebuilds
+	owned     []*candidate     // candidatesOf: the owner's indexed candidates
 	stale     []int32          // dropStaleCandidates output
 	swapIDs   []int32          // trySwap: owner's candidate ids
 	swapLists [][]int32        // trySwap: member-list pointers for greedyDisjoint
@@ -50,8 +51,8 @@ func newEnumScratch(k int) *enumScratch {
 //
 // This is a thin adapter over the unified core: B becomes the first-level
 // candidate set of a ForEachAmong run on the engine's id-oriented view,
-// so it shares the stamped-intersection fast path (and any future one)
-// with the static enumerators instead of maintaining a private recursion.
+// so it shares the word-packed kernel and the stamped first level with
+// the static enumerators instead of maintaining a private recursion.
 func (e *Engine) forEachCliqueAmong(sc *enumScratch, B []int32, fn func(c []int32) bool) {
 	nodes := append(sc.nodes[:0], B...)
 	slices.Sort(nodes)
@@ -124,11 +125,24 @@ func (e *Engine) freeNeighborhood(sc *enumScratch, members []int32) []int32 {
 // ids (kept) without copying; only genuinely new ones are materialised
 // (fresh). It also reports any all-free cliques encountered — a non-empty
 // third result means S is not maximal and the caller must repair it.
-// Reads only the graph, S, the free status and the dedup index (lookups,
-// never mutation) and scratches through sc, so concurrent calls with
-// distinct scratches are safe as long as no writer mutates the index.
+//
+// The non-free members of a clique on B are members of C, so an indexed
+// candidate equal to one enumerated here is owned by this S-clique (see
+// ensureCandidate). Each enumerated clique is therefore matched against
+// the owner's few indexed candidates, gathered once, instead of probing
+// the global dedup index. Reads only the graph, S, the free status and
+// the index (never mutating them) and scratches through sc, so concurrent
+// calls with distinct scratches are safe as long as no writer mutates the
+// index.
 func (e *Engine) candidatesOf(sc *enumScratch, id int32) (kept []int32, fresh, allFree [][]int32) {
 	members := e.cliques[id]
+	owned := sc.owned[:0]
+	if own := e.candsByOwn[id]; own != nil {
+		for _, cid := range own.ids() {
+			owned = append(owned, e.cands[cid])
+		}
+	}
+	sc.owned = owned
 	buf := sc.sorted[:e.k]
 	e.forEachCliqueAmong(sc, e.freeNeighborhood(sc, members), func(c []int32) bool {
 		copy(buf, c)
@@ -145,8 +159,8 @@ func (e *Engine) candidatesOf(sc *enumScratch, id int32) (kept []int32, fresh, a
 		case nonFree == 0:
 			allFree = append(allFree, append([]int32(nil), buf...))
 		default:
-			if c, ok := e.candDedup.lookup(buf, hashNodes(buf)); ok {
-				kept = append(kept, c.id)
+			if cid, ok := matchOwned(owned, buf); ok {
+				kept = append(kept, cid)
 			} else {
 				fresh = append(fresh, append([]int32(nil), buf...))
 			}
@@ -154,6 +168,18 @@ func (e *Engine) candidatesOf(sc *enumScratch, id int32) (kept []int32, fresh, a
 		return true
 	})
 	return kept, fresh, allFree
+}
+
+// matchOwned returns the id of the candidate in owned with exactly the
+// (sorted) members nodes, if there is one.
+func matchOwned(owned []*candidate, nodes []int32) (int32, bool) {
+	digest := hashNodes(nodes)
+	for _, c := range owned {
+		if c.digest == digest && nodesEqual(c.nodes, nodes) {
+			return c.id, true
+		}
+	}
+	return 0, false
 }
 
 // collectCandidates runs candidatesOf for the given owners on the worker

@@ -32,9 +32,9 @@ type Snapshot struct {
 	sgen     uint64 // S-change generation, for copy-on-write reuse
 	schanged uint64 // version at which S last changed (<= version)
 	k        int
-	n, m    int
-	ids     []int32   // sorted clique ids, parallel to cliques
-	cliques [][]int32 // sorted members, ascending clique-id order
+	n, m     int
+	ids      []int32   // sorted clique ids, parallel to cliques
+	cliques  [][]int32 // sorted members, ascending clique-id order
 	// nodePg is the node -> clique id (or free) membership index, paged so
 	// publication clones only the pages an update touched instead of the
 	// whole N-sized array. Pages are immutable once published; entries
@@ -225,14 +225,17 @@ func (e *Engine) reserveSnapshots(n int) {
 //
 // Cost: updates that did not move S reuse the previous arrays and carve
 // the Snapshot struct from a slab (allocation-free in steady state).
-// Updates that did move S clone the writer-side order and membership
-// arrays (flat memcpys of |S| ids, |S| pointers and N node entries) and
-// share the member slices, which the engine never mutates in place
-// (installClique allocates fresh ones).
+// Updates that did move S compact the writer-side order (closing the
+// holes orderRemove left), clone it and the membership arrays (flat
+// memcpys of |S| ids, |S| pointers and N node entries) and share the
+// member slices, which the engine never mutates in place (installClique
+// allocates fresh ones). Every mutating entry point ends here, so
+// WriteCheckpoint and Verify never see a hole.
 func (e *Engine) publish() {
 	if e.batch != nil {
 		return
 	}
+	e.compactOrder()
 	prev := e.snap.Load()
 	n, m := e.g.N(), e.g.M()
 	s := e.nextSnapshot()
@@ -314,11 +317,31 @@ func (e *Engine) orderInstall(id int32, members []int32) {
 	e.sgen++
 }
 
-// orderRemove drops a clique from the writer-side publication order.
+// orderRemove drops a clique from the writer-side publication order. It
+// leaves a hole (the id stays, the member slice becomes nil) that the
+// next publish compacts, so a batch dissolving many cliques shifts the
+// arrays once instead of once per clique.
 func (e *Engine) orderRemove(id int32) {
-	if pos, ok := slices.BinarySearch(e.orderIds, id); ok {
-		e.orderIds = slices.Delete(e.orderIds, pos, pos+1)
-		e.orderCliques = slices.Delete(e.orderCliques, pos, pos+1)
+	if pos, ok := slices.BinarySearch(e.orderIds, id); ok && e.orderCliques[pos] != nil {
+		e.orderCliques[pos] = nil
+		e.orderHoles++
 	}
 	e.sgen++
+}
+
+// compactOrder closes the holes orderRemove left, keeping the order.
+func (e *Engine) compactOrder() {
+	if e.orderHoles == 0 {
+		return
+	}
+	w := 0
+	for i, c := range e.orderCliques {
+		if c != nil {
+			e.orderIds[w], e.orderCliques[w] = e.orderIds[i], c
+			w++
+		}
+	}
+	clear(e.orderCliques[w:])
+	e.orderIds, e.orderCliques = e.orderIds[:w], e.orderCliques[:w]
+	e.orderHoles = 0
 }

@@ -1,7 +1,10 @@
 package dynamic
 
 import (
+	"bytes"
+	"encoding/binary"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -181,5 +184,92 @@ func TestSnapshotMatchesEngineUnderBatches(t *testing.T) {
 		if err := e.Verify(); err != nil {
 			t.Fatalf("batch %d: %v", i/10, err)
 		}
+	}
+}
+
+// TestOrderHolesCompactAtPublish: a batch that dissolves every other
+// S-clique leaves holes in the publication order until the publish that
+// ends the batch closes them. Afterwards Verify holds, the snapshot lists
+// the cliques in ascending id order, and the checkpoint image equals that
+// of a twin that applied the same ops one at a time, apart from the
+// version field (the twin published once per op).
+func TestOrderHolesCompactAtPublish(t *testing.T) {
+	const groups, k = 40, 4
+	// Group i is the S-clique {a, b, c, d} = 5i..5i+3 plus the free node
+	// f = 5i+4 adjacent to a, b and c. Deleting (c, d) dissolves the
+	// clique and repacks {a, b, c, f} under a fresh id.
+	var edges [][2]int32
+	var initial [][]int32
+	for i := int32(0); i < groups; i++ {
+		a, b, c, d, f := 5*i, 5*i+1, 5*i+2, 5*i+3, 5*i+4
+		edges = append(edges, [2]int32{a, b}, [2]int32{a, c}, [2]int32{a, d}, [2]int32{b, c},
+			[2]int32{b, d}, [2]int32{c, d}, [2]int32{a, f}, [2]int32{b, f}, [2]int32{c, f})
+		initial = append(initial, []int32{a, b, c, d})
+	}
+	g, err := graph.FromEdges(5*groups, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	build := func() *Engine {
+		e, err := NewWorkers(g, k, initial, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	batched, twin := build(), build()
+	var ops []workload.Op
+	for i := int32(0); i < groups; i += 2 {
+		ops = append(ops, workload.Op{U: 5*i + 2, V: 5*i + 3})
+	}
+	v0 := batched.Snapshot().Version()
+	if got := batched.ApplyBatch(ops); got != len(ops) {
+		t.Fatalf("batch applied %d of %d ops", got, len(ops))
+	}
+	for _, op := range ops {
+		twin.applyOne(op)
+	}
+	for _, e := range []*Engine{batched, twin} {
+		if err := e.Verify(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	s := batched.Snapshot()
+	if s.Version() != v0+1 || twin.Snapshot().Version() != v0+uint64(len(ops)) {
+		t.Fatalf("versions %d (batched) and %d (twin), want %d and %d",
+			s.Version(), twin.Snapshot().Version(), v0+1, v0+uint64(len(ops)))
+	}
+	if s.Size() != groups || !slices.IsSorted(s.ids) || s.ids[groups-1] != groups+groups/2-1 {
+		t.Fatalf("snapshot holds %d cliques under ids %v, want %d ascending up to %d",
+			s.Size(), s.ids, groups, groups+groups/2-1)
+	}
+	for i, id := range s.ids {
+		if !slices.Equal(s.Clique(i), batched.cliques[id]) {
+			t.Fatalf("snapshot clique %d is %v, engine clique %d is %v", i, s.Clique(i), id, batched.cliques[id])
+		}
+	}
+	if err := s.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(s.Cliques(), twin.Result()) {
+		t.Fatal("batched and serially applied results differ")
+	}
+
+	var img, twinImg bytes.Buffer
+	if err := batched.WriteCheckpoint(&img); err != nil {
+		t.Fatal(err)
+	}
+	if err := twin.WriteCheckpoint(&twinImg); err != nil {
+		t.Fatal(err)
+	}
+	// The version is the third header word, after the magic and k.
+	a, b := img.Bytes(), twinImg.Bytes()
+	if got := binary.LittleEndian.Uint64(a[16:24]); got != s.Version() {
+		t.Fatalf("checkpoint version %d, want %d", got, s.Version())
+	}
+	copy(b[16:24], a[16:24])
+	if !bytes.Equal(a, b) {
+		t.Fatal("checkpoint image differs from the serially applied twin's")
 	}
 }

@@ -64,9 +64,9 @@ func (e *Engine) Verify() error {
 	// 1b. The writer-side publication order mirrors S exactly, sorted by
 	// id, and shares the member slices (publish clones these arrays, so a
 	// divergence here would surface as a stale snapshot).
-	if len(e.orderIds) != len(e.cliques) || len(e.orderCliques) != len(e.cliques) {
-		return fmt.Errorf("publication order holds %d/%d entries for %d cliques",
-			len(e.orderIds), len(e.orderCliques), len(e.cliques))
+	if len(e.orderIds) != len(e.cliques) || len(e.orderCliques) != len(e.cliques) || e.orderHoles != 0 {
+		return fmt.Errorf("publication order holds %d/%d entries (%d holes) for %d cliques",
+			len(e.orderIds), len(e.orderCliques), e.orderHoles, len(e.cliques))
 	}
 	if !slices.IsSorted(e.orderIds) {
 		return fmt.Errorf("publication order ids not sorted")

@@ -40,11 +40,12 @@ type Config struct {
 	// WSNodes and WSDegrees configure the §VI-D Watts–Strogatz sweep.
 	WSNodes   int
 	WSDegrees []int
-	// DisableUnified turns off the stamped-intersection fast path of the
-	// unified enumeration core in the dynamic engines the experiments
-	// build (cmd/experiments -unified=off), so the speedup of the shared
-	// fast path is reproducible from the CLI. Results are identical; only
-	// update latency changes.
+	// DisableUnified puts every enumeration of the dynamic engines the
+	// experiments build on the merge recursion, turning off the unified
+	// core's word-packed kernel and the stamped first level of large
+	// candidate sets (cmd/experiments -unified=off), so the speedup of
+	// the shared fast paths is reproducible from the CLI. Results are
+	// identical; only update latency changes.
 	DisableUnified bool
 	// Out receives the rendered tables.
 	Out io.Writer

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -247,6 +248,16 @@ func TestDegreeOrdering(t *testing.T) {
 	for u := 0; u < g.N(); u++ {
 		if ord.ByRank[ord.Rank[u]] != int32(u) {
 			t.Fatal("ByRank/Rank not inverse")
+		}
+	}
+	// The counting sort ranks exactly like the (degree, id) comparison
+	// sort of orderBy.
+	for seed := int64(0); seed < 5; seed++ {
+		g := randomGraph(60, 0.1+0.1*float64(seed), seed)
+		got := DegreeOrdering(g)
+		want := orderBy(g, func(u int32) int64 { return int64(g.Degree(u)) })
+		if !slices.Equal(got.Rank, want.Rank) || !slices.Equal(got.ByRank, want.ByRank) {
+			t.Fatalf("seed %d: DegreeOrdering %v, (degree, id) sort %v", seed, got.ByRank, want.ByRank)
 		}
 	}
 }

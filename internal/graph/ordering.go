@@ -44,9 +44,25 @@ func orderBy(g *Graph, key func(u int32) int64) Ordering {
 }
 
 // DegreeOrdering ranks nodes ascending by degree: a node with a larger
-// degree has a larger rank (paper §IV-A). Ties broken by id.
+// degree has a larger rank (paper §IV-A). Ties broken by id. Degrees are
+// small integers, so this is a counting sort: next[d] starts as the first
+// rank of degree d, and nodes take ranks in id order.
 func DegreeOrdering(g *Graph) Ordering {
-	return orderBy(g, func(u int32) int64 { return int64(g.Degree(u)) })
+	n := g.N()
+	next := make([]int32, g.MaxDegree()+2)
+	for u := int32(0); int(u) < n; u++ {
+		next[g.Degree(u)+1]++
+	}
+	for d := 1; d < len(next); d++ {
+		next[d] += next[d-1]
+	}
+	ord := Ordering{Rank: make([]int32, n), ByRank: make([]int32, n)}
+	for u := int32(0); int(u) < n; u++ {
+		d := g.Degree(u)
+		ord.Rank[u], ord.ByRank[next[d]] = next[d], u
+		next[d]++
+	}
+	return ord
 }
 
 // ScoreOrdering ranks nodes ascending by the given per-node score (the

@@ -7,9 +7,10 @@
 //
 // All routines work on a graph.DAG oriented so that the out-neighbours of a
 // node have strictly smaller rank; every k-clique is then visited exactly
-// once, rooted at its maximum-rank member. Count and FindMin run each root
-// whose candidate set fits in one machine word on a word-packed kernel
-// (words.go), and larger ones on the merge recursion.
+// once, rooted at its maximum-rank member. Count, FindMin and the
+// enumeration core run every candidate set that fits in one machine word
+// on a word-packed kernel (words.go), and larger ones on the merge
+// recursion.
 package kclique
 
 import (
@@ -27,22 +28,24 @@ type Scratch struct {
 
 	// mark/epoch stamp one candidate set at a time: mark[v]>>6 == epoch
 	// means v is in the current set, and the low six bits hold v's local
-	// id in the word-packed kernel (words.go). The stamped-intersection
-	// fast path for large sets (see forEachFrom) stamps with local id 0.
+	// id in the word-packed kernel (words.go). The stamped first level of
+	// sets over wordBits members (see forEachFrom) stamps with local id 0.
 	// Sized lazily to the graph's node count on first use.
 	mark  []uint32
 	epoch uint32
 
-	// Word-packed kernel state for one root's candidate set of at most
-	// wordBits members (words.go).
+	// Word-packed kernel state for one candidate set of at most wordBits
+	// members (words.go).
 	ids   [wordBits]int32  // local id -> node id, ascending
-	rows  [wordBits]uint64 // rows[i]: ids[i]'s out-row inside the set
-	built uint64           // rows built so far (FindMin builds lazily)
+	rows  [wordBits]uint64 // rows[i]: ids[i]'s row inside the set
+	built uint64           // rows built so far (built lazily except by Count)
 	local [wordBits]int64  // Count: cliques of the root through ids[i]
 
-	// NoStamp disables the stamped-intersection fast path, forcing every
-	// level onto the pure merge scan. Ablation knob (cmd/experiments
-	// -unified=off); results are identical either way.
+	// NoStamp forces ForEach, ParallelForEach, ForEachAmong and FindOne
+	// onto the merge recursion for every candidate set, turning off both
+	// the word-packed kernel and the stamped first level of larger sets.
+	// Ablation knob (cmd/experiments -unified=off); the cliques and their
+	// order are identical either way. Count and FindMin ignore it.
 	NoStamp bool
 }
 
@@ -104,17 +107,6 @@ func filterValid(dst, src []int32, valid []bool) []int32 {
 	return dst
 }
 
-// stampRootDegree is the first-level candidate-set size above which
-// forEachFrom switches to the stamped intersection: the merge path costs
-// O(|cand| + outdeg(v)) per member v, while stamping the candidate set
-// once turns each member into an O(outdeg(v)) filter scan. The win only
-// materialises when the candidate set is large; small sets stay on the
-// pure merge path and never touch the mark array. The same threshold
-// serves both substrates — for a static DAG root the candidate set is the
-// root's out-neighbourhood, for the dynamic engine it is a common
-// neighbourhood or a clique's free surroundings.
-const stampRootDegree = 64
-
 // ForEach calls fn once for every k-clique of the DAG. The clique slice is
 // reused between calls; fn must copy it to retain it. fn returning false
 // stops the enumeration. k must be >= 2.
@@ -150,9 +142,9 @@ func ForEach(d *graph.DAG, k int, fn func(clique []int32) bool) {
 // completion.
 //
 // prefix may be empty (enumerate all l-cliques within cand) and l may be
-// 0 (emit the prefix itself). Large candidate sets take the same stamped
-// first level as high-degree static roots, so every substrate shares one
-// fast path.
+// 0 (emit the prefix itself). The candidate set takes the same path as a
+// static root of its size (see forEachFrom), so every substrate shares
+// the word-packed kernel and the stamped first level.
 func ForEachAmong(v graph.View, prefix []int32, l int, cand []int32, sc *Scratch, fn func(clique []int32) bool) bool {
 	sc.stack = append(sc.stack[:0], prefix...)
 	if l == 0 {
@@ -161,26 +153,33 @@ func ForEachAmong(v graph.View, prefix []int32, l int, cand []int32, sc *Scratch
 	return forEachFrom(v, l, cand, sc, fn)
 }
 
-// forEachFrom extends sc.stack by l more members drawn from cand,
-// dispatching the first level to the stamped filter when the candidate
-// set is large enough to pay for it. Returns false to abort.
+// forEachFrom extends sc.stack by l more members drawn from cand.
+// Returns false to abort. A set of at most wordBits members runs on the
+// word-packed kernel; a larger one stamps its first level into the mark
+// array, which turns each member's merge against the whole set into a
+// filter scan of the member's row, and runs the merge recursion below
+// it. The last level (l == 1) and every set under NoStamp take the merge
+// recursion directly. All paths emit the same cliques in the same order.
 func forEachFrom(v graph.View, l int, cand []int32, sc *Scratch, fn func([]int32) bool) bool {
-	if len(cand) < l {
+	switch {
+	case len(cand) < l:
 		return true
-	}
-	if l >= 2 && len(cand) >= stampRootDegree && !sc.NoStamp {
+	case l < 2 || sc.NoStamp:
+		return forEachRec(v, v.IdOrdered(), l, cand, sc, fn)
+	case len(cand) <= wordBits:
+		return forEachWords(v, l, cand, sc, fn)
+	default:
 		return forEachStamped(v, l, cand, sc, fn)
 	}
-	return forEachRec(v, v.IdOrdered(), l, cand, sc, fn)
 }
 
-// forEachStamped runs the first recursion level of a large candidate set
-// with the set stamped into the mark array: the candidate set for each
-// member c is the stamped filter of c's adjacency — sorted output for
-// free, no merge against the (large) first-level set. Deeper levels fall
-// back to forEachRec, whose candidate sets shrink fast. Only the first
-// level stamps, so a single epoch per call suffices (nested stamping
-// would invalidate the parent's marks mid-loop).
+// forEachStamped runs the first recursion level of a candidate set over
+// wordBits members with the set stamped into the mark array: the
+// candidate set for each member c is the stamped filter of c's adjacency
+// — sorted output for free, no merge against the (large) first-level
+// set. Deeper levels fall back to forEachRec, whose candidate sets shrink
+// fast. Only the first level stamps, so a single epoch per call suffices
+// (nested stamping would invalidate the parent's marks mid-loop).
 func forEachStamped(v graph.View, l int, cand []int32, sc *Scratch, fn func([]int32) bool) bool {
 	idOrd := v.IdOrdered()
 	sc.beginStamp(v.N())
@@ -287,8 +286,10 @@ func forEachRec(v graph.View, idOrd bool, l int, cand []int32, sc *Scratch, fn f
 
 // FindOne searches for a k-clique containing root using only root's valid
 // out-neighbours, returning the first one encountered (Algorithm 1's
-// FindOne). The result includes root and is freshly allocated. valid may be
-// nil, meaning all nodes are valid.
+// FindOne): the first clique ForEach would emit from root under the same
+// candidate set, found through the same enumeration core. The result
+// includes root and is freshly allocated. valid may be nil, meaning all
+// nodes are valid.
 func FindOne(d *graph.DAG, k int, root int32, valid []bool, sc *Scratch) ([]int32, bool) {
 	if k < 2 {
 		return nil, false
@@ -306,37 +307,12 @@ func FindOne(d *graph.DAG, k int, root int32, valid []bool, sc *Scratch) ([]int3
 		return nil, false
 	}
 	sc.stack = append(sc.stack[:0], root)
-	if findOneRec(d, k-1, cand, sc) {
-		out := make([]int32, k)
-		copy(out, sc.stack)
-		return out, true
-	}
-	return nil, false
-}
-
-func findOneRec(d *graph.DAG, l int, cand []int32, sc *Scratch) bool {
-	if l == 1 {
-		if len(cand) == 0 {
-			return false
-		}
-		sc.stack = append(sc.stack, cand[0])
-		return true
-	}
-	for _, v := range cand {
-		if d.OutDegree(v) < l-1 {
-			continue
-		}
-		next := intersect(sc.level(l-1), cand, d.Out(v))
-		if len(next) < l-1 {
-			continue
-		}
-		sc.stack = append(sc.stack, v)
-		if findOneRec(d, l-1, next, sc) {
-			return true
-		}
-		sc.stack = sc.stack[:len(sc.stack)-1]
-	}
-	return false
+	var out []int32
+	forEachFrom(d, k-1, cand, sc, func(c []int32) bool {
+		out = append(make([]int32, 0, k), c...)
+		return false
+	})
+	return out, out != nil
 }
 
 // FindMin searches the valid out-neighbourhood of root for the k-clique

@@ -126,9 +126,10 @@ func ParallelForEach(d *graph.DAG, k, workers int, fn func(worker int, clique []
 		return true
 	}
 	return ParallelRoots(d, k, workers, func(worker int, u int32, sc *Scratch) bool {
-		// Same unified core as the serial enumerator (incl. the stamped
-		// fast path for high-degree roots); the mark array lives in the
-		// per-worker Scratch, so roots stamp independently.
+		// Same unified core as the serial enumerator (the word-packed
+		// kernel, or the stamped first level for roots over wordBits); the
+		// mark array lives in the per-worker Scratch, so roots stamp
+		// independently.
 		sc.stack = append(sc.stack[:0], u)
 		return forEachFrom(d, k-1, d.Out(u), sc, func(c []int32) bool { return fn(worker, c) })
 	})

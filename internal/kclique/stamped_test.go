@@ -7,8 +7,8 @@ import (
 	"repro/internal/graph"
 )
 
-// denseTestDAG builds a DAG whose roots comfortably exceed stampRootDegree,
-// so ForEach/ParallelForEach take the stamped intersection fast path.
+// denseTestDAG builds a DAG with roots of more than wordBits
+// out-neighbours, so ForEach/ParallelForEach take the stamped first level.
 func denseTestDAG(t *testing.T) *graph.DAG {
 	t.Helper()
 	const n = 110
@@ -25,12 +25,12 @@ func denseTestDAG(t *testing.T) *graph.DAG {
 	d := graph.Orient(g, graph.ListingOrdering(g))
 	stampedRoots := 0
 	for u := int32(0); u < n; u++ {
-		if d.OutDegree(u) >= stampRootDegree {
+		if d.OutDegree(u) > wordBits {
 			stampedRoots++
 		}
 	}
 	if stampedRoots == 0 {
-		t.Fatalf("no root reaches out-degree %d; fast path untested", stampRootDegree)
+		t.Fatalf("no root exceeds out-degree %d; stamped path untested", wordBits)
 	}
 	return d
 }

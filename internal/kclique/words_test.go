@@ -1,6 +1,7 @@
 package kclique
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -103,9 +104,35 @@ func checkFindMin(t *testing.T, d *graph.DAG, k int, score []int64, valid []bool
 	}
 }
 
-// checkKernel runs both differential checks on g for one k: Count on the
-// listing DAG and on the score DAG, FindMin on the score DAG with all
-// nodes valid and under random valid masks.
+// checkFindOne checks that FindOne returns, for every valid root, the
+// first clique the merge recursion emits from the root's valid
+// out-neighbours (valid nil means all).
+func checkFindOne(t *testing.T, d *graph.DAG, k int, valid []bool) {
+	t.Helper()
+	sc, ref := NewScratch(k, 0), NewScratch(k, 0)
+	ref.NoStamp = true
+	for u := int32(0); int(u) < d.N(); u++ {
+		if valid != nil && !valid[u] {
+			continue
+		}
+		cand := d.Out(u)
+		if valid != nil {
+			cand = filterValid(nil, cand, valid)
+		}
+		var want []int32
+		ForEachAmong(d, []int32{u}, k-1, cand, ref, func(c []int32) bool {
+			want = slices.Clone(c)
+			return false
+		})
+		if got, ok := FindOne(d, k, u, valid, sc); ok != (want != nil) || !slices.Equal(got, want) {
+			t.Fatalf("k=%d root %d: FindOne = (%v, %v), merge recursion's first clique %v", k, u, got, ok, want)
+		}
+	}
+}
+
+// checkKernel runs the differential checks on g for one k: Count on the
+// listing DAG and on the score DAG, FindMin and FindOne on the score DAG
+// with all nodes valid and under random valid masks.
 func checkKernel(t *testing.T, g *graph.Graph, k int, rng *rand.Rand, workers ...int) {
 	t.Helper()
 	checkCount(t, graph.Orient(g, graph.ListingOrdering(g)), k, workers...)
@@ -113,12 +140,14 @@ func checkKernel(t *testing.T, g *graph.Graph, k int, rng *rand.Rand, workers ..
 	d := graph.Orient(g, graph.ScoreOrdering(g, score))
 	checkCount(t, d, k, workers...)
 	checkFindMin(t, d, k, score, nil)
+	checkFindOne(t, d, k, nil)
 	for trial := 0; trial < 3; trial++ {
 		valid := make([]bool, g.N())
 		for i := range valid {
 			valid[i] = rng.Intn(5) != 0
 		}
 		checkFindMin(t, d, k, score, valid)
+		checkFindOne(t, d, k, valid)
 	}
 }
 
@@ -229,9 +258,116 @@ func TestLocalKernelEmptyAndOneNode(t *testing.T) {
 	}
 }
 
+// emitOrder returns the cliques ForEachAmong emits on the merge
+// recursion (NoStamp on), in order.
+func emitOrder(t *testing.T, v graph.View, prefix []int32, l int, cand []int32) [][]int32 {
+	t.Helper()
+	sc := NewScratch(len(prefix)+l, 0)
+	sc.NoStamp = true
+	var out [][]int32
+	if !ForEachAmong(v, prefix, l, cand, sc, func(c []int32) bool {
+		out = append(out, append([]int32(nil), c...))
+		return true
+	}) {
+		t.Fatalf("l=%d |cand|=%d: uninterrupted merge recursion reported a stop", l, len(cand))
+	}
+	return out
+}
+
+// checkOrder checks that ForEachAmong with NoStamp off emits exactly the
+// merge recursion's sequence, and that fn returning false after the j-th
+// emission, for every j in stops (nil means every j), stops it there.
+func checkOrder(t *testing.T, name string, v graph.View, prefix []int32, l int, cand []int32, stops []int) [][]int32 {
+	t.Helper()
+	want := emitOrder(t, v, prefix, l, cand)
+	run := func(stop int) (n int, ok bool) {
+		sc := NewScratch(len(prefix)+l, 0)
+		ok = ForEachAmong(v, prefix, l, cand, sc, func(c []int32) bool {
+			if n >= len(want) {
+				t.Fatalf("%s l=%d |cand|=%d stop=%d: emission %d is %v, merge recursion emits only %d",
+					name, l, len(cand), stop, n, c, len(want))
+			}
+			if !slices.Equal(c, want[n]) {
+				t.Fatalf("%s l=%d |cand|=%d stop=%d: emission %d is %v, merge recursion emits %v",
+					name, l, len(cand), stop, n, c, want[n])
+			}
+			n++
+			return n != stop
+		})
+		return n, ok
+	}
+	if n, ok := run(0); !ok || n != len(want) {
+		t.Fatalf("%s l=%d |cand|=%d: %d emissions (completed %v), merge recursion %d",
+			name, l, len(cand), n, ok, len(want))
+	}
+	if stops == nil {
+		for j := 1; j <= len(want); j++ {
+			stops = append(stops, j)
+		}
+	}
+	for _, j := range stops {
+		if j < 1 || j > len(want) {
+			continue
+		}
+		if n, ok := run(j); ok || n != j {
+			t.Fatalf("%s l=%d |cand|=%d: stop after emission %d ran %d (completed %v)",
+				name, l, len(cand), j, n, ok)
+		}
+	}
+	return want
+}
+
+// TestForEachAmongOrderMatchesMerge pins the emission order of the
+// enumeration core: on the word-packed kernel (63 and 64 members) and on
+// the stamped first level (65), over an id-ordered DynView and an
+// explicitly oriented DAG, with an empty and an edge-anchored prefix,
+// ForEachAmong emits the merge recursion's sequence for l = 1..5, and
+// stops after any emission.
+func TestForEachAmongOrderMatchesMerge(t *testing.T) {
+	// G(65, 0.3) on nodes 0..64 plus hubs 65 and 66 adjacent to each
+	// other and to every other node, so each candidate set below is
+	// closed under the prefix (65, 66).
+	const m, hubA, hubB = 65, 65, 66
+	rng := rand.New(rand.NewSource(21))
+	b := graph.NewBuilder(m + 2)
+	for u := int32(0); u < m; u++ {
+		for v := u + 1; v < m; v++ {
+			if rng.Float64() < 0.3 {
+				b.AddEdge(u, v)
+			}
+		}
+		b.AddEdge(u, hubA)
+		b.AddEdge(u, hubB)
+	}
+	b.AddEdge(hubA, hubB)
+	g := b.MustBuild()
+	views := []struct {
+		name string
+		v    graph.View
+	}{{"DynView", graph.DynamicFrom(g).View()}, {"DAG", listingDAG(g)}}
+	for _, size := range []int{wordBits - 1, wordBits, wordBits + 1} {
+		cand := make([]int32, size)
+		for i := range cand {
+			cand[i] = int32(i)
+		}
+		for _, vw := range views {
+			for _, prefix := range [][]int32{nil, {hubA, hubB}} {
+				for l := 1; l <= 5; l++ {
+					name := fmt.Sprintf("%s prefix=%v", vw.name, prefix)
+					if got := checkOrder(t, name, vw.v, prefix, l, cand, nil); len(got) == 0 {
+						t.Fatalf("%s l=%d |cand|=%d: no cliques; the order is untested", name, l, size)
+					}
+				}
+			}
+		}
+	}
+}
+
 // FuzzLocalKernel runs the differential checks on small graphs decoded
 // from the fuzz input: byte 0 picks k in 3..6, byte 1 the node count, and
-// each following byte pair one edge.
+// each following byte pair one edge. The DynView branch checks the
+// enumeration order of ForEachAmong over all nodes and over the common
+// neighbourhood of the first edge.
 func FuzzLocalKernel(f *testing.F) {
 	f.Add([]byte{0, 4, 0, 1, 1, 2, 0, 2, 2, 3, 1, 3, 0, 3})
 	f.Add([]byte{1, 8, 0, 1, 0, 2, 0, 3, 0, 4, 1, 2, 1, 3, 1, 4, 2, 3, 2, 4, 3, 4, 5, 6, 6, 7})
@@ -248,6 +384,24 @@ func FuzzLocalKernel(f *testing.F) {
 		}
 		g := b.MustBuild()
 		checkKernel(t, g, k, rand.New(rand.NewSource(int64(len(data)))), 1, 2)
+
+		dyn := graph.DynamicFrom(g)
+		all := make([]int32, n)
+		for i := range all {
+			all[i] = int32(i)
+		}
+		got := checkOrder(t, "DynView", dyn.View(), nil, k, all, []int{1, 2, 3})
+		if total, _ := CountSerial(listingDAG(g), k); uint64(len(got)) != total {
+			t.Fatalf("k=%d: DynView emits %d cliques, CountSerial counts %d", k, len(got), total)
+		}
+		for u := int32(0); int(u) < n; u++ {
+			if nb := dyn.Neighbors(u); len(nb) > 0 {
+				edge := []int32{u, nb[0]}
+				common := graph.IntersectSorted(nil, nb, dyn.Neighbors(nb[0]))
+				checkOrder(t, "DynView edge", dyn.View(), edge, k-2, common, []int{1, 2, 3})
+				break
+			}
+		}
 	})
 }
 
