@@ -37,37 +37,47 @@ func graphBinarySize(g *graph.Graph) int64 {
 
 // WriteCheckpoint serialises the engine's durable state: header, graph
 // (the binary CSR format of internal/graph), then S as (id, members)
-// records in ascending id order.
+// records in ascending id order. Everything is appended straight into
+// the buffered writer's buffer, so the cost is one pass over the state
+// and no per-record allocation.
 func (e *Engine) WriteCheckpoint(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(checkpointMagic[:]); err != nil {
-		return err
-	}
 	gs := e.g.Snapshot()
 	var version uint64
 	if s := e.snap.Load(); s != nil {
 		version = s.version
 	}
-	hdr := []int64{
+	b := append(bw.AvailableBuffer(), checkpointMagic[:]...)
+	for _, v := range [...]int64{
 		int64(e.k),
 		int64(version),
 		int64(e.nextClique),
 		int64(len(e.orderIds)),
 		graphBinarySize(gs),
+	} {
+		b = binary.LittleEndian.AppendUint64(b, uint64(v))
 	}
-	for _, v := range hdr {
-		if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
-			return err
-		}
+	if _, err := bw.Write(b); err != nil {
+		return err
 	}
 	if err := graph.WriteBinary(bw, gs); err != nil {
 		return err
 	}
-	for i, id := range e.orderIds {
-		if err := binary.Write(bw, binary.LittleEndian, id); err != nil {
-			return err
+	rec := 4 * (1 + e.k)
+	for i := 0; i < len(e.orderIds); {
+		if bw.Available() < rec {
+			if err := bw.Flush(); err != nil {
+				return err
+			}
 		}
-		if err := binary.Write(bw, binary.LittleEndian, e.orderCliques[i]); err != nil {
+		b := bw.AvailableBuffer()
+		for ; i < len(e.orderIds) && cap(b)-len(b) >= rec; i++ {
+			b = binary.LittleEndian.AppendUint32(b, uint32(e.orderIds[i]))
+			for _, u := range e.orderCliques[i] {
+				b = binary.LittleEndian.AppendUint32(b, uint32(u))
+			}
+		}
+		if _, err := bw.Write(b); err != nil {
 			return err
 		}
 	}

@@ -111,8 +111,10 @@ type Engine struct {
 	noStamp bool
 
 	// snapSlab / snapUsed carve published Snapshot structs out of
-	// slab-allocated blocks so publication is allocation-free in steady
-	// state; see nextSnapshot in snapshot.go.
+	// slab-allocated blocks so S-preserving publication is allocation-free
+	// in steady state. A slab holds one array generation only, so the
+	// engine pins just the current clique set; see nextSnapshot in
+	// snapshot.go.
 	snapSlab []Snapshot
 	snapUsed int
 

@@ -20,8 +20,11 @@ import (
 // Publication is copy-on-write: an update that leaves S untouched (most
 // insertions) reuses the previous snapshot's arrays and only stamps a
 // fresh version and graph M; an update that changes S clones the writer's
-// incrementally maintained order (three flat memcpys — no sorting, no
-// per-clique copying) and shares the immutable member slices.
+// incrementally maintained order (two flat memcpys plus the membership
+// pages it touched — no sorting, no per-clique copying) and shares the
+// immutable member slices. Superseded versions are freed the
+// read-copy-update way: once no reader holds a snapshot of a generation,
+// nothing keeps its arrays alive (see snapSlabSize).
 
 // Snapshot is an immutable point-in-time view of the maintained disjoint
 // k-clique set. All methods are safe for concurrent use and never return
@@ -187,20 +190,28 @@ func (s *Snapshot) Validate() error {
 // concurrently with a single writer applying updates.
 func (e *Engine) Snapshot() *Snapshot { return e.snap.Load() }
 
-// snapSlabSize is the number of Snapshot structs pre-allocated per slab.
-// A published snapshot keeps its whole slab reachable while any reader
-// holds it — a few kilobytes, traded for an allocation-free publish.
+// snapSlabSize caps the number of Snapshot structs carved from one slab.
+//
+// A slab holds the snapshots of one array generation only: every slot
+// shares the ids, cliques and nodePg arrays of the publish that built
+// them. Readers holding any slot keep the whole slab reachable, and with
+// it that one generation's arrays, |S| x 28 B plus the membership pages.
+// A publish that builds new arrays starts a fresh slab, so the engine's
+// own references (snap, snapSlab) pin exactly one generation; an older
+// one is garbage once no reader holds a snapshot of it.
 const snapSlabSize = 1024
 
-// nextSnapshot carves the next Snapshot struct out of the slab, so the
-// steady-state publish cost is zero allocations (one slab allocation
-// every snapSlabSize updates). Each slot is written once, before the
-// atomic store that publishes it, and never touched again; distinct slots
-// of one slab are distinct memory locations, so readers of older
-// snapshots are undisturbed.
+// nextSnapshot carves the next Snapshot struct for the current array
+// generation. A generation's first snapshot comes from a one-slot slab;
+// each later slab doubles, up to snapSlabSize, so a long S-preserving
+// streak costs one allocation per snapSlabSize publishes and a short one
+// wastes at most half its slab. Each slot is written once, before the
+// atomic store that publishes it, and never touched again; distinct
+// slots are distinct memory locations, so readers of older snapshots are
+// undisturbed.
 func (e *Engine) nextSnapshot() *Snapshot {
 	if e.snapUsed == len(e.snapSlab) {
-		e.snapSlab = make([]Snapshot, snapSlabSize)
+		e.snapSlab = make([]Snapshot, min(max(2*len(e.snapSlab), 1), snapSlabSize))
 		e.snapUsed = 0
 	}
 	s := &e.snapSlab[e.snapUsed]
@@ -208,8 +219,9 @@ func (e *Engine) nextSnapshot() *Snapshot {
 	return s
 }
 
-// reserveSnapshots guarantees the next n publishes carve from the current
-// slab without allocating. Test hook for the allocation-count tests.
+// reserveSnapshots guarantees the next n publishes of the current
+// generation carve from the current slab without allocating. Test hook
+// for the allocation-count tests.
 func (e *Engine) reserveSnapshots(n int) {
 	if len(e.snapSlab)-e.snapUsed < n {
 		e.snapSlab = make([]Snapshot, n)
@@ -224,13 +236,14 @@ func (e *Engine) reserveSnapshots(n int) {
 // here; the atomic store is what hands the result to readers.
 //
 // Cost: updates that did not move S reuse the previous arrays and carve
-// the Snapshot struct from a slab (allocation-free in steady state).
-// Updates that did move S compact the writer-side order (closing the
-// holes orderRemove left), clone it and the membership arrays (flat
-// memcpys of |S| ids, |S| pointers and N node entries) and share the
-// member slices, which the engine never mutates in place (installClique
-// allocates fresh ones). Every mutating entry point ends here, so
-// WriteCheckpoint and Verify never see a hole.
+// the Snapshot struct from the current generation's slab (allocation-free
+// apart from the slab's geometric growth). Updates that did move S (or
+// grew N) compact the writer-side order (closing the holes orderRemove
+// left), clone it and the dirty membership pages (flat memcpys of |S|
+// ids, |S| slice headers and the touched pages), share the member
+// slices, which the engine never mutates in place (installClique
+// allocates fresh ones), and start a new one-slot slab. Every mutating
+// entry point ends here, so WriteCheckpoint and Verify never see a hole.
 func (e *Engine) publish() {
 	if e.batch != nil {
 		return
@@ -238,6 +251,11 @@ func (e *Engine) publish() {
 	e.compactOrder()
 	prev := e.snap.Load()
 	n, m := e.g.N(), e.g.M()
+	reuse := prev != nil && prev.sgen == e.sgen && prev.n == n
+	if !reuse {
+		// New arrays start a new slab, so no slab spans two generations.
+		e.snapSlab, e.snapUsed = nil, 0
+	}
 	s := e.nextSnapshot()
 	*s = Snapshot{sgen: e.sgen, k: e.k, n: n, m: m, stats: e.stats, version: e.ver0 + 1}
 	if prev != nil {
@@ -249,7 +267,7 @@ func (e *Engine) publish() {
 		// below, but the clique set itself stands).
 		s.schanged = prev.schanged
 	}
-	if prev != nil && prev.sgen == e.sgen && prev.n == n {
+	if reuse {
 		// S did not change: reuse the immutable arrays, stamp new metadata.
 		s.ids, s.cliques, s.nodePg = prev.ids, prev.cliques, prev.nodePg
 	} else {

@@ -12,22 +12,67 @@ var binaryMagic = [8]byte{'D', 'K', 'C', 'Q', 'G', 'R', 'B', '1'}
 
 // WriteBinary emits a compact binary encoding of the graph (little-endian
 // CSR dump): loading it back is an order of magnitude faster than parsing
-// an edge-list text file for multi-million-edge graphs.
+// an edge-list text file for multi-million-edge graphs. The arrays are
+// encoded straight into the buffered writer's own buffer, a bufferful at
+// a time, so no copy of the graph is made on the way out.
 func WriteBinary(w io.Writer, g *Graph) error {
 	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(binaryMagic[:]); err != nil {
+	b := append(bw.AvailableBuffer(), binaryMagic[:]...)
+	b = binary.LittleEndian.AppendUint64(b, uint64(g.N()))
+	if _, err := bw.Write(b); err != nil {
 		return err
 	}
-	if err := binary.Write(bw, binary.LittleEndian, int64(g.N())); err != nil {
+	if err := writeInt64s(bw, g.offsets); err != nil {
 		return err
 	}
-	if err := binary.Write(bw, binary.LittleEndian, g.offsets); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, g.adj); err != nil {
+	if err := writeInt32s(bw, g.adj); err != nil {
 		return err
 	}
 	return bw.Flush()
+}
+
+// writeInt64s writes vs little-endian through bw's buffer.
+func writeInt64s(bw *bufio.Writer, vs []int64) error {
+	for len(vs) > 0 {
+		if bw.Available() < 8 {
+			if err := bw.Flush(); err != nil {
+				return err
+			}
+		}
+		b := bw.AvailableBuffer()
+		n := min(len(vs), cap(b)/8)
+		b = b[:8*n]
+		for i, v := range vs[:n] {
+			binary.LittleEndian.PutUint64(b[8*i:], uint64(v))
+		}
+		if _, err := bw.Write(b); err != nil {
+			return err
+		}
+		vs = vs[n:]
+	}
+	return nil
+}
+
+// writeInt32s writes vs little-endian through bw's buffer.
+func writeInt32s(bw *bufio.Writer, vs []int32) error {
+	for len(vs) > 0 {
+		if bw.Available() < 4 {
+			if err := bw.Flush(); err != nil {
+				return err
+			}
+		}
+		b := bw.AvailableBuffer()
+		n := min(len(vs), cap(b)/4)
+		b = b[:4*n]
+		for i, v := range vs[:n] {
+			binary.LittleEndian.PutUint32(b[4*i:], uint32(v))
+		}
+		if _, err := bw.Write(b); err != nil {
+			return err
+		}
+		vs = vs[n:]
+	}
+	return nil
 }
 
 // ReadBinary parses a WriteBinary stream and validates its invariants

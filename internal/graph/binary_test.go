@@ -1,10 +1,54 @@
 package graph
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/binary"
+	"io"
 	"strings"
 	"testing"
 )
+
+// writeBinaryRef is the binary.Write encoder WriteBinary replaced; the
+// appending encoder must reproduce its bytes exactly.
+func writeBinaryRef(w io.Writer, g *Graph) error {
+	bw := bufio.NewWriter(w)
+	if _, err := bw.Write(binaryMagic[:]); err != nil {
+		return err
+	}
+	if err := binary.Write(bw, binary.LittleEndian, int64(g.N())); err != nil {
+		return err
+	}
+	if err := binary.Write(bw, binary.LittleEndian, g.offsets); err != nil {
+		return err
+	}
+	if err := binary.Write(bw, binary.LittleEndian, g.adj); err != nil {
+		return err
+	}
+	return bw.Flush()
+}
+
+// TestWriteBinaryMatchesReference compares WriteBinary with the
+// binary.Write reference on graphs from empty to arrays many write
+// buffers long.
+func TestWriteBinaryMatchesReference(t *testing.T) {
+	graphs := []*Graph{NewBuilder(0).MustBuild(), NewBuilder(7).MustBuild()}
+	for seed := int64(0); seed < 3; seed++ {
+		graphs = append(graphs, randomGraph(40, 0.3, 810+seed), randomGraph(900, 0.04, 820+seed))
+	}
+	for i, g := range graphs {
+		var got, want bytes.Buffer
+		if err := WriteBinary(&got, g); err != nil {
+			t.Fatal(err)
+		}
+		if err := writeBinaryRef(&want, g); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("graph %d (n=%d, m=%d): encoding differs from the reference", i, g.N(), g.M())
+		}
+	}
+}
 
 func TestBinaryRoundTrip(t *testing.T) {
 	for seed := int64(0); seed < 4; seed++ {

@@ -195,6 +195,20 @@ type Frame struct {
 	HaveState  bool
 }
 
+// grow returns b with room for n more bytes, reallocating at most once:
+// to exactly n bytes when b has no capacity, and at least doubling it
+// otherwise, so a caller appending many frames to one buffer still grows
+// it geometrically. Unlike slices.Grow it makes one allocation in
+// race-instrumented builds too.
+func grow(b []byte, n int) []byte {
+	if cap(b)-len(b) >= n {
+		return b
+	}
+	nb := make([]byte, len(b), max(len(b)+n, 2*cap(b)))
+	copy(nb, b)
+	return nb
+}
+
 // beginFrame appends a frame header with placeholder length and CRC,
 // returning the offset endFrame needs to patch them.
 func beginFrame(b []byte, t FrameType) ([]byte, int) {
@@ -217,8 +231,14 @@ func endFrame(b []byte, mark int) []byte {
 // AppendSnapshotFrame appends a snapshot frame to b and returns the
 // extended buffer. cliques is included only when include is set (the
 // ?cliques=0 lean variant passes false); size should be the clique count
-// either way.
+// either way. b grows once, to the frame's exact size (each clique has k
+// members), so a nil b costs one allocation however large the snapshot.
 func AppendSnapshotFrame(b []byte, version uint64, k, nodes, edges, size int, cliques [][]int32, include bool) []byte {
+	payload := 8 + 4*4 + 1
+	if include {
+		payload += 4 * k * len(cliques)
+	}
+	b = grow(b, HeaderSize+payload)
 	b, mark := beginFrame(b, FrameSnapshot)
 	b = binary.LittleEndian.AppendUint64(b, version)
 	b = binary.LittleEndian.AppendUint32(b, uint32(k))
@@ -297,9 +317,11 @@ func AppendStatsFrame(b []byte, version uint64, st *Stats) []byte {
 // dissolved cliques, addedIDs/added (parallel, each clique exactly k
 // members) the installed ones. k, nodes, edges and size describe the
 // target snapshot, so a consumer tracking deltas always knows the full
-// snapshot header.
+// snapshot header. Like AppendSnapshotFrame it grows b once, to the
+// frame's exact size: a subscription's first delta is the whole set.
 func AppendDeltaFrame(b []byte, fromVersion, toVersion uint64, k, nodes, edges, size int,
 	removed, addedIDs []int32, added [][]int32) []byte {
+	b = grow(b, HeaderSize+2*8+6*4+4*len(removed)+4*(1+k)*len(addedIDs))
 	b, mark := beginFrame(b, FrameDelta)
 	b = binary.LittleEndian.AppendUint64(b, fromVersion)
 	b = binary.LittleEndian.AppendUint64(b, toVersion)

@@ -324,3 +324,49 @@ func TestRequestTenantSuffix(t *testing.T) {
 		t.Fatal("accepted truncated tenant suffix")
 	}
 }
+
+// TestLargeEncodeAllocatesOnce pins the exact-size growth of the two
+// frames that carry a whole clique set: encoding a multi-thousand-clique
+// snapshot (or a subscription's base delta) into a nil buffer makes one
+// allocation, and the bytes equal an encode into a buffer that was
+// already large enough.
+func TestLargeEncodeAllocatesOnce(t *testing.T) {
+	const k, n = 4, 5000
+	cliques := make([][]int32, n)
+	ids := make([]int32, n)
+	for i := range cliques {
+		b := int32(k * i)
+		cliques[i] = []int32{b, b + 1, b + 2, b + 3}
+		ids[i] = int32(3 * i)
+	}
+	removed := []int32{1, 2, 4}
+	encoders := []struct {
+		name string
+		enc  func([]byte) []byte
+	}{
+		{"snapshot", func(b []byte) []byte {
+			return AppendSnapshotFrame(b, 9, k, k*n, 6*n, n, cliques, true)
+		}},
+		{"snapshot-lean", func(b []byte) []byte {
+			return AppendSnapshotFrame(b, 9, k, k*n, 6*n, n, nil, false)
+		}},
+		{"delta", func(b []byte) []byte {
+			return AppendDeltaFrame(b, 3, 9, k, k*n, 6*n, n, removed, ids, cliques)
+		}},
+	}
+	for _, tc := range encoders {
+		t.Run(tc.name, func(t *testing.T) {
+			got := tc.enc(nil)
+			want := tc.enc(make([]byte, 0, len(got)+1024))
+			if !bytes.Equal(got, want) {
+				t.Fatal("nil-buffer encode differs from a pre-grown encode")
+			}
+			if _, used, err := Decode(got); err != nil || used != len(got) {
+				t.Fatalf("decode: consumed %d of %d, err %v", used, len(got), err)
+			}
+			if allocs := testing.AllocsPerRun(20, func() { _ = tc.enc(nil) }); allocs != 1 {
+				t.Fatalf("nil-buffer encode allocated %v times, want 1", allocs)
+			}
+		})
+	}
+}

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# benchgate.sh BASE.txt PR.txt [MAX_REGRESSION_PCT] [BENCH_NAME]
+# benchgate.sh BASE.txt PR.txt [MAX_REGRESSION_PCT] [BENCH_NAME] [UNIT]
 # benchgate.sh --speedup PR.txt MIN_RATIO FAST_BENCH SLOW_BENCH [UNIT]
 # benchgate.sh --overhead PR.txt MAX_PCT BASE_BENCH LOADED_BENCH [UNIT]
 #
@@ -7,7 +7,8 @@
 # one benchmark from two `go test -bench` outputs, compares their medians,
 # and fails when the PR median regresses past the threshold. Medians over
 # several -count repetitions keep a single noisy sample (CI neighbours,
-# GC pause) from failing or passing the gate on its own.
+# GC pause) from failing or passing the gate on its own. UNIT picks
+# another metric of the same rows, e.g. B/op from a -benchmem run.
 #
 # --speedup gates a ratio within ONE bench output instead: the median of
 # SLOW_BENCH divided by the median of FAST_BENCH must be at least
@@ -100,27 +101,28 @@ if [ "${1:-}" = "--overhead" ]; then
     exit 0
 fi
 
-[ $# -ge 2 ] || die "usage: benchgate.sh BASE.txt PR.txt [MAX_REGRESSION_PCT] [BENCH_NAME]"
+[ $# -ge 2 ] || die "usage: benchgate.sh BASE.txt PR.txt [MAX_REGRESSION_PCT] [BENCH_NAME] [UNIT]"
 
 base_file=$1
 pr_file=$2
 max_pct=${3:-15}
 bench=${4:-BenchmarkDynamicUpdate}
+unit=${5:-ns/op}
 
 for f in "$base_file" "$pr_file"; do
     check_file "$f"
 done
 
-base_ns=$(median "$base_file" "$bench")
-pr_ns=$(median "$pr_file" "$bench")
+base_v=$(median "$base_file" "$bench" "$unit")
+pr_v=$(median "$pr_file" "$bench" "$unit")
 
-[ "$base_ns" != "NA" ] || die "no $bench ns/op samples in $base_file — wrong -bench filter or a stale/failed base binary"
-[ "$pr_ns" != "NA" ] || die "no $bench ns/op samples in $pr_file — wrong -bench filter or the PR bench run failed"
+[ "$base_v" != "NA" ] || die "no $bench $unit samples in $base_file — wrong -bench filter or a stale/failed base binary"
+[ "$pr_v" != "NA" ] || die "no $bench $unit samples in $pr_file — wrong -bench filter or the PR bench run failed"
 
-echo "benchgate: $bench median ns/op: base=$base_ns pr=$pr_ns (limit +$max_pct%)"
-awk -v b="$base_ns" -v p="$pr_ns" -v m="$max_pct" 'BEGIN {
+echo "benchgate: $bench median $unit: base=$base_v pr=$pr_v (limit +$max_pct%)"
+awk -v b="$base_v" -v p="$pr_v" -v m="$max_pct" 'BEGIN {
     delta = (p - b) / b * 100
     printf "benchgate: delta %+.1f%%\n", delta
     exit (delta > m) ? 1 : 0
-}' || { echo "benchgate: FAIL — $bench regressed more than $max_pct%" >&2; exit 1; }
+}' || { echo "benchgate: FAIL — $bench $unit regressed more than $max_pct%" >&2; exit 1; }
 echo "benchgate: OK"
