@@ -227,8 +227,8 @@ func BenchmarkIndexBuild(b *testing.B) {
 }
 
 // BenchmarkApplyBatch compares draining an update queue one op at a time
-// against the batched path, which coalesces candidate rebuilds and runs
-// them on the worker pool. Each iteration processes the full 2000-op mixed
+// against the batched path, which coalesces candidate enumeration and
+// runs it on the worker pool. Each iteration processes the full 2000-op mixed
 // stream (ns/op is per batch, not per update; divide by len(w.Stream) to
 // compare with BenchmarkDynamicUpdate).
 func BenchmarkApplyBatch(b *testing.B) {

@@ -8,7 +8,9 @@
 package dataset
 
 import (
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -136,7 +138,10 @@ func Get(name string) (Spec, error) {
 }
 
 // Load materialises the named dataset: from <DataDirEnv>/<name>.txt when
-// that file exists (real data), otherwise the synthetic stand-in.
+// that file exists (real data), otherwise the synthetic stand-in. Only a
+// missing file falls back; a file that exists but cannot be opened or
+// parsed is an error, so a run meant for real data never silently
+// reports on the stand-in.
 func Load(name string) (*graph.Graph, error) {
 	s, err := Get(name)
 	if err != nil {
@@ -144,13 +149,17 @@ func Load(name string) (*graph.Graph, error) {
 	}
 	if dir := os.Getenv(DataDirEnv); dir != "" {
 		path := filepath.Join(dir, name+".txt")
-		if f, err := os.Open(path); err == nil {
+		f, err := os.Open(path)
+		switch {
+		case err == nil:
 			defer f.Close()
 			g, err := graph.ReadEdgeList(f)
 			if err != nil {
 				return nil, fmt.Errorf("dataset: %s: %w", path, err)
 			}
 			return g, nil
+		case !errors.Is(err, fs.ErrNotExist):
+			return nil, fmt.Errorf("dataset: %w", err)
 		}
 	}
 	return s.Build(), nil

@@ -2,6 +2,8 @@ package dataset
 
 import (
 	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/kclique"
@@ -108,6 +110,20 @@ func TestDataDirOverride(t *testing.T) {
 	}
 	if _, err := Load("HST"); err == nil {
 		t.Fatal("expected parse error from malformed override")
+	}
+	// A file that exists but cannot be opened (a self-referential symlink
+	// fails with ELOOP, even for root) is an error naming the path, not a
+	// silent fallback to the stand-in.
+	loop := filepath.Join(dir, "FB.txt")
+	if err := os.Symlink("FB.txt", loop); err != nil {
+		t.Skipf("symlinks unsupported here: %v", err)
+	}
+	g3, err := Load("FB")
+	if err == nil {
+		t.Fatalf("unopenable override fell back to a %d-node stand-in", g3.N())
+	}
+	if !strings.Contains(err.Error(), loop) {
+		t.Fatalf("error %q does not name %s", err, loop)
 	}
 }
 

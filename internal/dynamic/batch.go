@@ -6,33 +6,39 @@ import (
 	"repro/internal/workload"
 )
 
-// Batched updates. Applying a workload op-by-op repeats the expensive part
-// of Algorithms 6-7 — re-enumerating the candidate set of every S-clique
-// adjacent to the touched region — once per update, even when consecutive
-// updates land in the same neighbourhood. ApplyBatch instead runs the cheap
-// structural part of every update eagerly (graph mutation, S maintenance,
-// candidate drops, direct all-free installs) and defers the enumeration
-//-heavy work: each owner whose candidate set is invalidated is marked
-// dirty and rebuilt exactly once when the batch ends, with the independent
-// per-owner rebuilds running concurrently on the worker pool. Swap
-// processing (Algorithm 4) is likewise deferred so it runs once against
-// the fully rebuilt index.
+// Batched updates. Applying a workload op-by-op repeats the enumeration
+// part of Algorithms 6-7 — refreshing candidates through the nodes each
+// update frees and enumerating each clique it installs — once per update,
+// even when consecutive updates land in the same neighbourhood. ApplyBatch
+// instead runs the cheap structural part of every update eagerly (graph
+// mutation, S maintenance, candidate drops, candidates through inserted
+// edges, direct all-free installs) and defers the enumeration-heavy work
+// to the end of the batch, where it runs once on the worker pool: the
+// anchored refresh (anchor.go) through every node the batch freed that is
+// still free, parallel over those anchors, and Algorithm 5's full
+// enumeration of every clique the batch installed, parallel over those
+// cliques. Swap processing (Algorithm 4) is likewise deferred so it runs
+// once against the refreshed index.
 //
-// The result is deterministic for any worker count: the parallel phase only
-// computes per-owner candidate lists (a pure function of graph, S and free
-// status), which are installed serially in ascending owner order.
+// The result is deterministic for any worker count: the parallel phases
+// only compute candidate lists (a pure function of graph, S and free
+// status), which are installed serially in (owner, members) order — the
+// anchored runs first, since their owners predate the batch, then the new
+// cliques in ascending id order.
 
 // batchState accumulates the deferred work of an ApplyBatch in progress.
 type batchState struct {
-	// dirty holds owners whose candidate sets must be rebuilt at the end.
+	// dirty holds the cliques installed during the batch (and still in S),
+	// whose candidate sets get Algorithm 5's full enumeration at the end.
 	dirty map[int32]bool
-	// pending holds owners queued for TrySwap once the index is rebuilt.
+	// pending holds owners queued for TrySwap once the index is refreshed.
 	pending []int32
 	// touched holds nodes freed during the batch. Any all-free k-clique
-	// that a deferred rebuild would have repaired contains at least one of
-	// them (deletions never create cliques, and insertions install their
-	// all-free cliques eagerly), so sweeping these nodes restores
-	// maximality before the rebuilds run.
+	// contains at least one of them (deletions never create cliques, and
+	// insertions install their all-free cliques eagerly), so sweeping
+	// these nodes restores maximality. Those still free after the sweep
+	// are the anchors: every candidate an older clique gained during the
+	// batch and the index lacks contains one of them.
 	touched map[int32]bool
 }
 
@@ -44,9 +50,9 @@ type batchState struct {
 // callers observing the engine mid-batch is not supported.
 //
 // Updates whose neighbourhoods do not interact are independent: their
-// deferred rebuilds touch disjoint owners and run concurrently. Updates
-// that do interact coalesce instead — an owner invalidated by twenty
-// updates is re-enumerated once, not twenty times.
+// deferred enumerations run concurrently. Updates that do interact
+// coalesce instead — a node freed by twenty updates is enumerated
+// through once, not twenty times.
 func (e *Engine) ApplyBatch(ops []workload.Op) int {
 	if len(ops) == 0 {
 		return 0
@@ -61,6 +67,7 @@ func (e *Engine) ApplyBatch(ops []workload.Op) int {
 		}
 		return applied
 	}
+	before := e.nextClique
 	e.batch = &batchState{
 		dirty:   make(map[int32]bool),
 		touched: make(map[int32]bool),
@@ -77,14 +84,30 @@ func (e *Engine) ApplyBatch(ops []workload.Op) int {
 	e.stats.BatchedOps += len(ops)
 
 	// Phase 1 — maximality sweep (serial, eager): restore invariant 2 so
-	// the parallel rebuilds below observe a maximal S. Cliques the sweep
-	// installs join the swap queue, exactly as serially repacked cliques
-	// would via dissolveAndRepack.
-	swept := e.sweepTouched(b.touched)
+	// the parallel phases below observe a maximal S. Cliques the sweep
+	// installs are indexed in full on the spot and join the swap queue,
+	// exactly as serially repacked cliques would via dissolveAndRepack.
+	touched := make([]int32, 0, len(b.touched))
+	for u := range b.touched {
+		touched = append(touched, u)
+	}
+	slices.Sort(touched)
+	swept := e.sweepTouched(touched)
+	queue := append([]int32(nil), b.pending...)
+	for _, id := range swept {
+		if e.numCandidatesOfOwner(id) >= 2 {
+			queue = append(queue, id)
+		}
+	}
 
-	// Phase 2 — rebuild every dirty owner still in S: enumerate all owners
-	// concurrently (read-only), then install serially in ascending id
-	// order so candidate ids and stats stay deterministic.
+	// Phase 2 — anchored refresh of the cliques older than the batch,
+	// through the freed nodes still free: parallel over anchors, installed
+	// serially in (owner, members) order.
+	queue = e.refreshAnchored(touched, before, true, queue)
+
+	// Phase 3 — full enumeration of the cliques the batch installed that
+	// are still in S: all concurrently (read-only), then installed serially
+	// in ascending id order so candidate ids and stats stay deterministic.
 	owners := make([]int32, 0, len(b.dirty))
 	for id := range b.dirty {
 		if _, ok := e.cliques[id]; ok {
@@ -93,12 +116,6 @@ func (e *Engine) ApplyBatch(ops []workload.Op) int {
 	}
 	slices.Sort(owners)
 	keptL, freshL, allFree := e.collectCandidates(owners)
-	queue := append([]int32(nil), b.pending...)
-	for _, id := range swept {
-		if e.numCandidatesOfOwner(id) >= 2 {
-			queue = append(queue, id)
-		}
-	}
 	degraded := false
 	for i, id := range owners {
 		gained := false
@@ -142,7 +159,7 @@ func (e *Engine) ApplyBatch(ops []workload.Op) int {
 		}
 	}
 
-	// Phase 3 — deferred swap processing on the fresh index, in ascending
+	// Phase 4 — deferred swap processing on the fresh index, in ascending
 	// owner order with duplicates removed.
 	if len(queue) > 0 && !e.noSwaps {
 		slices.Sort(queue)
@@ -179,20 +196,12 @@ func (e *Engine) applyOne(op workload.Op) bool {
 
 // sweepTouched restores maximality after the eager phase of a batch: every
 // all-free k-clique at this point contains at least one touched node, so
-// scanning the free touched nodes in ascending order and installing the
+// scanning the free touched nodes (sorted ascending) and installing the
 // first clique found through each one (repeatedly, until none remains)
 // re-establishes invariant 2. Installations run through addCliqueToS with
 // batching off, so their own candidate sets are indexed eagerly; the ids
 // of the installed cliques are returned for swap enqueueing.
-func (e *Engine) sweepTouched(touched map[int32]bool) []int32 {
-	if len(touched) == 0 {
-		return nil
-	}
-	nodes := make([]int32, 0, len(touched))
-	for u := range touched {
-		nodes = append(nodes, u)
-	}
-	slices.Sort(nodes)
+func (e *Engine) sweepTouched(nodes []int32) []int32 {
 	var installed []int32
 	var B []int32
 	for _, u := range nodes {

@@ -13,17 +13,23 @@ import (
 
 // batchTestSetup builds a community-social graph, runs static LP for the
 // initial set, and returns the graph plus a mixed update stream applied on
-// top of the prepared deletions (the paper's §VI-E workload shape).
+// top of the prepared deletions (the paper's §VI-E workload shape), at
+// k = 3.
 func batchTestSetup(t testing.TB, nodes, updates int, seed int64) (startEngine func(workers int) *Engine, stream []workload.Op) {
+	return batchTestSetupK(t, 3, nodes, updates, seed)
+}
+
+// batchTestSetupK is batchTestSetup for clique size k.
+func batchTestSetupK(t testing.TB, k, nodes, updates int, seed int64) (startEngine func(workers int) *Engine, stream []workload.Op) {
 	t.Helper()
 	g := gen.CommunitySocial(nodes, nodes/40, 0.15, nodes*2, seed)
-	res, err := core.Find(g, core.Options{K: 3, Algorithm: core.LP, StrictTies: true})
+	res, err := core.Find(g, core.Options{K: k, Algorithm: core.LP, StrictTies: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	w := workload.Mixed(g, updates, seed+1)
 	startEngine = func(workers int) *Engine {
-		e, err := NewWorkers(g, 3, res.Cliques, workers)
+		e, err := NewWorkers(g, k, res.Cliques, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,26 +84,31 @@ func TestApplyBatchInvariants(t *testing.T) {
 
 // TestApplyBatchWorkerInvariance: the tentpole determinism guarantee for
 // the dynamic layer — identical results byte-for-byte regardless of the
-// worker count used for construction and batch rebuilds.
+// worker count used for construction and batch updates. Swaps break ties
+// by candidate id, so the whole candidate index (every id, owner and
+// member list, and the next id) must match too, not just its size: a
+// worker-dependent id permutation would make engines drift later.
 func TestApplyBatchWorkerInvariance(t *testing.T) {
-	start, stream := batchTestSetup(t, 600, 200, 9)
-	var wantResult [][]int32
-	var wantCands int
-	for _, workers := range []int{1, 2, 8} {
-		e := start(workers)
-		e.ApplyBatch(stream)
-		if err := e.Verify(); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+	for _, k := range []int{3, 4} {
+		start, stream := batchTestSetupK(t, k, 600, 200, 9)
+		var base *Engine
+		for _, workers := range []int{1, 2, 8} {
+			e := start(workers)
+			e.ApplyBatch(stream)
+			if err := e.Verify(); err != nil {
+				t.Fatalf("k=%d workers=%d: %v", k, workers, err)
+			}
+			if base == nil {
+				base = e
+				continue
+			}
+			if !reflect.DeepEqual(e.Result(), base.Result()) {
+				t.Fatalf("k=%d workers=%d: result set diverges from workers=1", k, workers)
+			}
+			sameCandidateIndex(t, e, base)
 		}
-		if wantResult == nil {
-			wantResult, wantCands = e.Result(), e.NumCandidates()
-			continue
-		}
-		if !reflect.DeepEqual(e.Result(), wantResult) {
-			t.Fatalf("workers=%d: result set diverges from workers=1", workers)
-		}
-		if e.NumCandidates() != wantCands {
-			t.Fatalf("workers=%d: %d candidates, want %d", workers, e.NumCandidates(), wantCands)
+		if base.Stats().Swaps == 0 {
+			t.Fatalf("k=%d: the stream swapped nothing", k)
 		}
 	}
 }

@@ -7,7 +7,10 @@
 // owner). When an update touches an S-clique, the candidates owned by it
 // are exactly the cliques a swap operation (Algorithm 4, TrySwap) may
 // exchange it for; maintaining them incrementally is what makes updates run
-// in micro- rather than milliseconds.
+// in micro- rather than milliseconds. Every update enumerates only through
+// what it changed: an inserted edge, the nodes it freed (anchor.go), or an
+// S-clique it installed; only a newly installed clique gets Algorithm 5's
+// full enumeration.
 //
 // Invariants maintained between public calls (checked by Verify):
 //
@@ -76,8 +79,8 @@ type Engine struct {
 	// path never re-converts.
 	view graph.View
 
-	// workers bounds parallelism for index construction and batch update
-	// rebuilds; <= 0 means GOMAXPROCS.
+	// workers bounds parallelism for index construction and the parallel
+	// phases of ApplyBatch; <= 0 means GOMAXPROCS.
 	workers int
 
 	cliques    map[int32][]int32 // S: clique id -> sorted members
@@ -90,17 +93,18 @@ type Engine struct {
 	candsByNode []idSet          // node -> candidate ids containing it
 	nextCand    int32
 
-	// batch, when non-nil, defers candidate rebuilds and swap processing so
-	// ApplyBatch can coalesce and parallelise them; see batch.go.
+	// batch, when non-nil, defers candidate enumeration and swap
+	// processing so ApplyBatch can coalesce and parallelise them; see
+	// batch.go.
 	batch *batchState
 
 	// esc is the single-writer enumeration scratch: every serial update
 	// enumerates through these reusable buffers, so the steady-state update
-	// path allocates nothing. The parallel batch rebuilds use the wsc
-	// per-worker scratches instead (collectCandidates), kept for the
-	// engine's lifetime so a long-running service reuses them batch after
-	// batch — the same pooling discipline internal/kclique applies to the
-	// static counting oracles.
+	// path allocates nothing. The parallel phases of ApplyBatch use the wsc
+	// per-worker scratches instead (collectCandidates, collectAnchored),
+	// kept for the engine's lifetime so a long-running service reuses them
+	// batch after batch — the same pooling discipline internal/kclique
+	// applies to the static counting oracles.
 	esc *enumScratch
 	wsc []*enumScratch
 
@@ -179,7 +183,7 @@ func New(g *graph.Graph, k int, initial [][]int32) (*Engine, error) {
 }
 
 // NewWorkers is New with an explicit parallelism bound for the Algorithm-5
-// index construction and later ApplyBatch rebuilds; workers <= 0 means
+// index construction and later ApplyBatch enumeration; workers <= 0 means
 // GOMAXPROCS. The constructed engine is identical for every worker count.
 func NewWorkers(g *graph.Graph, k int, initial [][]int32, workers int) (*Engine, error) {
 	if k < 3 {

@@ -15,8 +15,8 @@ const anyOwner int32 = -2
 // adapters: the kclique.Scratch the unified core recurses through, plus
 // the engine-specific staging buffers around it. The single-writer update
 // path uses the engine-level instance (e.esc), so steady-state updates
-// allocate nothing; the parallel candidate-collection of ApplyBatch hands
-// each worker its own instance (e.wsc, reused across batches).
+// allocate nothing; the parallel phases of ApplyBatch hand each worker
+// its own instance (e.wsc, reused across batches).
 type enumScratch struct {
 	kc        *kclique.Scratch // unified-core recursion state (stack, levels, marks)
 	edge      [2]int32         // prefix buffer for edge-anchored enumeration
@@ -25,7 +25,10 @@ type enumScratch struct {
 	sorted    []int32          // k-sized buffer for sorting candidate members
 	owners    []int32          // owner ids gathered during an update
 	hits      []int32          // candidate ids gathered by dropCandidatesWithEdge
-	adjOwners []int32          // ownersAdjacentTo output
+	anchors   []int32          // refreshAnchored: the freed nodes still free
+	near      nodeBits         // anchoredCandidates: N(w) of the current anchor
+	runs      []int32          // anchored candidates: (owner, k members) runs
+	runRefs   [][]int32        // installAnchored: runs in install order
 	keep      []int32          // surviving candidate ids in differential rebuilds
 	owned     []*candidate     // candidatesOf: the owner's indexed candidates
 	stale     []int32          // dropStaleCandidates output
@@ -192,15 +195,21 @@ func (e *Engine) collectCandidates(ids []int32) (kept [][]int32, fresh, allFree 
 	kept = make([][]int32, len(ids))
 	fresh = make([][][]int32, len(ids))
 	allFree = make([][][]int32, len(ids))
-	for len(e.wsc) < kclique.Workers(e.workers, len(ids)) {
-		sc := newEnumScratch(e.k)
-		sc.kc.NoStamp = e.noStamp
-		e.wsc = append(e.wsc, sc)
-	}
+	e.growWorkerScratches(len(ids))
 	kclique.ParallelIndex(len(ids), e.workers, func(worker, i int) {
 		kept[i], fresh[i], allFree[i] = e.candidatesOf(e.wsc[worker], ids[i])
 	})
 	return kept, fresh, allFree
+}
+
+// growWorkerScratches makes sure e.wsc holds a scratch for every worker
+// a parallel pass over n items will use.
+func (e *Engine) growWorkerScratches(n int) {
+	for len(e.wsc) < kclique.Workers(e.workers, n) {
+		sc := newEnumScratch(e.k)
+		sc.kc.NoStamp = e.noStamp
+		e.wsc = append(e.wsc, sc)
+	}
 }
 
 // buildIndex constructs the whole candidate index from the current S —
@@ -310,29 +319,22 @@ func (e *Engine) installClique(members []int32) int32 {
 	return id
 }
 
-// refreshOwner rebuilds the candidate set of an S-clique, reporting whether
-// it gained a candidate. In batch mode the (expensive) enumeration is
-// deferred instead: the owner is marked dirty and rebuilt once — in
-// parallel with the other dirty owners — when the batch finishes, no
-// matter how many updates touched it. Deferred refreshes report false;
-// ApplyBatch re-derives swap eligibility from the final rebuilt sets.
-func (e *Engine) refreshOwner(owner int32) bool {
-	if e.batch != nil {
-		e.batch.dirty[owner] = true
-		return false
-	}
-	return e.rebuildCandidates(owner)
-}
-
 // indexClique brings the candidate index up to date with a freshly
 // installed S-clique: candidates containing any of its nodes now span two
 // cliques (their old owner and this one) and are dropped, then the new
-// clique's own candidate set is built (deferred in batch mode).
+// clique's own candidate set is built by Algorithm 5's full enumeration.
+// In batch mode the enumeration is deferred: the clique is marked dirty
+// and enumerated once — in parallel with the batch's other new cliques —
+// when the batch finishes, no matter how many updates touched it.
 func (e *Engine) indexClique(id int32) {
 	for _, u := range e.cliques[id] {
 		e.dropCandidatesWithNode(u)
 	}
-	e.refreshOwner(id)
+	if e.batch != nil {
+		e.batch.dirty[id] = true
+		return
+	}
+	e.rebuildCandidates(id)
 }
 
 // addCliqueToS installs and indexes a single new S-clique. Members must
@@ -344,10 +346,10 @@ func (e *Engine) addCliqueToS(members []int32) int32 {
 }
 
 // removeCliqueFromS dissolves an S-clique: frees its nodes and drops its
-// owned candidates. Neighbouring cliques' candidate sets are NOT refreshed
-// here; callers must rebuild owners adjacent to the freed nodes. In batch
-// mode the freed nodes are recorded so the end-of-batch maximality sweep
-// can catch all-free cliques a deferred rebuild would have repaired.
+// owned candidates. Other cliques' candidate sets are NOT refreshed here:
+// callers must run refreshAnchored over the freed nodes that stay free.
+// In batch mode the freed nodes are recorded instead, for the
+// end-of-batch maximality sweep and anchored refresh.
 func (e *Engine) removeCliqueFromS(id int32) []int32 {
 	members := e.cliques[id]
 	delete(e.cliques, id)
@@ -364,22 +366,4 @@ func (e *Engine) removeCliqueFromS(id int32) []int32 {
 	}
 	e.dropCandidatesOfOwner(id)
 	return members
-}
-
-// ownersAdjacentTo returns the ids of S-cliques with a member adjacent to
-// any of the given nodes (excluding the nodes' own cliques), sorted. The
-// result lives in the engine scratch and is valid until the next call.
-func (e *Engine) ownersAdjacentTo(nodes []int32) []int32 {
-	out := e.esc.adjOwners[:0]
-	for _, u := range nodes {
-		for _, w := range e.g.Neighbors(u) {
-			if id := e.nodeClique[w]; id != free {
-				out = append(out, id)
-			}
-		}
-	}
-	slices.Sort(out)
-	out = slices.Compact(out)
-	e.esc.adjOwners = out
-	return out
 }

@@ -86,16 +86,16 @@ func greedyDisjoint(sc *enumScratch, cliques [][]int32) [][]int32 {
 
 // trySwap is Algorithm 4: pop cliques from the FIFO queue; for each, find a
 // disjoint set S_dis among its candidates; when |S_dis| > 1 exchange the
-// clique for S_dis (a strict gain), refresh the candidate sets the freed
-// and consumed nodes affect, and enqueue any clique whose candidate set
-// gained new members.
+// clique for S_dis (a strict gain), refresh the candidates the freed
+// nodes create, and enqueue any clique whose candidate set gained new
+// members.
 func (e *Engine) trySwap(q []int32) {
 	if e.noSwaps {
 		return
 	}
 	if e.batch != nil {
 		// Batch mode: swap processing is deferred so it runs once, against
-		// the fully rebuilt candidate index, when the batch finishes.
+		// the refreshed candidate index, when the batch finishes.
 		e.batch.pending = append(e.batch.pending, q...)
 		return
 	}
@@ -133,32 +133,21 @@ func (e *Engine) trySwap(q []int32) {
 // for further swapping.
 func (e *Engine) executeSwap(cid int32, sdis [][]int32) []int32 {
 	members := e.removeCliqueFromS(cid)
+	before := e.nextClique
 	// Install every replacement before indexing any: a candidate rebuild
 	// that runs against a half-applied S could "repair" an all-free clique
 	// that overlaps a replacement not yet installed.
 	newIDs := make([]int32, 0, len(sdis))
-	consumed := make([]int32, 0, len(sdis)*len(members))
 	for _, c := range sdis {
 		newIDs = append(newIDs, e.installClique(c))
-		consumed = append(consumed, c...)
 	}
 	for _, id := range newIDs {
 		e.indexClique(id)
 	}
 	// Members of the removed clique that no replacement consumed are free
-	// now; owners adjacent to them may gain candidates.
-	var freed []int32
-	for _, u := range members {
-		if !slices.Contains(consumed, u) {
-			freed = append(freed, u)
-		}
-	}
-	var push []int32
-	for _, owner := range e.ownersAdjacentTo(freed) {
-		if e.refreshOwner(owner) && e.numCandidatesOfOwner(owner) >= 2 {
-			push = append(push, owner)
-		}
-	}
+	// now; the older cliques gain candidates only through them (the
+	// replacements were enumerated in full by indexClique).
+	push := e.refreshAnchored(members, before, false, nil)
 	for _, id := range newIDs {
 		if e.numCandidatesOfOwner(id) >= 2 {
 			push = append(push, id)

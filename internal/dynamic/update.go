@@ -139,13 +139,13 @@ func (e *Engine) dissolveAndRepack(cid int32) {
 		lists = append(lists, append([]int32(nil), e.cands[id].nodes...))
 	}
 	members := e.removeCliqueFromS(cid)
+	before := e.nextClique
 	e.stats.Swaps++
 
 	// Re-pack: the captured candidates consist solely of now-free nodes.
 	// greedyDisjoint keeps them mutually disjoint; a defensive re-check
 	// guards cliquehood and freeness (earlier additions consume nodes).
 	newIDs := make([]int32, 0, 2)
-	var consumed []int32
 	for _, c := range greedyDisjoint(e.esc, lists) {
 		allFree := true
 		for _, w := range c {
@@ -158,24 +158,17 @@ func (e *Engine) dissolveAndRepack(cid int32) {
 			continue
 		}
 		newIDs = append(newIDs, e.installClique(c))
-		consumed = append(consumed, c...)
 	}
 	for _, id := range newIDs {
 		e.indexClique(id)
 	}
 
-	// Former members that stayed free may enable candidates elsewhere.
-	var freed []int32
-	for _, w := range members {
-		if !slices.Contains(consumed, w) {
-			freed = append(freed, w)
-		}
-	}
+	// Former members that stayed free may enable candidates of the older
+	// cliques. A batch defers that refresh to its end, where every node it
+	// freed is refreshed at once (removeCliqueFromS recorded them).
 	var q []int32
-	for _, owner := range e.ownersAdjacentTo(freed) {
-		if e.refreshOwner(owner) && e.numCandidatesOfOwner(owner) >= 2 {
-			q = append(q, owner)
-		}
+	if e.batch == nil {
+		q = e.refreshAnchored(members, before, false, q)
 	}
 	for _, id := range newIDs {
 		if e.numCandidatesOfOwner(id) >= 2 {
