@@ -7,7 +7,7 @@ import (
 	"repro/internal/kclique"
 )
 
-// Anchored candidate refresh. When an update frees nodes, the S-cliques
+// Anchored candidate refresh. When a unit frees nodes, the S-cliques
 // that existed before it can gain candidates only through those nodes:
 // every other way a candidate appears (an inserted edge) is indexed
 // eagerly by insertOneFree/insertBothFree, and every way one disappears
@@ -20,12 +20,11 @@ import (
 // exactly the cliques insertOneFree enumerates for an inserted
 // (free, bound) edge.
 //
-// Results are installed in (owner, sorted members) order. A whole-owner
-// rebuild in ascending owner order assigns ids in that same order, since
-// the id-ordered enumeration emits an owner's cliques in ascending
-// lexicographic order of their sorted members, so candidate ids, swap
-// tie-breaks and checkpoints do not depend on which refresh ran or on the
-// worker count.
+// The runs install in (owner, sorted members) order (collectRuns), the
+// order in which the id-ordered enumeration emits a whole owner's
+// cliques, so each owner's candidates keep the relative id order a
+// whole-owner rebuild would give them. That order is all swap tie-breaks
+// read, so S does not depend on which refresh ran or on the worker count.
 
 // nodeBits is a set of node ids, one bit each. It is kept apart from
 // kclique.Scratch's mark, which the enumeration kernel re-stamps for
@@ -45,8 +44,8 @@ func (b nodeBits) remove(u int32)   { b[u>>6] &^= 1 << (u & 63) }
 func (b nodeBits) has(u int32) bool { return b[u>>6]&(1<<(u&63)) != 0 }
 
 // anchoredCandidates appends to sc.runs every candidate through anchor w
-// that the index lacks and whose owner is older than before, as one run
-// of k+1 values: the owner, then the sorted members. anchors is the
+// that the index lacks and whose owner is older than the open unit, as
+// one run of k+1 values: the owner, then the sorted members. anchors is the
 // sorted anchor list. A clique is reported once, from its smallest anchor
 // and through its smallest member in the owner, by leaving smaller
 // anchors and smaller owner members out of the candidate sets. The cost
@@ -57,7 +56,7 @@ func (b nodeBits) has(u int32) bool { return b[u>>6]&(1<<(u&63)) != 0 }
 // Reads only the graph, S, the free status and the index, and writes
 // only sc, so concurrent calls with distinct scratches are safe as long
 // as no writer mutates them.
-func (e *Engine) anchoredCandidates(sc *enumScratch, anchors []int32, w int32, before int32) {
+func (e *Engine) anchoredCandidates(sc *enumScratch, anchors []int32, w int32) {
 	nw := e.g.Neighbors(w)
 	sc.near.fit(e.g.N())
 	for _, x := range nw {
@@ -66,7 +65,7 @@ func (e *Engine) anchoredCandidates(sc *enumScratch, anchors []int32, w int32, b
 	buf := sc.sorted[:e.k]
 	for _, d := range nw {
 		owner := e.nodeClique[d]
-		if owner == free || owner >= before {
+		if owner == free || owner >= e.unit.before {
 			continue
 		}
 		cand := sc.nodes[:0]
@@ -101,71 +100,4 @@ func (e *Engine) anchoredCandidates(sc *enumScratch, anchors []int32, w int32, b
 	for _, x := range nw {
 		sc.near.remove(x)
 	}
-}
-
-// collectAnchored gathers the runs of anchoredCandidates for every anchor
-// (free nodes, sorted ascending) and owners older than before, and
-// returns them in install order: sorted by (owner, members). The batch
-// path enumerates in parallel over anchors on the worker scratches; the
-// serial path runs on the engine scratch, so single-op updates allocate
-// no buffers. The result lives in the engine scratch.
-func (e *Engine) collectAnchored(anchors []int32, before int32, parallel bool) [][]int32 {
-	e.esc.runs = e.esc.runs[:0]
-	if parallel {
-		e.growWorkerScratches(len(anchors))
-		for _, sc := range e.wsc {
-			sc.runs = sc.runs[:0]
-		}
-		kclique.ParallelIndex(len(anchors), e.workers, func(worker, i int) {
-			e.anchoredCandidates(e.wsc[worker], anchors, anchors[i], before)
-		})
-		for _, sc := range e.wsc {
-			e.esc.runs = append(e.esc.runs, sc.runs...)
-		}
-	} else {
-		for _, w := range anchors {
-			e.anchoredCandidates(e.esc, anchors, w, before)
-		}
-	}
-	runs := e.esc.runs
-	refs := e.esc.runRefs[:0]
-	for off := 0; off < len(runs); off += e.k + 1 {
-		refs = append(refs, runs[off:off+e.k+1])
-	}
-	slices.SortFunc(refs, slices.Compare[[]int32])
-	e.esc.runRefs = refs
-	return refs
-}
-
-// installAnchored indexes runs in the given order and appends to queue,
-// ascending, every owner that gained a candidate and now holds at least
-// two — the swap rule of Algorithm 4.
-func (e *Engine) installAnchored(refs [][]int32, queue []int32) []int32 {
-	for i, r := range refs {
-		owner := r[0]
-		e.addCandidate(r[1:], owner)
-		if (i+1 == len(refs) || refs[i+1][0] != owner) && e.numCandidatesOfOwner(owner) >= 2 {
-			queue = append(queue, owner)
-		}
-	}
-	return queue
-}
-
-// refreshAnchored brings the candidate sets of S-cliques older than
-// before up to date after the given nodes (sorted) were freed, and
-// returns queue extended with the owners to try swapping. The freed nodes
-// that are still free are the anchors; the others joined S again, and
-// the cliques they joined are enumerated in full.
-func (e *Engine) refreshAnchored(freed []int32, before int32, parallel bool, queue []int32) []int32 {
-	anchors := e.esc.anchors[:0]
-	for _, u := range freed {
-		if e.nodeClique[u] == free {
-			anchors = append(anchors, u)
-		}
-	}
-	e.esc.anchors = anchors
-	if len(anchors) == 0 {
-		return queue
-	}
-	return e.installAnchored(e.collectAnchored(anchors, before, parallel), queue)
 }

@@ -93,10 +93,10 @@ func requireCandidate(t *testing.T, e *Engine, bound int32, members ...int32) {
 }
 
 // TestAnchorConstructedCases drives the anchored refresh through shapes
-// a random stream rarely isolates, each both op by op (the serial refresh
-// in dissolveAndRepack and executeSwap) and as one batch (the parallel
-// end-of-batch refresh), with Verify's from-scratch index comparison
-// after every op or batch. D = {0,1,2,3} is an S-clique older than every
+// a random stream rarely isolates, each both op by op (units of one op,
+// settled inline) and as one batch (one unit, settled on the worker pool
+// when it holds more than one op), with Verify's from-scratch index
+// comparison after every op or batch. D = {0,1,2,3} is an S-clique older than every
 // update; k = 4 throughout.
 func TestAnchorConstructedCases(t *testing.T) {
 	D := []int32{0, 1, 2, 3}
@@ -211,14 +211,14 @@ func TestAnchorConstructedCases(t *testing.T) {
 }
 
 // TestAnchoredMatchesOwnerRebuild compares the anchored enumeration with
-// the whole-owner rebuild it replaces, on states where the index lags the
-// graph exactly as it does at the end of a batch: S-cliques are dissolved
-// (freeing their members and dropping their candidates) and nothing is
-// refreshed. For every owner adjacent to the freed nodes, the new
-// candidates of Algorithm 5's enumeration over B = C ∪ N_F(C)
+// the whole-owner enumeration it replaces, in the state a unit's settle
+// sees: one unit deletes an edge inside random S-cliques (dissolving
+// them, repacking, and dropping their candidates), the sweep runs if the
+// unit's flag asks for it, and nothing is refreshed yet. For every owner older than the unit and adjacent to the
+// anchors, the runs of Algorithm 5's enumeration over B = C ∪ N_F(C)
 // (candidatesOf) must be exactly the anchored runs, in the same order:
 // owners ascending, each owner's cliques in enumeration order. Checked
-// serially and in parallel, at k = 3..5.
+// inline and on the worker pool, at k = 3..5.
 func TestAnchoredMatchesOwnerRebuild(t *testing.T) {
 	for _, k := range []int{3, 4, 5} {
 		g := gen.CommunitySocial(1500, 10, 0.25, 7500, int64(40+k))
@@ -234,23 +234,34 @@ func TestAnchoredMatchesOwnerRebuild(t *testing.T) {
 			}
 			rng := rand.New(rand.NewSource(round))
 			e.ApplyBatch(randomBatch(e, rng, 128))
-			var anchors []int32
+			e.begin()
 			for _, id := range slices.Sorted(maps.Keys(e.cliques)) {
-				if rng.Intn(6) == 0 {
-					anchors = append(anchors, e.removeCliqueFromS(id)...)
+				if c, ok := e.cliques[id]; ok && rng.Intn(6) == 0 {
+					e.update(del(c[0], c[1+rng.Intn(k-1)]))
 				}
 			}
-			slices.Sort(anchors)
-			var want [][]int32
+			freed := slices.Compact(slices.Sorted(slices.Values(e.unit.freed)))
+			if e.unit.sweep {
+				e.sweep(freed)
+			}
+			var anchors []int32
+			for _, u := range freed {
+				if e.IsFree(u) {
+					anchors = append(anchors, u)
+				}
+			}
 			sc := newEnumScratch(k)
 			for _, owner := range adjacentOwners(e, anchors) {
-				_, fresh, _ := e.candidatesOf(sc, owner)
-				for _, c := range fresh {
-					want = append(want, append([]int32{owner}, c...))
+				if owner < e.unit.before {
+					e.candidatesOf(sc, owner)
 				}
 			}
+			var want [][]int32
+			for off := 0; off < len(sc.runs); off += k + 1 {
+				want = append(want, sc.runs[off:off+k+1])
+			}
 			for _, parallel := range []bool{false, true} {
-				got := e.collectAnchored(anchors, e.nextClique, parallel)
+				got := e.collectRuns(anchors, nil, parallel)
 				if !slices.EqualFunc(got, want, slices.Equal[[]int32]) {
 					t.Fatalf("k=%d round %d parallel=%v: anchored runs differ from owner rebuilds:\n got %v\nwant %v",
 						k, round, parallel, got, want)

@@ -6,40 +6,77 @@ import (
 	"repro/internal/workload"
 )
 
-// Batched updates. Applying a workload op-by-op repeats the enumeration
-// part of Algorithms 6-7 — refreshing candidates through the nodes each
-// update frees and enumerating each clique it installs — once per update,
-// even when consecutive updates land in the same neighbourhood. ApplyBatch
-// instead runs the cheap structural part of every update eagerly (graph
-// mutation, S maintenance, candidate drops, candidates through inserted
-// edges, direct all-free installs) and defers the enumeration-heavy work
-// to the end of the batch, where it runs once on the worker pool: the
-// anchored refresh (anchor.go) through every node the batch freed that is
-// still free, parallel over those anchors, and Algorithm 5's full
-// enumeration of every clique the batch installed, parallel over those
-// cliques. Swap processing (Algorithm 4) is likewise deferred so it runs
-// once against the refreshed index.
+// Maintenance units. Every mutation of S runs as one unit: InsertEdge and
+// DeleteEdge are units of one op, ApplyBatch a unit of many, and each swap
+// TrySwap executes (Algorithm 4) is a unit of its own. A unit applies the
+// cheap structural part of Algorithms 6-7 eagerly — graph mutation, S
+// maintenance, candidate drops, candidates through inserted edges, direct
+// all-free installs — and records the nodes it freed, the cliques it
+// installed and the owners to try swapping. settle then runs the
+// enumeration-heavy part once for the whole unit: the maximality sweep
+// when it can find something, the anchored refresh (anchor.go) of the
+// cliques older than the unit through the freed nodes still free, and
+// Algorithm 5's full enumeration of the cliques the unit installed that
+// are still in S. What follows settle is TrySwap over the queued owners
+// and one publish; a swap unit instead hands its owners back to the
+// TrySwap queue it came from, so Algorithm 4's FIFO order holds.
 //
-// The result is deterministic for any worker count: the parallel phases
-// only compute candidate lists (a pure function of graph, S and free
-// status), which are installed serially in (owner, members) order — the
-// anchored runs first, since their owners predate the batch, then the new
-// cliques in ascending id order.
+// Ops in one unit coalesce: a node freed by twenty ops is enumerated
+// through once, not twenty times, and a clique installed and dissolved
+// within the unit is never enumerated at all. A unit of many ops settles
+// on the worker pool; units of one op and swap units settle inline.
+//
+// The result is deterministic for any worker count: the enumeration only
+// computes the missing candidates (a pure function of graph, S and free
+// status), which install serially in (owner, members) order — the
+// cliques older than the unit first, then the ones it installed, in
+// ascending id order.
 
-// batchState accumulates the deferred work of an ApplyBatch in progress.
-type batchState struct {
-	// dirty holds the cliques installed during the batch (and still in S),
-	// whose candidate sets get Algorithm 5's full enumeration at the end.
-	dirty map[int32]bool
-	// pending holds owners queued for TrySwap once the index is refreshed.
+// unit is the deferred work of the mutation in progress. It lives on the
+// engine and its buffers are reused, so a unit allocates nothing once they
+// have grown.
+type unit struct {
+	// before is the first clique id the unit can install: older cliques
+	// are refreshed through the anchors, newer ones enumerated in full.
+	before int32
+	// freed holds the nodes the unit freed, with repeats. Any all-free
+	// k-clique contains one of them (deletions never create cliques, and
+	// insertions install their all-free cliques eagerly). Those still free
+	// after the sweep are the anchors: every candidate an older clique
+	// gained and the index lacks contains one of them.
+	freed []int32
+	// installed holds the cliques the unit installed, ascending. Clique ids
+	// are never reused, so one that left S again is simply skipped.
+	installed []int32
+	// pending holds the owners that gained candidates through an inserted
+	// edge, for TrySwap. settle reuses it for the whole queue.
 	pending []int32
-	// touched holds nodes freed during the batch. Any all-free k-clique
-	// contains at least one of them (deletions never create cliques, and
-	// insertions install their all-free cliques eagerly), so sweeping
-	// these nodes restores maximality. Those still free after the sweep
-	// are the anchors: every candidate an older clique gained during the
-	// batch and the index lacks contains one of them.
-	touched map[int32]bool
+	// sweep records that a clique was dissolved while the unit already
+	// held deferred work (see removeCliqueFromS). Only then can an
+	// all-free clique survive the structural part, so only then does
+	// settle sweep the freed nodes.
+	sweep bool
+}
+
+// begin opens a unit.
+func (e *Engine) begin() {
+	e.unit = unit{
+		before:    e.nextClique,
+		freed:     e.unit.freed[:0],
+		installed: e.unit.installed[:0],
+		pending:   e.unit.pending[:0],
+	}
+}
+
+// applyOne applies one op as a unit of its own, settled inline.
+func (e *Engine) applyOne(op workload.Op) bool {
+	e.begin()
+	if !e.update(op) {
+		return false
+	}
+	e.trySwap(e.settle(false))
+	e.publish()
+	return true
 }
 
 // ApplyBatch applies a stream of edge updates as one unit and returns how
@@ -52,184 +89,85 @@ type batchState struct {
 // Updates whose neighbourhoods do not interact are independent: their
 // deferred enumerations run concurrently. Updates that do interact
 // coalesce instead — a node freed by twenty updates is enumerated
-// through once, not twenty times.
+// through once, not twenty times. Swaps run once, after the whole batch,
+// so the set can differ from applying the same ops one by one; it is
+// maximal either way, and identical for every worker count.
 func (e *Engine) ApplyBatch(ops []workload.Op) int {
 	if len(ops) == 0 {
 		return 0
 	}
-	if e.batch != nil {
-		// Re-entrant call (programming error); degrade to serial safety.
-		applied := 0
-		for _, op := range ops {
-			if e.applyOne(op) {
-				applied++
-			}
-		}
-		return applied
-	}
-	before := e.nextClique
-	e.batch = &batchState{
-		dirty:   make(map[int32]bool),
-		touched: make(map[int32]bool),
-	}
+	e.begin()
 	applied := 0
 	for _, op := range ops {
-		if e.applyOne(op) {
+		if e.update(op) {
 			applied++
 		}
 	}
-	b := e.batch
-	e.batch = nil
 	e.stats.Batches++
 	e.stats.BatchedOps += len(ops)
-
-	// Phase 1 — maximality sweep (serial, eager): restore invariant 2 so
-	// the parallel phases below observe a maximal S. Cliques the sweep
-	// installs are indexed in full on the spot and join the swap queue,
-	// exactly as serially repacked cliques would via dissolveAndRepack.
-	touched := make([]int32, 0, len(b.touched))
-	for u := range b.touched {
-		touched = append(touched, u)
-	}
-	slices.Sort(touched)
-	swept := e.sweepTouched(touched)
-	queue := append([]int32(nil), b.pending...)
-	for _, id := range swept {
-		if e.numCandidatesOfOwner(id) >= 2 {
-			queue = append(queue, id)
-		}
-	}
-
-	// Phase 2 — anchored refresh of the cliques older than the batch,
-	// through the freed nodes still free: parallel over anchors, installed
-	// serially in (owner, members) order.
-	queue = e.refreshAnchored(touched, before, true, queue)
-
-	// Phase 3 — full enumeration of the cliques the batch installed that
-	// are still in S: all concurrently (read-only), then installed serially
-	// in ascending id order so candidate ids and stats stay deterministic.
-	owners := make([]int32, 0, len(b.dirty))
-	for id := range b.dirty {
-		if _, ok := e.cliques[id]; ok {
-			owners = append(owners, id)
-		}
-	}
-	slices.Sort(owners)
-	keptL, freshL, allFree := e.collectCandidates(owners)
-	degraded := false
-	for i, id := range owners {
-		gained := false
-		switch {
-		case len(allFree[i]) > 0:
-			// The sweep guarantees no all-free clique survives; if one
-			// slipped through (it cannot, see batchState.touched), repair
-			// through the serial path, which installs and re-enumerates.
-			e.rebuildCandidates(id)
-			queue = append(queue, id)
-			degraded = true
-			continue
-		case degraded:
-			// A repair changed S after the parallel enumeration ran, so
-			// the precomputed kept ids and fresh lists may be stale;
-			// re-enumerate this owner serially instead.
-			gained = e.rebuildCandidates(id)
-		default:
-			// Differential install, mirroring rebuildCandidates:
-			// candidates that survived the batch stay in place (their ids
-			// were collected during the read-only parallel phase, no
-			// copies made), only the stale remainder is dropped and the
-			// fresh ones indexed.
-			kept := append(e.esc.keep[:0], keptL[i]...)
-			for _, c := range freshL[i] {
-				cid, added := e.ensureCandidate(c, id)
-				kept = append(kept, cid)
-				gained = gained || added
-			}
-			slices.Sort(kept)
-			e.esc.keep = kept
-			e.dropStaleCandidates(id, kept)
-		}
-		// Swap eligibility follows the serial path's rule: only owners
-		// whose candidate set gained a member are worth a TrySwap pass
-		// (Algorithm 4 enqueues on gain). Before the differential rebuild
-		// the batch path could not tell and had to enqueue every owner
-		// with two or more candidates, paying a greedyDisjoint run each.
-		if gained && e.numCandidatesOfOwner(id) >= 2 {
-			queue = append(queue, id)
-		}
-	}
-
-	// Phase 4 — deferred swap processing on the fresh index, in ascending
-	// owner order with duplicates removed.
-	if len(queue) > 0 && !e.noSwaps {
-		slices.Sort(queue)
-		dedup := queue[:0]
-		for _, id := range queue {
-			if _, ok := e.cliques[id]; !ok {
-				continue
-			}
-			if len(dedup) > 0 && dedup[len(dedup)-1] == id {
-				continue
-			}
-			dedup = append(dedup, id)
-		}
-		if len(dedup) > 0 {
-			e.trySwap(dedup)
-		}
-	}
-	// Match the single-op entry points: a batch of pure no-ops changed
-	// neither the graph nor S, so it publishes no phantom version.
+	e.trySwap(e.settle(len(ops) > 1))
+	// A batch of pure no-ops changed neither the graph nor S, so it
+	// publishes no phantom version.
 	if applied > 0 {
 		e.publish()
 	}
 	return applied
 }
 
-// applyOne dispatches a single workload op through the public update entry
-// points (which honour batch mode via the engine hooks).
-func (e *Engine) applyOne(op workload.Op) bool {
-	if op.Insert {
-		return e.InsertEdge(op.U, op.V)
+// settle runs the deferred part of the open unit — sweep, anchored
+// refresh, enumeration of the installed cliques — and returns the owners
+// to try swapping, ascending and without repeats (some may have left S).
+// parallel puts the enumeration on the worker pool. The result lives in
+// the unit and stays valid until the next unit begins.
+func (e *Engine) settle(parallel bool) []int32 {
+	un := &e.unit
+	slices.Sort(un.freed)
+	un.freed = slices.Compact(un.freed)
+	if un.sweep {
+		e.sweep(un.freed)
 	}
-	return e.DeleteEdge(op.U, op.V)
+	anchors := un.freed[:0]
+	for _, w := range un.freed {
+		if e.nodeClique[w] == free {
+			anchors = append(anchors, w)
+		}
+	}
+	owners := un.installed[:0]
+	for _, id := range un.installed {
+		if _, ok := e.cliques[id]; ok {
+			owners = append(owners, id)
+		}
+	}
+	queue := e.installRuns(e.collectRuns(anchors, owners, parallel), un.pending)
+	slices.Sort(queue)
+	un.pending = slices.Compact(queue)
+	return un.pending
 }
 
-// sweepTouched restores maximality after the eager phase of a batch: every
-// all-free k-clique at this point contains at least one touched node, so
-// scanning the free touched nodes (sorted ascending) and installing the
-// first clique found through each one (repeatedly, until none remains)
-// re-establishes invariant 2. Installations run through addCliqueToS with
-// batching off, so their own candidate sets are indexed eagerly; the ids
-// of the installed cliques are returned for swap enqueueing.
-func (e *Engine) sweepTouched(nodes []int32) []int32 {
-	var installed []int32
-	var B []int32
-	for _, u := range nodes {
+// sweep restores maximality after the structural part of a unit: every
+// all-free k-clique contains a freed node, so scanning the free ones
+// (sorted ascending) and installing the first clique found through each,
+// repeatedly until none remains, re-establishes invariant 2. The
+// installed cliques join the unit like any other.
+func (e *Engine) sweep(freed []int32) {
+	for i, u := range freed {
 		for e.nodeClique[u] == free {
-			B = append(B[:0], u)
-			for _, w := range e.g.Neighbors(u) {
-				if e.nodeClique[w] == free {
-					B = append(B, w)
-				}
-			}
+			B := e.freeNeighborhood(e.esc, freed[i:i+1])
 			if len(B) < e.k {
 				break
 			}
 			var found []int32
 			e.forEachCliqueAmong(e.esc, B, func(c []int32) bool {
-				for _, x := range c {
-					if x == u {
-						found = append([]int32(nil), c...)
-						return false
-					}
+				if slices.Contains(c, u) {
+					found = append([]int32(nil), c...)
+					return false
 				}
 				return true
 			})
 			if found == nil {
 				break
 			}
-			installed = append(installed, e.addCliqueToS(found))
+			e.installClique(found)
 		}
 	}
-	return installed
 }

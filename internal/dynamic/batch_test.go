@@ -1,6 +1,7 @@
 package dynamic
 
 import (
+	"maps"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -180,16 +181,16 @@ func TestNewWorkersDeterminism(t *testing.T) {
 	}
 }
 
-// candidatesOfGlobal is candidatesOf with the lookup owner-local matching
-// replaced: every enumerated clique probes the global dedup index.
-func candidatesOfGlobal(e *Engine, id int32) (kept []int32, fresh, allFree [][]int32) {
+// candidatesOfGlobal is candidatesOf with the owner-local matching
+// replaced: every enumerated clique probes the global dedup index. It
+// returns the candidates the index lacks as (owner, members) runs, and
+// how many it holds.
+func candidatesOfGlobal(e *Engine, id int32) (runs [][]int32, indexed int) {
 	sc := newEnumScratch(e.k)
-	buf := make([]int32, e.k)
 	e.forEachCliqueAmong(sc, e.freeNeighborhood(sc, e.cliques[id]), func(c []int32) bool {
-		copy(buf, c)
-		slices.Sort(buf)
+		cc := slices.Sorted(slices.Values(c))
 		nonFree := 0
-		for _, u := range buf {
+		for _, u := range cc {
 			if e.nodeClique[u] != free {
 				nonFree++
 			}
@@ -197,40 +198,40 @@ func candidatesOfGlobal(e *Engine, id int32) (kept []int32, fresh, allFree [][]i
 		switch {
 		case nonFree == e.k:
 		case nonFree == 0:
-			allFree = append(allFree, slices.Clone(buf))
+			panic("all-free clique: S is not maximal")
 		default:
-			if c, ok := e.candDedup.lookup(buf, hashNodes(buf)); ok {
-				kept = append(kept, c.id)
+			if _, ok := e.candDedup.lookup(cc, hashNodes(cc)); ok {
+				indexed++
 			} else {
-				fresh = append(fresh, slices.Clone(buf))
+				runs = append(runs, append([]int32{id}, cc...))
 			}
 		}
 		return true
 	})
-	return kept, fresh, allFree
+	return runs, indexed
 }
 
 // TestCandidatesOfOwnerLocal: matching each enumerated clique against the
 // owner's own indexed candidates finds exactly what a probe of the global
-// dedup index finds, for every owner. The check runs in the state
-// ApplyBatch's parallel rebuilds see, a graph that moved on from the
-// index: after a random batch, the engine deletes random edges and the
-// graph alone re-inserts them (deleted again afterwards), so owners
-// enumerate both indexed candidates and ones the index lacks.
+// dedup index finds, for every owner, and collectRuns returns the missing
+// ones in the order the per-owner enumeration emits them. The check runs
+// on a graph that moved on from the index: after a random batch, the
+// engine deletes random edges and the graph alone re-inserts those with a
+// bound endpoint (so S stays maximal) and deletes them again afterwards.
+// Owners thus enumerate both indexed candidates and ones the index lacks.
 func TestCandidatesOfOwnerLocal(t *testing.T) {
 	g := gen.CommunitySocial(1500, 10, 0.25, 7500, 41)
 	res, err := core.Find(g, core.Options{K: 4, Algorithm: core.LP})
 	if err != nil {
 		t.Fatal(err)
 	}
-	equalLists := func(a, b [][]int32) bool { return slices.EqualFunc(a, b, slices.Equal[[]int32]) }
 	for _, workers := range []int{1, 4} {
 		e, err := NewWorkers(g, 4, res.Cliques, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
 		rng := rand.New(rand.NewSource(7))
-		var kepts, freshes int
+		var indexed, missing int
 		for round := 0; round < 6; round++ {
 			e.ApplyBatch(randomBatch(e, rng, 64))
 			edges := e.g.Snapshot().EdgeList()
@@ -240,38 +241,33 @@ func TestCandidatesOfOwnerLocal(t *testing.T) {
 				dels = append(dels, workload.Op{U: ed[0], V: ed[1]})
 			}
 			e.ApplyBatch(dels)
+			var back []workload.Op
 			for _, op := range dels {
-				e.g.InsertEdge(op.U, op.V)
-			}
-			owners := make([]int32, 0, len(e.cliques))
-			for id := range e.cliques {
-				owners = append(owners, id)
-			}
-			slices.Sort(owners)
-			kept, fresh, allFree := e.collectCandidates(owners)
-			for i, id := range owners {
-				wantKept, wantFresh, wantAllFree := candidatesOfGlobal(e, id)
-				if !slices.Equal(kept[i], wantKept) || !equalLists(fresh[i], wantFresh) || !equalLists(allFree[i], wantAllFree) {
-					t.Fatalf("workers=%d round %d owner %d: kept %v fresh %v allFree %v; global probe: kept %v fresh %v allFree %v",
-						workers, round, id, kept[i], fresh[i], allFree[i], wantKept, wantFresh, wantAllFree)
+				if (!e.IsFree(op.U) || !e.IsFree(op.V)) && e.g.InsertEdge(op.U, op.V) {
+					back = append(back, op)
 				}
-				for _, c := range fresh[i] {
-					if got, ok := e.candDedup.lookup(c, hashNodes(c)); ok {
-						t.Fatalf("workers=%d owner %d: fresh %v is indexed as candidate %d", workers, id, c, got.id)
-					}
-				}
-				kepts += len(kept[i])
-				freshes += len(fresh[i])
 			}
-			for _, op := range dels {
+			owners := slices.Sorted(maps.Keys(e.cliques))
+			var want [][]int32
+			for _, id := range owners {
+				runs, n := candidatesOfGlobal(e, id)
+				want = append(want, runs...)
+				indexed += n
+			}
+			got := e.collectRuns(nil, owners, true)
+			if !slices.EqualFunc(got, want, slices.Equal[[]int32]) {
+				t.Fatalf("workers=%d round %d: runs %v; global probe: %v", workers, round, got, want)
+			}
+			missing += len(got)
+			for _, op := range back {
 				e.g.DeleteEdge(op.U, op.V)
 			}
 			if err := e.Verify(); err != nil {
 				t.Fatalf("workers=%d round %d: %v", workers, round, err)
 			}
 		}
-		if kepts == 0 || freshes == 0 {
-			t.Fatalf("workers=%d: %d kept and %d fresh candidates; want both", workers, kepts, freshes)
+		if indexed == 0 || missing == 0 {
+			t.Fatalf("workers=%d: %d indexed and %d missing candidates; want both", workers, indexed, missing)
 		}
 	}
 }

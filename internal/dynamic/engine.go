@@ -12,6 +12,12 @@
 // S-clique it installed; only a newly installed clique gets Algorithm 5's
 // full enumeration.
 //
+// Every mutation runs under one discipline, the unit (batch.go): it applies
+// the structural part of its updates eagerly and defers the enumeration to
+// one settle step, which refreshes the index and then runs TrySwap.
+// InsertEdge and DeleteEdge are units of one update, ApplyBatch a unit of
+// many, and every swap TrySwap executes is a unit of its own.
+//
 // Invariants maintained between public calls (checked by Verify):
 //
 //  1. S is a disjoint k-clique set of the current graph.
@@ -93,16 +99,15 @@ type Engine struct {
 	candsByNode []idSet          // node -> candidate ids containing it
 	nextCand    int32
 
-	// batch, when non-nil, defers candidate enumeration and swap
-	// processing so ApplyBatch can coalesce and parallelise them; see
+	// unit holds the deferred work of the mutation in progress; see
 	// batch.go.
-	batch *batchState
+	unit unit
 
-	// esc is the single-writer enumeration scratch: every serial update
-	// enumerates through these reusable buffers, so the steady-state update
-	// path allocates nothing. The parallel phases of ApplyBatch use the wsc
-	// per-worker scratches instead (collectCandidates, collectAnchored),
-	// kept for the engine's lifetime so a long-running service reuses them
+	// esc is the single-writer enumeration scratch: every update and every
+	// inline settle enumerates through these reusable buffers, so the
+	// steady-state update path allocates nothing. A settle on the worker
+	// pool uses the wsc per-worker scratches instead (collectRuns), kept
+	// for the engine's lifetime so a long-running service reuses them
 	// batch after batch — the same pooling discipline internal/kclique
 	// applies to the static counting oracles.
 	esc *enumScratch
@@ -313,24 +318,14 @@ func (e *Engine) Result() [][]int32 { return e.Snapshot().Cliques() }
 func (e *Engine) IsFree(u int32) bool { return e.nodeClique[u] == free }
 
 // addCandidate indexes a candidate clique (members must be sorted) unless
-// an identical one exists. Reports whether it was new.
+// an identical one exists, and reports whether it was new. An existing
+// candidate necessarily already has this owner — its non-free members
+// determine the owner uniquely, and the index never holds a candidate
+// across an S change that moved them.
 func (e *Engine) addCandidate(nodes []int32, owner int32) bool {
-	_, added := e.ensureCandidate(nodes, owner)
-	return added
-}
-
-// ensureCandidate is addCandidate returning the candidate's id as well:
-// the id of the existing identical candidate when one is indexed, the
-// freshly assigned id otherwise. The differential rebuilds key their
-// keep/stale sets on these ids, so an unchanged candidate costs one
-// dedup probe instead of a drop-and-reinsert cycle through every index
-// structure. An existing candidate necessarily already has this owner —
-// its non-free members determine the owner uniquely, and the index never
-// holds a candidate across an S change that moved them.
-func (e *Engine) ensureCandidate(nodes []int32, owner int32) (int32, bool) {
 	digest := hashNodes(nodes)
-	if c, ok := e.candDedup.lookup(nodes, digest); ok {
-		return c.id, false
+	if _, ok := e.candDedup.lookup(nodes, digest); ok {
+		return false
 	}
 	id := e.nextCand
 	e.nextCand++
@@ -347,7 +342,7 @@ func (e *Engine) ensureCandidate(nodes []int32, owner int32) (int32, bool) {
 		e.candsByNode[u].add(id)
 	}
 	e.stats.CandidatesCreated++
-	return id, true
+	return true
 }
 
 // dropCandidate removes a candidate from every index.
@@ -387,27 +382,6 @@ func (e *Engine) dropCandidatesOfOwner(owner int32) {
 	}
 }
 
-// dropStaleCandidates removes every candidate owned by the clique whose
-// id is not in kept (sorted ascending). kept must be a subset of the
-// owner's candidate ids, so equal sizes mean nothing is stale — the
-// common case for rebuilds whose enumeration reproduced the whole set.
-func (e *Engine) dropStaleCandidates(owner int32, kept []int32) {
-	own := e.candsByOwn[owner]
-	if own == nil || own.size() == len(kept) {
-		return
-	}
-	stale := e.esc.stale[:0]
-	for _, id := range own.ids() {
-		if !graph.SortedContains(kept, id) {
-			stale = append(stale, id)
-		}
-	}
-	e.esc.stale = stale
-	for _, id := range stale {
-		e.dropCandidate(id)
-	}
-}
-
 // dropCandidatesWithNode removes every candidate containing u.
 func (e *Engine) dropCandidatesWithNode(u int32) {
 	if s := &e.candsByNode[u]; s.size() > 0 {
@@ -435,12 +409,16 @@ func (e *Engine) dropCandidatesWithEdge(u, v int32) {
 	}
 }
 
-// candidateIDsOfOwner returns the ids of candidates owned by the clique,
-// ascending (the idSet iterates sorted, so no re-sort is needed).
-func (e *Engine) candidateIDsOfOwner(owner int32) []int32 {
-	own := e.candsByOwn[owner]
-	if own == nil {
-		return nil
+// ownedMembers returns the member lists of the candidates the clique
+// owns, in candidate-id order, staged in the engine scratch: valid until
+// the next call, and the lists alias the candidates' own member slices.
+func (e *Engine) ownedMembers(owner int32) [][]int32 {
+	lists := e.esc.swapLists[:0]
+	if own := e.candsByOwn[owner]; own != nil {
+		for _, id := range own.ids() {
+			lists = append(lists, e.cands[id].nodes)
+		}
 	}
-	return append([]int32(nil), own.ids()...)
+	e.esc.swapLists = lists
+	return lists
 }

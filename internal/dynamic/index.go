@@ -1,6 +1,7 @@
 package dynamic
 
 import (
+	"fmt"
 	"slices"
 
 	"repro/internal/graph"
@@ -14,26 +15,22 @@ const anyOwner int32 = -2
 // enumScratch holds the reusable buffers of the engine's enumeration
 // adapters: the kclique.Scratch the unified core recurses through, plus
 // the engine-specific staging buffers around it. The single-writer update
-// path uses the engine-level instance (e.esc), so steady-state updates
-// allocate nothing; the parallel phases of ApplyBatch hand each worker
-// its own instance (e.wsc, reused across batches).
+// path and inline settles use the engine-level instance (e.esc), so
+// steady-state updates allocate nothing; a settle on the worker pool
+// hands each worker its own instance (e.wsc, reused across batches).
 type enumScratch struct {
 	kc        *kclique.Scratch // unified-core recursion state (stack, levels, marks)
 	edge      [2]int32         // prefix buffer for edge-anchored enumeration
 	nodes     []int32          // enumeration base: B copy, or N(u) ∩ N(v)
 	bbuf      []int32          // freeNeighborhood output
 	sorted    []int32          // k-sized buffer for sorting candidate members
-	owners    []int32          // owner ids gathered during an update
 	hits      []int32          // candidate ids gathered by dropCandidatesWithEdge
-	anchors   []int32          // refreshAnchored: the freed nodes still free
 	near      nodeBits         // anchoredCandidates: N(w) of the current anchor
-	runs      []int32          // anchored candidates: (owner, k members) runs
-	runRefs   [][]int32        // installAnchored: runs in install order
-	keep      []int32          // surviving candidate ids in differential rebuilds
+	runs      []int32          // missing candidates: (owner, k members) runs
+	runRefs   [][]int32        // collectRuns: runs in install order
 	owned     []*candidate     // candidatesOf: the owner's indexed candidates
-	stale     []int32          // dropStaleCandidates output
-	swapIDs   []int32          // trySwap: owner's candidate ids
-	swapLists [][]int32        // trySwap: member-list pointers for greedyDisjoint
+	swapQ     []int32          // trySwap: the FIFO queue
+	swapLists [][]int32        // ownedMembers: member lists for greedyDisjoint
 	gdNodes   []int32          // greedyDisjoint: concatenated sorted members / used set
 	gdEntries []gdEntry        // greedyDisjoint: selection order
 	gdOut     [][]int32        // greedyDisjoint: selected subset (aliases inputs)
@@ -121,24 +118,21 @@ func (e *Engine) freeNeighborhood(sc *enumScratch, members []int32) []int32 {
 	return B
 }
 
-// candidatesOf enumerates (read-only) the candidate cliques Algorithm 5
-// would assign to the given S-clique under the current graph and free
-// status: sorted member lists of k-cliques on B = C ∪ N_F(C), excluding C
-// itself. Candidates already present in the index are returned as their
-// ids (kept) without copying; only genuinely new ones are materialised
-// (fresh). It also reports any all-free cliques encountered — a non-empty
-// third result means S is not maximal and the caller must repair it.
+// candidatesOf appends to sc.runs every candidate clique Algorithm 5
+// assigns to the given S-clique that the index lacks, as one run of k+1
+// values: the owner, then the sorted members. Algorithm 5's candidates of
+// C are the k-cliques on B = C ∪ N_F(C) other than C itself. S must be
+// maximal: an all-free clique on B would be a candidate of nobody, and is
+// a bug that panics.
 //
 // The non-free members of a clique on B are members of C, so an indexed
 // candidate equal to one enumerated here is owned by this S-clique (see
-// ensureCandidate). Each enumerated clique is therefore matched against
-// the owner's few indexed candidates, gathered once, instead of probing
-// the global dedup index. Reads only the graph, S, the free status and
-// the index (never mutating them) and scratches through sc, so concurrent
-// calls with distinct scratches are safe as long as no writer mutates the
-// index.
-func (e *Engine) candidatesOf(sc *enumScratch, id int32) (kept []int32, fresh, allFree [][]int32) {
-	members := e.cliques[id]
+// addCandidate). Each enumerated clique is therefore matched against the
+// owner's few indexed candidates, gathered once, instead of probing the
+// global dedup index. Reads only the graph, S, the free status and the
+// index (never mutating them) and writes only sc, so concurrent calls
+// with distinct scratches are safe as long as no writer mutates them.
+func (e *Engine) candidatesOf(sc *enumScratch, id int32) {
 	owned := sc.owned[:0]
 	if own := e.candsByOwn[id]; own != nil {
 		for _, cid := range own.ids() {
@@ -147,7 +141,7 @@ func (e *Engine) candidatesOf(sc *enumScratch, id int32) (kept []int32, fresh, a
 	}
 	sc.owned = owned
 	buf := sc.sorted[:e.k]
-	e.forEachCliqueAmong(sc, e.freeNeighborhood(sc, members), func(c []int32) bool {
+	e.forEachCliqueAmong(sc, e.freeNeighborhood(sc, e.cliques[id]), func(c []int32) bool {
 		copy(buf, c)
 		slices.Sort(buf)
 		nonFree := 0
@@ -157,49 +151,87 @@ func (e *Engine) candidatesOf(sc *enumScratch, id int32) (kept []int32, fresh, a
 			}
 		}
 		switch {
-		case nonFree == e.k:
-			// Only C itself consists purely of non-free nodes inside B.
 		case nonFree == 0:
-			allFree = append(allFree, append([]int32(nil), buf...))
-		default:
-			if cid, ok := matchOwned(owned, buf); ok {
-				kept = append(kept, cid)
-			} else {
-				fresh = append(fresh, append([]int32(nil), buf...))
-			}
+			panic(fmt.Sprintf("dynamic: all-free clique %v next to clique %d: S is not maximal", buf, id))
+		case nonFree < e.k && !ownsClique(owned, buf):
+			// nonFree == k is C itself, the only such clique on B.
+			sc.runs = append(append(sc.runs, id), buf...)
 		}
 		return true
 	})
-	return kept, fresh, allFree
 }
 
-// matchOwned returns the id of the candidate in owned with exactly the
-// (sorted) members nodes, if there is one.
-func matchOwned(owned []*candidate, nodes []int32) (int32, bool) {
+// ownsClique reports whether owned holds a candidate with exactly the
+// (sorted) members nodes.
+func ownsClique(owned []*candidate, nodes []int32) bool {
 	digest := hashNodes(nodes)
 	for _, c := range owned {
 		if c.digest == digest && nodesEqual(c.nodes, nodes) {
-			return c.id, true
+			return true
 		}
 	}
-	return 0, false
+	return false
 }
 
-// collectCandidates runs candidatesOf for the given owners on the worker
-// pool and returns the per-owner results in input order. The computation
-// is read-only with one scratch per worker, so the result is identical
-// for every worker count. Worker scratches live on the engine (e.wsc) and
-// are reused batch after batch, so a long-running service pays their
-// warm-up once instead of reallocating every ApplyBatch.
-func (e *Engine) collectCandidates(ids []int32) (kept [][]int32, fresh, allFree [][][]int32) {
-	kept = make([][]int32, len(ids))
-	fresh = make([][][]int32, len(ids))
-	allFree = make([][][]int32, len(ids))
-	e.growWorkerScratches(len(ids))
-	kclique.ParallelIndex(len(ids), e.workers, func(worker, i int) {
-		kept[i], fresh[i], allFree[i] = e.candidatesOf(e.wsc[worker], ids[i])
-	})
-	return kept, fresh, allFree
+// collectRuns gathers the candidates the index lacks: those through each
+// anchor (sorted free nodes) for the S-cliques older than the open unit
+// (anchoredCandidates), and Algorithm 5's for each given owner
+// (candidatesOf). With parallel set the work runs on the worker pool, one
+// scratch per worker; otherwise inline on the engine scratch. The runs
+// come back in install order, sorted by (owner, members), so the result
+// is the same for every worker count; they live in the scratches until
+// the next call.
+func (e *Engine) collectRuns(anchors, owners []int32, parallel bool) [][]int32 {
+	n := len(anchors) + len(owners)
+	scs := []*enumScratch{e.esc}
+	if parallel {
+		e.growWorkerScratches(n)
+		scs = e.wsc
+	}
+	for _, sc := range scs {
+		sc.runs = sc.runs[:0]
+	}
+	if parallel {
+		kclique.ParallelIndex(n, e.workers, func(worker, i int) {
+			e.collectOne(e.wsc[worker], anchors, owners, i)
+		})
+	} else {
+		for i := range n {
+			e.collectOne(e.esc, anchors, owners, i)
+		}
+	}
+	refs := e.esc.runRefs[:0]
+	for _, sc := range scs {
+		for off := 0; off < len(sc.runs); off += e.k + 1 {
+			refs = append(refs, sc.runs[off:off+e.k+1])
+		}
+	}
+	slices.SortFunc(refs, slices.Compare[[]int32])
+	e.esc.runRefs = refs
+	return refs
+}
+
+// collectOne is item i of collectRuns: the anchors first, then the owners.
+func (e *Engine) collectOne(sc *enumScratch, anchors, owners []int32, i int) {
+	if i < len(anchors) {
+		e.anchoredCandidates(sc, anchors, anchors[i])
+	} else {
+		e.candidatesOf(sc, owners[i-len(anchors)])
+	}
+}
+
+// installRuns indexes runs in the given order and appends to queue every
+// owner that gained a candidate and now holds at least two — the swap
+// rule of Algorithm 4.
+func (e *Engine) installRuns(refs [][]int32, queue []int32) []int32 {
+	for i, r := range refs {
+		owner := r[0]
+		e.addCandidate(r[1:], owner)
+		if (i+1 == len(refs) || refs[i+1][0] != owner) && e.numCandidatesOfOwner(owner) >= 2 {
+			queue = append(queue, owner)
+		}
+	}
+	return queue
 }
 
 // growWorkerScratches makes sure e.wsc holds a scratch for every worker
@@ -214,98 +246,30 @@ func (e *Engine) growWorkerScratches(n int) {
 
 // buildIndex constructs the whole candidate index from the current S —
 // Algorithm 5, with the per-clique enumeration running root-parallel
-// exactly as its line 1 prescribes. S must already be maximal. Candidate
-// insertion happens serially in ascending clique-id order, so ids and
-// stats are deterministic. (The index is empty here, so every enumerated
-// candidate comes back fresh.)
+// exactly as its line 1 prescribes. S must already be maximal. Candidates
+// install in (owner, members) order, so ids and stats are deterministic.
+// The runs of a whole index are far larger than any update's, so the
+// scratches let go of them afterwards.
 func (e *Engine) buildIndex() {
 	ids := make([]int32, 0, len(e.cliques))
 	for id := range e.cliques {
 		ids = append(ids, id)
 	}
 	slices.Sort(ids)
-	_, fresh, _ := e.collectCandidates(ids)
-	for i, id := range ids {
-		for _, c := range fresh[i] {
-			e.addCandidate(c, id)
-		}
+	e.installRuns(e.collectRuns(nil, ids, true), nil)
+	e.esc.runRefs = nil
+	for _, sc := range e.wsc {
+		sc.runs = nil
 	}
 }
 
-// rebuildCandidates brings the candidate set owned by the given S-clique
-// up to date (the per-clique body of Algorithm 5), differentially:
-// enumerate the k-cliques on B = C ∪ N_F(C), skip C itself, index the
-// ones not yet present, and drop the previously owned candidates the
-// enumeration no longer produced. A candidate that survives the update
-// that dirtied its owner — the overwhelmingly common case under churn —
-// thus costs one dedup probe and one keep-set entry instead of a full
-// drop-and-reinsert cycle through the dedup, owner and per-node indexes.
-// It reports whether any candidate is new relative to the previous index
-// state. Any all-free clique encountered indicates a maximality breach
-// and is repaired by direct insertion into S.
-func (e *Engine) rebuildCandidates(id int32) bool {
-	members, ok := e.cliques[id]
-	if !ok {
-		return false
-	}
-	sc := e.esc
-	gained := false
-	var repair [][]int32
-	B := e.freeNeighborhood(sc, members)
-	buf := sc.sorted[:e.k]
-	kept := sc.keep[:0]
-	e.forEachCliqueAmong(sc, B, func(c []int32) bool {
-		copy(buf, c)
-		slices.Sort(buf)
-		nonFree := 0
-		for _, u := range buf {
-			if e.nodeClique[u] != free {
-				nonFree++
-			}
-		}
-		switch {
-		case nonFree == e.k:
-			// Only C itself consists purely of non-free nodes inside B.
-			return true
-		case nonFree == 0:
-			// All-free clique: S was not maximal. Repair after the scan.
-			repair = append(repair, append([]int32(nil), buf...))
-			return true
-		default:
-			cid, added := e.ensureCandidate(buf, id)
-			if added {
-				gained = true
-			}
-			kept = append(kept, cid)
-			return true
-		}
-	})
-	slices.Sort(kept)
-	sc.keep = kept
-	e.dropStaleCandidates(id, kept)
-	for _, c := range repair {
-		// Members may have been consumed by an earlier repair.
-		allFree := true
-		for _, u := range c {
-			if e.nodeClique[u] != free {
-				allFree = false
-				break
-			}
-		}
-		if allFree && e.g.IsClique(c) {
-			e.addCliqueToS(c)
-			// B changed; recompute this owner's candidates once more.
-			return e.rebuildCandidates(id) || gained
-		}
-	}
-	return gained
-}
-
-// installClique records a new S-clique over currently free nodes without
-// touching the candidate index. Callers installing several cliques at once
-// must install all of them before indexing any (indexClique), so that
-// candidate rebuilds never observe a half-applied S.
-func (e *Engine) installClique(members []int32) int32 {
+// installClique adds a new S-clique over currently free nodes. Candidates
+// containing any of its nodes now span two cliques (their old owner and
+// this one) and are dropped; the clique's own candidate set is enumerated
+// (Algorithm 5) when the open unit settles, which it joins. Several
+// cliques installed by one update all exist before any is enumerated, so
+// no enumeration observes a half-applied S.
+func (e *Engine) installClique(members []int32) {
 	cc := append([]int32(nil), members...)
 	slices.Sort(cc)
 	id := e.nextClique
@@ -316,54 +280,31 @@ func (e *Engine) installClique(members []int32) int32 {
 	}
 	e.cliques[id] = cc
 	e.orderInstall(id, cc)
-	return id
-}
-
-// indexClique brings the candidate index up to date with a freshly
-// installed S-clique: candidates containing any of its nodes now span two
-// cliques (their old owner and this one) and are dropped, then the new
-// clique's own candidate set is built by Algorithm 5's full enumeration.
-// In batch mode the enumeration is deferred: the clique is marked dirty
-// and enumerated once — in parallel with the batch's other new cliques —
-// when the batch finishes, no matter how many updates touched it.
-func (e *Engine) indexClique(id int32) {
-	for _, u := range e.cliques[id] {
+	for _, u := range cc {
 		e.dropCandidatesWithNode(u)
 	}
-	if e.batch != nil {
-		e.batch.dirty[id] = true
-		return
+	e.unit.installed = append(e.unit.installed, id)
+}
+
+// removeCliqueFromS dissolves an S-clique: frees its nodes, drops its
+// owned candidates and records the freed nodes in the open unit, whose
+// settle refreshes the other cliques' candidate sets through them. A
+// dissolve that meets work the unit already deferred (a freed node or an
+// installed clique) sets the unit's sweep flag: the clique's candidate
+// list may lack cliques through that work, so a repack from it may leave
+// an all-free clique behind.
+func (e *Engine) removeCliqueFromS(id int32) {
+	un := &e.unit
+	if len(un.freed) > 0 || len(un.installed) > 0 {
+		un.sweep = true
 	}
-	e.rebuildCandidates(id)
-}
-
-// addCliqueToS installs and indexes a single new S-clique. Members must
-// form a clique of free nodes.
-func (e *Engine) addCliqueToS(members []int32) int32 {
-	id := e.installClique(members)
-	e.indexClique(id)
-	return id
-}
-
-// removeCliqueFromS dissolves an S-clique: frees its nodes and drops its
-// owned candidates. Other cliques' candidate sets are NOT refreshed here:
-// callers must run refreshAnchored over the freed nodes that stay free.
-// In batch mode the freed nodes are recorded instead, for the
-// end-of-batch maximality sweep and anchored refresh.
-func (e *Engine) removeCliqueFromS(id int32) []int32 {
 	members := e.cliques[id]
 	delete(e.cliques, id)
 	for _, u := range members {
 		e.nodeClique[u] = free
 		e.markNodeDirty(u)
 	}
+	un.freed = append(un.freed, members...)
 	e.orderRemove(id)
-	if e.batch != nil {
-		for _, u := range members {
-			e.batch.touched[u] = true
-		}
-		delete(e.batch.dirty, id)
-	}
 	e.dropCandidatesOfOwner(id)
-	return members
 }

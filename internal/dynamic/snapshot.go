@@ -230,10 +230,10 @@ func (e *Engine) reserveSnapshots(n int) {
 }
 
 // publish installs a fresh snapshot reflecting the engine's current state.
-// Called at the end of every mutating entry point; a no-op mid-batch
-// (ApplyBatch publishes once, after the deferred phases run). Only the
-// writer calls publish, so plain reads of the live structures are safe
-// here; the atomic store is what hands the result to readers.
+// Called once at the end of every mutating entry point, after its unit
+// settled and its swaps ran (batch.go). Only the writer calls publish, so
+// plain reads of the live structures are safe here; the atomic store is
+// what hands the result to readers.
 //
 // Cost: updates that did not move S reuse the previous arrays and carve
 // the Snapshot struct from the current generation's slab (allocation-free
@@ -245,9 +245,6 @@ func (e *Engine) reserveSnapshots(n int) {
 // allocates fresh ones), and start a new one-slot slab. Every mutating
 // entry point ends here, so WriteCheckpoint and Verify never see a hole.
 func (e *Engine) publish() {
-	if e.batch != nil {
-		return
-	}
 	e.compactOrder()
 	prev := e.snap.Load()
 	n, m := e.g.N(), e.g.M()

@@ -86,72 +86,40 @@ func greedyDisjoint(sc *enumScratch, cliques [][]int32) [][]int32 {
 
 // trySwap is Algorithm 4: pop cliques from the FIFO queue; for each, find a
 // disjoint set S_dis among its candidates; when |S_dis| > 1 exchange the
-// clique for S_dis (a strict gain), refresh the candidates the freed
-// nodes create, and enqueue any clique whose candidate set gained new
-// members.
-func (e *Engine) trySwap(q []int32) {
-	if e.noSwaps {
+// clique for S_dis (a strict gain) and enqueue every clique whose
+// candidate set gained members.
+func (e *Engine) trySwap(queue []int32) {
+	if e.noSwaps || len(queue) == 0 {
 		return
 	}
-	if e.batch != nil {
-		// Batch mode: swap processing is deferred so it runs once, against
-		// the refreshed candidate index, when the batch finishes.
-		e.batch.pending = append(e.batch.pending, q...)
-		return
-	}
-	for len(q) > 0 {
-		cid := q[0]
-		q = q[1:]
+	q := append(e.esc.swapQ[:0], queue...)
+	for i := 0; i < len(q); i++ {
+		cid := q[i]
 		if _, ok := e.cliques[cid]; !ok {
 			continue // removed by an earlier swap
 		}
-		own := e.candsByOwn[cid]
-		if own == nil || own.size() < 2 {
+		if e.numCandidatesOfOwner(cid) < 2 {
 			continue // |S_dis| > 1 is impossible
 		}
-		// Stage ids and member-list pointers in the engine scratch instead
-		// of fresh slices; queue pops that find nothing to swap are the
-		// common case.
-		ids := append(e.esc.swapIDs[:0], own.ids()...)
-		e.esc.swapIDs = ids
-		lists := e.esc.swapLists[:0]
-		for _, id := range ids {
-			lists = append(lists, e.cands[id].nodes)
-		}
-		e.esc.swapLists = lists
-		sdis := greedyDisjoint(e.esc, lists)
+		sdis := greedyDisjoint(e.esc, e.ownedMembers(cid))
 		if len(sdis) <= 1 {
 			continue
 		}
 		q = append(q, e.executeSwap(cid, sdis)...)
 		e.stats.Swaps++
 	}
+	e.esc.swapQ = q
 }
 
-// executeSwap removes the clique and installs the replacement set, then
-// refreshes affected candidate owners. It returns the clique ids to enqueue
-// for further swapping.
+// executeSwap exchanges the clique for the disjoint set sdis as a unit of
+// its own, settled inline before the queue moves on, and returns the
+// cliques to enqueue. sdis may alias the clique's candidates, which stay
+// readable after their drop.
 func (e *Engine) executeSwap(cid int32, sdis [][]int32) []int32 {
-	members := e.removeCliqueFromS(cid)
-	before := e.nextClique
-	// Install every replacement before indexing any: a candidate rebuild
-	// that runs against a half-applied S could "repair" an all-free clique
-	// that overlaps a replacement not yet installed.
-	newIDs := make([]int32, 0, len(sdis))
+	e.begin()
+	e.removeCliqueFromS(cid)
 	for _, c := range sdis {
-		newIDs = append(newIDs, e.installClique(c))
+		e.installClique(c)
 	}
-	for _, id := range newIDs {
-		e.indexClique(id)
-	}
-	// Members of the removed clique that no replacement consumed are free
-	// now; the older cliques gain candidates only through them (the
-	// replacements were enumerated in full by indexClique).
-	push := e.refreshAnchored(members, before, false, nil)
-	for _, id := range newIDs {
-		if e.numCandidatesOfOwner(id) >= 2 {
-			push = append(push, id)
-		}
-	}
-	return push
+	return e.settle(false)
 }

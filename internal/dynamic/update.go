@@ -1,10 +1,35 @@
 package dynamic
 
-import "slices"
+import (
+	"slices"
 
-// InsertEdge applies Algorithm 6 (incremental update). It reports whether
-// the edge was new; inserting an existing edge or a self-loop is a no-op.
+	"repro/internal/workload"
+)
+
+// InsertEdge applies Algorithm 6 (incremental update) as a unit of one
+// op. It reports whether the edge was new; inserting an existing edge or
+// a self-loop is a no-op.
 func (e *Engine) InsertEdge(u, v int32) bool {
+	return e.applyOne(workload.Op{Insert: true, U: u, V: v})
+}
+
+// DeleteEdge applies Algorithm 7 (decremental update) as a unit of one
+// op. It reports whether the edge existed.
+func (e *Engine) DeleteEdge(u, v int32) bool {
+	return e.applyOne(workload.Op{U: u, V: v})
+}
+
+// update applies the structural part of one op to the open unit and
+// reports whether it changed the graph.
+func (e *Engine) update(op workload.Op) bool {
+	if op.Insert {
+		return e.insertEdge(op.U, op.V)
+	}
+	return e.deleteEdge(op.U, op.V)
+}
+
+// insertEdge is the structural part of Algorithm 6.
+func (e *Engine) insertEdge(u, v int32) bool {
 	if !e.g.InsertEdge(u, v) {
 		return false
 	}
@@ -21,22 +46,21 @@ func (e *Engine) InsertEdge(u, v int32) bool {
 	default:
 		e.insertBothFree(u, v)
 	}
-	e.publish()
 	return true
 }
 
 // insertOneFree handles the first case of Algorithm 6: exactly one
 // endpoint is free. New candidate cliques all contain the edge and are
-// owned by the non-free endpoint's clique.
+// owned by the non-free endpoint's clique, which is queued for TrySwap
+// if it gained any.
 func (e *Engine) insertOneFree(u, v int32, uIsFree bool) {
 	fn, bn := u, v // free node, bound node
 	if !uIsFree {
 		fn, bn = v, u
 	}
 	owner := e.nodeClique[bn]
-	sc := e.esc
 	gained := false
-	buf := sc.sorted[:e.k]
+	buf := e.esc.sorted[:e.k]
 	e.forEachCliqueWithEdge(fn, bn, owner, func(c []int32) bool {
 		copy(buf, c)
 		slices.Sort(buf)
@@ -46,14 +70,14 @@ func (e *Engine) insertOneFree(u, v int32, uIsFree bool) {
 		return true
 	})
 	if gained {
-		sc.owners = append(sc.owners[:0], owner)
-		e.trySwap(sc.owners)
+		e.unit.pending = append(e.unit.pending, owner)
 	}
 }
 
 // insertBothFree handles the second case of Algorithm 6: both endpoints
 // free. Either the free nodes complete a k-clique, which joins S directly,
-// or the edge creates candidate cliques for the owners it touches.
+// or the edge creates candidate cliques for the owners it touches, which
+// are queued for TrySwap.
 func (e *Engine) insertBothFree(u, v int32) {
 	// All new k-cliques contain both u and v, so at most one all-free
 	// clique can join S; take the first.
@@ -63,16 +87,14 @@ func (e *Engine) insertBothFree(u, v int32) {
 		return false
 	})
 	if direct != nil {
-		e.addCliqueToS(direct)
-		// Algorithm 6 line 11: no TrySwap here — other cliques cannot have
-		// gained candidates from nodes becoming non-free.
+		// Algorithm 6 line 11 tries no swap here: other cliques cannot
+		// have gained candidates from nodes becoming non-free.
+		e.installClique(direct)
 		return
 	}
 	// Otherwise index the new candidate cliques through (u, v): cliques
 	// whose non-free members all share one owner.
-	sc := e.esc
-	owners := sc.owners[:0]
-	buf := sc.sorted[:e.k]
+	buf := e.esc.sorted[:e.k]
 	e.forEachCliqueWithEdge(u, v, anyOwner, func(c []int32) bool {
 		owner := free
 		ok := true
@@ -93,22 +115,14 @@ func (e *Engine) insertBothFree(u, v int32) {
 		copy(buf, c)
 		slices.Sort(buf)
 		if e.addCandidate(buf, owner) {
-			owners = append(owners, owner)
+			e.unit.pending = append(e.unit.pending, owner)
 		}
 		return true
 	})
-	sc.owners = owners
-	if len(owners) > 0 {
-		slices.Sort(owners)
-		owners = slices.Compact(owners)
-		sc.owners = owners
-		e.trySwap(owners)
-	}
 }
 
-// DeleteEdge applies Algorithm 7 (decremental update). It reports whether
-// the edge existed.
-func (e *Engine) DeleteEdge(u, v int32) bool {
+// deleteEdge is the structural part of Algorithm 7.
+func (e *Engine) deleteEdge(u, v int32) bool {
 	if !e.g.HasEdge(u, v) {
 		return false
 	}
@@ -117,36 +131,28 @@ func (e *Engine) DeleteEdge(u, v int32) bool {
 	e.dropCandidatesWithEdge(u, v)
 	e.g.DeleteEdge(u, v)
 	e.stats.Deletions++
-	if cu == free || cu != cv {
-		// Second case of Algorithm 7: the edge was not inside an S-clique;
-		// dropping its candidates is all that is needed.
-		e.publish()
-		return true
+	// Second case of Algorithm 7: an edge outside every S-clique needs
+	// nothing beyond the drop above.
+	if cu != free && cu == cv {
+		e.dissolveAndRepack(cu)
 	}
-	e.dissolveAndRepack(cu)
-	e.publish()
 	return true
 }
 
 // dissolveAndRepack handles the split S-clique: remove it, then re-pack
 // its former candidates (now all-free cliques, the deleted-edge ones
-// already dropped) greedily, and let TrySwap propagate any gains — the
-// forced-swap semantics of Algorithm 7 lines 1-4.
+// already dropped) greedily — the forced swap of Algorithm 7 lines 1-4.
+// The unit's settle enumerates the repacked cliques, refreshes the older
+// ones through the members left free and lets TrySwap propagate any gains.
 func (e *Engine) dissolveAndRepack(cid int32) {
-	ids := e.candidateIDsOfOwner(cid)
-	lists := make([][]int32, 0, len(ids))
-	for _, id := range ids {
-		lists = append(lists, append([]int32(nil), e.cands[id].nodes...))
-	}
-	members := e.removeCliqueFromS(cid)
-	before := e.nextClique
+	// The selection aliases the clique's candidates, which stay readable
+	// after removeCliqueFromS drops them.
+	repack := greedyDisjoint(e.esc, e.ownedMembers(cid))
+	e.removeCliqueFromS(cid)
 	e.stats.Swaps++
-
-	// Re-pack: the captured candidates consist solely of now-free nodes.
-	// greedyDisjoint keeps them mutually disjoint; a defensive re-check
-	// guards cliquehood and freeness (earlier additions consume nodes).
-	newIDs := make([]int32, 0, 2)
-	for _, c := range greedyDisjoint(e.esc, lists) {
+	for _, c := range repack {
+		// A defensive re-check of freeness and cliquehood: greedyDisjoint
+		// keeps the selection disjoint, and the index holds only cliques.
 		allFree := true
 		for _, w := range c {
 			if e.nodeClique[w] != free {
@@ -154,28 +160,8 @@ func (e *Engine) dissolveAndRepack(cid int32) {
 				break
 			}
 		}
-		if !allFree || !e.g.IsClique(c) {
-			continue
+		if allFree && e.g.IsClique(c) {
+			e.installClique(c)
 		}
-		newIDs = append(newIDs, e.installClique(c))
-	}
-	for _, id := range newIDs {
-		e.indexClique(id)
-	}
-
-	// Former members that stayed free may enable candidates of the older
-	// cliques. A batch defers that refresh to its end, where every node it
-	// freed is refreshed at once (removeCliqueFromS recorded them).
-	var q []int32
-	if e.batch == nil {
-		q = e.refreshAnchored(members, before, false, q)
-	}
-	for _, id := range newIDs {
-		if e.numCandidatesOfOwner(id) >= 2 {
-			q = append(q, id)
-		}
-	}
-	if len(q) > 0 {
-		e.trySwap(q)
 	}
 }
