@@ -37,7 +37,7 @@ func NewDynamic(g *Graph, k int, initial [][]int32) (*Dynamic, error) {
 }
 
 // NewDynamicWorkers is NewDynamic with an explicit parallelism bound for
-// the index construction (Algorithm 5) and later ApplyBatch rebuilds;
+// the index construction (Algorithm 5) and later ApplyBatch enumeration;
 // workers <= 0 means GOMAXPROCS. The maintainer built — and every result
 // it later produces — is identical for any worker count; workers only
 // changes how fast the enumeration-heavy phases run.
@@ -59,12 +59,16 @@ func (d *Dynamic) InsertEdge(u, v int32) bool { return d.e.InsertEdge(u, v) }
 func (d *Dynamic) DeleteEdge(u, v int32) bool { return d.e.DeleteEdge(u, v) }
 
 // ApplyBatch applies a stream of edge updates as one unit and returns how
-// many changed the graph. Semantically it matches calling InsertEdge /
-// DeleteEdge in order, but the expensive candidate-set re-enumerations are
-// coalesced — each affected clique is rebuilt once per batch, not once per
-// update — and run concurrently on the worker pool, so draining a queue of
-// accumulated updates is much faster than replaying it one by one. The
-// result is identical for every worker count.
+// many changed the graph. The expensive candidate enumeration is coalesced
+// — each node the batch freed and each clique it installed is enumerated
+// once per batch, not once per update — and runs concurrently on the
+// worker pool, so draining a queue of accumulated updates is much faster
+// than replaying it one by one. Swaps run once, after the whole batch, so
+// the resulting set can differ from calling InsertEdge / DeleteEdge in
+// order. What holds either way: the same graph, a maximal disjoint
+// k-clique set, a valid candidate index, and a result identical for every
+// worker count; in the repository's tests a batched set stays within 95%
+// of the op-by-op set's size.
 func (d *Dynamic) ApplyBatch(ops []Update) int { return d.e.ApplyBatch(ops) }
 
 // Size returns the current |S|.

@@ -60,12 +60,12 @@ type unit struct {
 
 // begin opens a unit.
 func (e *Engine) begin() {
-	e.unit = unit{
-		before:    e.nextClique,
-		freed:     e.unit.freed[:0],
-		installed: e.unit.installed[:0],
-		pending:   e.unit.pending[:0],
-	}
+	un := &e.unit
+	un.before = e.nextClique
+	un.freed = un.freed[:0]
+	un.installed = un.installed[:0]
+	un.pending = un.pending[:0]
+	un.sweep = false
 }
 
 // applyOne applies one op as a unit of its own, settled inline.

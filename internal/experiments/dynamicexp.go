@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/core"
@@ -107,7 +108,7 @@ func percentile(samples []int64, q float64) int64 {
 	if len(samples) == 0 {
 		return 0
 	}
-	sortInt64(samples)
+	slices.Sort(samples)
 	idx := int(q*float64(len(samples))+0.5) - 1
 	if idx < 0 {
 		idx = 0
@@ -116,47 +117,6 @@ func percentile(samples []int64, q float64) int64 {
 		idx = len(samples) - 1
 	}
 	return samples[idx]
-}
-
-func sortInt64(s []int64) {
-	// Simple introspective-free quicksort replacement: stdlib sort on a
-	// wrapper costs an interface allocation per call site; this keeps the
-	// hot measurement loop allocation-free.
-	var rec func(lo, hi int)
-	rec = func(lo, hi int) {
-		for hi-lo > 12 {
-			p := s[(lo+hi)/2]
-			i, j := lo, hi
-			for i <= j {
-				for s[i] < p {
-					i++
-				}
-				for s[j] > p {
-					j--
-				}
-				if i <= j {
-					s[i], s[j] = s[j], s[i]
-					i++
-					j--
-				}
-			}
-			if j-lo < hi-i {
-				rec(lo, j)
-				lo = i
-			} else {
-				rec(i, hi)
-				hi = j
-			}
-		}
-		for i := lo + 1; i <= hi; i++ {
-			for j := i; j > lo && s[j] < s[j-1]; j-- {
-				s[j], s[j-1] = s[j-1], s[j]
-			}
-		}
-	}
-	if len(s) > 1 {
-		rec(0, len(s)-1)
-	}
 }
 
 // runDeletions measures the deletion workload on a fresh engine.

@@ -103,21 +103,6 @@ func TestPercentile(t *testing.T) {
 	}
 }
 
-func TestSortInt64(t *testing.T) {
-	for _, n := range []int{0, 1, 2, 13, 100, 1000} {
-		s := make([]int64, n)
-		for i := range s {
-			s[i] = int64((i*7919 + 13) % 257)
-		}
-		sortInt64(s)
-		for i := 1; i < len(s); i++ {
-			if s[i] < s[i-1] {
-				t.Fatalf("n=%d: not sorted at %d", n, i)
-			}
-		}
-	}
-}
-
 type errFake struct{}
 
 func (errFake) Error() string { return "fake" }
