@@ -28,6 +28,7 @@ type enumScratch struct {
 	near      nodeBits         // anchoredCandidates: N(w) of the current anchor
 	runs      []int32          // missing candidates: (owner, k members) runs
 	runRefs   [][]int32        // collectRuns: runs in install order
+	spans     []runSpan        // collectRuns: where each item's runs landed
 	owned     []*candidate     // candidatesOf: the owner's indexed candidates
 	swapQ     []int32          // trySwap: the FIFO queue
 	swapLists [][]int32        // ownedMembers: member lists for greedyDisjoint
@@ -176,22 +177,20 @@ func ownsClique(owned []*candidate, nodes []int32) bool {
 // collectRuns gathers the candidates the index lacks: those through each
 // anchor (sorted free nodes) for the S-cliques older than the open unit
 // (anchoredCandidates), and Algorithm 5's for each given owner
-// (candidatesOf). With parallel set the work runs on the worker pool, one
-// scratch per worker; otherwise inline on the engine scratch. The runs
-// come back in install order, sorted by (owner, members), so the result
-// is the same for every worker count; they live in the scratches until
-// the next call.
+// (candidatesOf, owners ascending). With parallel set the work runs on
+// the worker pool, one scratch per worker; otherwise inline on the engine
+// scratch. The runs come back in install order, sorted by (owner,
+// members), so the result is the same for every worker count; they live
+// in the scratches until the next call.
 func (e *Engine) collectRuns(anchors, owners []int32, parallel bool) [][]int32 {
 	n := len(anchors) + len(owners)
-	scs := []*enumScratch{e.esc}
+	e.esc.spans = slices.Grow(e.esc.spans[:0], n)[:n]
+	e.esc.runs = e.esc.runs[:0]
 	if parallel {
 		e.growWorkerScratches(n)
-		scs = e.wsc
-	}
-	for _, sc := range scs {
-		sc.runs = sc.runs[:0]
-	}
-	if parallel {
+		for _, sc := range e.wsc {
+			sc.runs = sc.runs[:0]
+		}
 		kclique.ParallelIndex(n, e.workers, func(worker, i int) {
 			e.collectOne(e.wsc[worker], anchors, owners, i)
 		})
@@ -200,24 +199,44 @@ func (e *Engine) collectRuns(anchors, owners []int32, parallel bool) [][]int32 {
 			e.collectOne(e.esc, anchors, owners, i)
 		}
 	}
-	refs := e.esc.runRefs[:0]
-	for _, sc := range scs {
-		for off := 0; off < len(sc.runs); off += e.k + 1 {
-			refs = append(refs, sc.runs[off:off+e.k+1])
-		}
-	}
+	// An older owner's runs come from several anchors and need sorting. A
+	// whole owner's enumeration already emits its cliques in ascending
+	// order of their sorted members, and every given owner is younger
+	// than the anchored ones.
+	spans := e.esc.spans
+	refs := appendRuns(e.esc.runRefs[:0], spans[:len(anchors)], e.k)
 	slices.SortFunc(refs, slices.Compare[[]int32])
+	refs = appendRuns(refs, spans[len(anchors):], e.k)
 	e.esc.runRefs = refs
 	return refs
 }
 
-// collectOne is item i of collectRuns: the anchors first, then the owners.
+// collectOne is item i of collectRuns, the anchors first, then the
+// owners; it records where in sc its runs landed.
 func (e *Engine) collectOne(sc *enumScratch, anchors, owners []int32, i int) {
+	lo := len(sc.runs)
 	if i < len(anchors) {
 		e.anchoredCandidates(sc, anchors, anchors[i])
 	} else {
 		e.candidatesOf(sc, owners[i-len(anchors)])
 	}
+	e.esc.spans[i] = runSpan{sc, lo, len(sc.runs)}
+}
+
+// runSpan locates the runs of one collectRuns item: sc.runs[lo:hi].
+type runSpan struct {
+	sc     *enumScratch
+	lo, hi int
+}
+
+// appendRuns appends to refs each k+1-value run the spans hold, in order.
+func appendRuns(refs [][]int32, spans []runSpan, k int) [][]int32 {
+	for _, sp := range spans {
+		for off := sp.lo; off < sp.hi; off += k + 1 {
+			refs = append(refs, sp.sc.runs[off:off+k+1])
+		}
+	}
+	return refs
 }
 
 // installRuns indexes runs in the given order and appends to queue every
@@ -257,7 +276,7 @@ func (e *Engine) buildIndex() {
 	}
 	slices.Sort(ids)
 	e.installRuns(e.collectRuns(nil, ids, true), nil)
-	e.esc.runRefs = nil
+	e.esc.runRefs, e.esc.spans = nil, nil
 	for _, sc := range e.wsc {
 		sc.runs = nil
 	}
