@@ -185,7 +185,6 @@ func ownsClique(owned []*candidate, nodes []int32) bool {
 func (e *Engine) collectRuns(anchors, owners []int32, parallel bool) [][]int32 {
 	n := len(anchors) + len(owners)
 	e.esc.spans = slices.Grow(e.esc.spans[:0], n)[:n]
-	e.esc.runs = e.esc.runs[:0]
 	if parallel {
 		e.growWorkerScratches(n)
 		for _, sc := range e.wsc {
@@ -195,6 +194,7 @@ func (e *Engine) collectRuns(anchors, owners []int32, parallel bool) [][]int32 {
 			e.collectOne(e.wsc[worker], anchors, owners, i)
 		})
 	} else {
+		e.esc.runs = e.esc.runs[:0]
 		for i := range n {
 			e.collectOne(e.esc, anchors, owners, i)
 		}
@@ -284,10 +284,10 @@ func (e *Engine) buildIndex() {
 
 // installClique adds a new S-clique over currently free nodes. Candidates
 // containing any of its nodes now span two cliques (their old owner and
-// this one) and are dropped; the clique's own candidate set is enumerated
-// (Algorithm 5) when the open unit settles, which it joins. Several
-// cliques installed by one update all exist before any is enumerated, so
-// no enumeration observes a half-applied S.
+// this one) and are dropped. The clique joins the open unit, whose settle
+// enumerates its own candidate set (Algorithm 5); so several cliques
+// installed by one update all exist before any is enumerated, and no
+// enumeration observes a half-applied S.
 func (e *Engine) installClique(members []int32) {
 	cc := append([]int32(nil), members...)
 	slices.Sort(cc)

@@ -89,7 +89,7 @@ func greedyDisjoint(sc *enumScratch, cliques [][]int32) [][]int32 {
 // clique for S_dis (a strict gain) and enqueue every clique whose
 // candidate set gained members.
 func (e *Engine) trySwap(queue []int32) {
-	if e.noSwaps || len(queue) == 0 {
+	if e.noSwaps {
 		return
 	}
 	q := append(e.esc.swapQ[:0], queue...)
