@@ -109,8 +109,6 @@ func main() {
 		dataDir     = flag.String("data", "", "durable store directory (WAL + checkpoints); empty = in-memory")
 		fsyncMode   = flag.String("fsync", "batch", `WAL sync policy with -data: "batch" or "none"`)
 		ckptEvery   = flag.Int("checkpoint", 0, "applied ops between checkpoints with -data (0 = default)")
-		groupCommit = flag.Duration("groupcommit", 0, "extra fsync coalescing window for the pipelined write path (0 = sync immediately)")
-		serialDur   = flag.Bool("serialdurability", false, "disable the pipelined write path: inline fsyncs and blocking checkpoints")
 		maxOps      = flag.Int("maxops", 8192, "maximum ops per /update request and nodes per /cliques batch")
 		maxBody     = flag.Int64("maxbody", 1<<20, "maximum /update request body bytes")
 		drain       = flag.Duration("drain", 15*time.Second, "graceful-shutdown timeout for in-flight requests")
@@ -144,14 +142,12 @@ func main() {
 		fatal(fmt.Errorf(`-fsync wants "batch" or "none", got %q`, *fsyncMode))
 	}
 	opts := dkclique.ServiceOptions{
-		Workers:             *workers,
-		QueueCapacity:       *queueCap,
-		MaxBatch:            *maxBatch,
-		Dir:                 *dataDir,
-		Fsync:               policy,
-		CheckpointEvery:     *ckptEvery,
-		GroupCommitInterval: *groupCommit,
-		SerialDurability:    *serialDur,
+		Workers:         *workers,
+		QueueCapacity:   *queueCap,
+		MaxBatch:        *maxBatch,
+		Dir:             *dataDir,
+		Fsync:           policy,
+		CheckpointEvery: *ckptEvery,
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

@@ -113,15 +113,17 @@ type Options struct {
 	Repl ReplHandler
 	// Tenants, when non-nil, enables multi-tenant serving: every request
 	// frame is resolved through it — frames without a tenant suffix
-	// resolve as DefaultTenant — and answered against the returned
-	// handle's service and cache. Nil keeps the single-tenant behaviour:
-	// the constructor's service answers everything and a tenant-suffixed
-	// frame gets a 404 error frame.
+	// resolve as the tenant named "default" (manager.DefaultTenant) —
+	// and answered against the returned handle's service and cache. Nil
+	// keeps the single-tenant behaviour: the constructor's service
+	// answers everything and a tenant-suffixed frame gets a 404 error
+	// frame.
 	Tenants TenantResolver
-	// DefaultTenant is the name substituted for requests without a
-	// tenant suffix when Tenants is set. Default "default".
-	DefaultTenant string
 }
+
+// defaultTenant is the name substituted for requests without a tenant
+// suffix when Options.Tenants is set.
+const defaultTenant = "default"
 
 func (o Options) withDefaults() Options {
 	if o.MaxOps <= 0 {
@@ -129,9 +131,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.DrainGrace <= 0 {
 		o.DrainGrace = 250 * time.Millisecond
-	}
-	if o.DefaultTenant == "" {
-		o.DefaultTenant = "default"
 	}
 	return o
 }
@@ -393,7 +392,7 @@ func (s *Server) resolve(f *wire.Frame) (Service, *respcache.Snapshot, func(), e
 	}
 	name := f.Tenant
 	if name == "" {
-		name = s.opt.DefaultTenant
+		name = defaultTenant
 	}
 	h, err := s.opt.Tenants.AcquireTenant(name)
 	if err != nil {

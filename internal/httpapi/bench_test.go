@@ -27,8 +27,7 @@ var bench struct {
 	once    sync.Once
 	g       *graph.Graph
 	svc     *serve.Service
-	cached  *httptest.Server // production configuration
-	fresh   *httptest.Server // DisableCache: every /snapshot re-encodes
+	cached  *httptest.Server
 	httpc   *http.Client
 	fullLen int // full JSON snapshot body bytes, for SetBytes
 }
@@ -47,7 +46,6 @@ func benchSetup(b *testing.B) {
 		bench.g = g
 		bench.svc = svc
 		bench.cached = httptest.NewServer(New(svc, Options{}))
-		bench.fresh = httptest.NewServer(New(svc, Options{DisableCache: true}))
 		// One shared transport with a deep idle pool, so every parallel
 		// client keeps its keep-alive connection instead of redialling.
 		bench.httpc = &http.Client{Transport: &http.Transport{
@@ -64,26 +62,23 @@ func benchSetup(b *testing.B) {
 }
 
 // BenchmarkHTTPSnapshot is the headline read-dominated row: the full
-// result-set read, JSON-uncached (encode per request) vs cached (one
-// atomic load) vs binary. ns/op is the closed-loop per-request latency
-// under GOMAXPROCS parallel clients; QPS = 1e9/ns_per_op.
+// result-set read from the version-keyed cache (one atomic load), JSON
+// vs binary. ns/op is the closed-loop per-request latency under
+// GOMAXPROCS parallel clients; QPS = 1e9/ns_per_op.
 func BenchmarkHTTPSnapshot(b *testing.B) {
 	benchSetup(b)
 	rows := []struct {
 		name   string
-		srv    *httptest.Server
 		binary bool
 	}{
-		{"json-uncached", bench.fresh, false},
-		{"json-cached", bench.cached, false},
-		{"binary-uncached", bench.fresh, true},
-		{"binary-cached", bench.cached, true},
+		{"json-cached", false},
+		{"binary-cached", true},
 	}
 	for _, row := range rows {
 		b.Run(row.name, func(b *testing.B) {
 			b.SetBytes(int64(bench.fullLen))
 			b.RunParallel(func(pb *testing.PB) {
-				c := &workload.HTTPClient{Base: row.srv.URL, Client: bench.httpc, Binary: row.binary}
+				c := &workload.HTTPClient{Base: bench.cached.URL, Client: bench.httpc, Binary: row.binary}
 				for pb.Next() {
 					if _, err := c.Snapshot(true); err != nil {
 						b.Error(err)

@@ -55,11 +55,6 @@ type Options struct {
 	MaxOps int
 	// MaxBody caps the /update request body in bytes. Default 1 MiB.
 	MaxBody int64
-	// DisableCache turns the snapshot-version response cache off, so
-	// every /snapshot re-encodes its body. Exists for the end-to-end
-	// benchmarks that measure the uncached baseline; production handlers
-	// leave it false.
-	DisableCache bool
 	// Cache is the shared snapshot-body cache. cmd/dkserver passes one
 	// instance to both the HTTP handler and the TCP frame server so the
 	// two transports answer from the same pre-encoded bytes. Nil gets a
@@ -225,10 +220,6 @@ func (h *handler) getSnapshot(w http.ResponseWriter, r *http.Request) {
 	snap := h.svc.Snapshot()
 	lean := r.URL.Query().Get("cliques") == "0"
 	bin := wantBinary(r)
-	if h.opt.DisableCache {
-		writeBody(w, http.StatusOK, contentType(bin), encodeSnapshot(nil, snap, lean, bin))
-		return
-	}
 	var body []byte
 	if bin {
 		body = h.cache.Binary(snap, lean)
@@ -238,23 +229,15 @@ func (h *handler) getSnapshot(w http.ResponseWriter, r *http.Request) {
 			cache = &h.cache.JSONLean
 		}
 		body = cache.Get(snap.Version(), func() []byte {
-			return encodeSnapshot(nil, snap, lean, false)
+			return encodeSnapshotJSON(snap, lean)
 		})
 	}
 	writeBody(w, http.StatusOK, contentType(bin), body)
 }
 
-// encodeSnapshot builds a snapshot body in the requested representation,
-// appending to b.
-func encodeSnapshot(b []byte, snap *dynamic.Snapshot, lean, bin bool) []byte {
-	if bin {
-		var cliques [][]int32
-		if !lean {
-			cliques = snap.Cliques()
-		}
-		return wire.AppendSnapshotFrame(b, snap.Version(), snap.K(), snap.N(), snap.M(),
-			snap.Size(), cliques, !lean)
-	}
+// encodeSnapshotJSON builds a JSON snapshot body; the binary bodies are
+// built by respcache.Snapshot.Binary, which the TCP transport shares.
+func encodeSnapshotJSON(snap *dynamic.Snapshot, lean bool) []byte {
 	resp := SnapshotResponse{
 		Version: snap.Version(),
 		K:       snap.K(),
@@ -265,7 +248,7 @@ func encodeSnapshot(b []byte, snap *dynamic.Snapshot, lean, bin bool) []byte {
 	if !lean {
 		resp.Cliques = snap.Cliques()
 	}
-	return appendJSON(b, &resp)
+	return appendJSON(nil, &resp)
 }
 
 // getClique serves one point lookup. Out-of-range ids are a client

@@ -444,28 +444,6 @@ func TestSnapshotCacheHammer(t *testing.T) {
 	}
 }
 
-// TestCacheDisabled pins the benchmark baseline switch: with the cache
-// off the endpoint still answers correctly.
-func TestCacheDisabled(t *testing.T) {
-	srv, s, _ := newTestServer(t, Options{DisableCache: true})
-	snap := s.Snapshot()
-	code, _, body := get(t, srv, "/snapshot", false)
-	if code != http.StatusOK {
-		t.Fatalf("status %d", code)
-	}
-	var sr SnapshotResponse
-	if err := json.Unmarshal(body, &sr); err != nil {
-		t.Fatal(err)
-	}
-	if sr.Version != snap.Version() || sr.Size != snap.Size() {
-		t.Fatalf("uncached response %+v", sr)
-	}
-	f, _ := getFrame(t, srv, "/snapshot")
-	if f.Version != snap.Version() || f.Size != snap.Size() {
-		t.Fatalf("uncached frame %+v", f)
-	}
-}
-
 // TestHealthEndpoints pins the probe semantics: /healthz is always 200
 // once the handler serves; /readyz tracks Options.Ready (nil func =
 // always ready, error = 503 carrying the reason).

@@ -42,8 +42,8 @@ type multi struct {
 }
 
 // NewMulti builds the multi-tenant HTTP API over a store manager.
-// Options.Cache and DisableCache are ignored: caching is per tenant,
-// owned by the manager.
+// Options.Cache is ignored: caching is per tenant, owned by the
+// manager.
 func NewMulti(mgr *manager.Manager, opt Options) http.Handler {
 	m := &multi{mgr: mgr, opt: opt.withDefaults(), mux: http.NewServeMux()}
 	m.probe = &handler{opt: m.opt}

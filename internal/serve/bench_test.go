@@ -113,79 +113,61 @@ func runServeMixed(b *testing.B, g *graph.Graph, opt Options, readFrac float64) 
 	}
 	if st := s.Stats(); st.WALSyncs > 0 {
 		// Group-commit coalescing factor: how many durable ops each fsync
-		// carried. The pipelined path's number grows with load; the serial
-		// path's is pinned to one drain cycle.
+		// carried; it grows with load.
 		b.ReportMetric(float64(st.GroupCommitOps)/float64(st.WALSyncs), "ops/fsync")
 	}
 }
 
 // BenchmarkServeMixedDurableSync is the fsync-bound row: write-ahead log
-// with SyncEveryBatch, write-heavy mix, pipelined vs serial write path in
-// one run (scripts/benchgate.sh --speedup gates the ratio in CI). The
-// pipelined rows overlap ApplyBatch with the previous batch's fsync and
-// coalesce fsyncs across drain cycles; ops/fsync reports the coalescing.
+// with SyncEveryBatch, write-heavy mix. The writer overlaps ApplyBatch
+// with the syncer's fsync of the previous batch, and fsyncs coalesce
+// across drain cycles; ops/fsync reports the coalescing. The row keeps
+// its /pipelined name because scripts/benchgate.sh matches rows by name
+// when it gates a change against its base commit.
 func BenchmarkServeMixedDurableSync(b *testing.B) {
 	g := gen.CommunitySocial(20000, 10, 0.2, 40000, 17)
-	for _, mode := range []struct {
-		name   string
-		serial bool
-	}{{"pipelined", false}, {"serial", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			opt := Options{
-				Dir: b.TempDir(), Fsync: wal.SyncEveryBatch,
-				CheckpointEvery: 1 << 30, SerialDurability: mode.serial,
-			}
-			runServeMixed(b, g, opt, 0.5)
-		})
-	}
+	b.Run("pipelined", func(b *testing.B) {
+		opt := Options{Dir: b.TempDir(), Fsync: wal.SyncEveryBatch, CheckpointEvery: 1 << 30}
+		runServeMixed(b, g, opt, 0.5)
+	})
 }
 
 // BenchmarkCheckpointStall measures one checkpoint cycle per iteration:
 // CheckpointEvery ops of write traffic plus the rollover they trigger.
-// ns/op is the whole cycle; the stall-ns/ckpt metric isolates what the
-// acceptance criterion cares about — how long the writer (and snapshot
-// freshness) stalls per checkpoint. Serial pays the full image write +
-// fsync + rename there; pipelined only the in-memory capture (plus any
-// wait for an install still in flight). The graph is sized so the
-// canonicalize+serialize capture cost — paid on the writer by *both*
-// paths — does not drown the install cost this benchmark exists to
-// compare, and so an install always completes within the next
+// ns/op is the whole cycle; the stall-ns/ckpt metric isolates how long
+// the writer (and snapshot freshness) stalls per checkpoint: the
+// in-memory capture, plus any wait for an install still in flight. The
+// graph is sized so an install always completes within the next
 // inter-checkpoint window (back-to-back checkpoints on a huge image
 // would re-serialize the one-install-in-flight wait into the stall).
+// The row keeps its /pipelined name for the same reason as
+// BenchmarkServeMixedDurableSync's.
 func BenchmarkCheckpointStall(b *testing.B) {
 	g := gen.CommunitySocial(2000, 10, 0.2, 4000, 17)
 	const every = 2048
 	ops := workload.Mixed(g, every, 29).Stream
-	for _, mode := range []struct {
-		name   string
-		serial bool
-	}{{"pipelined", false}, {"serial", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			opt := Options{
-				Dir: b.TempDir(), Fsync: wal.SyncNone,
-				CheckpointEvery: every, SerialDurability: mode.serial,
-			}
-			s := newService(b, g, opt)
-			defer s.Close()
-			ctx := context.Background()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for off := 0; off < len(ops); off += 512 {
-					if err := s.Enqueue(ctx, ops[off:off+512]...); err != nil {
-						b.Fatal(err)
-					}
-				}
-				if err := s.Flush(ctx); err != nil {
+	b.Run("pipelined", func(b *testing.B) {
+		opt := Options{Dir: b.TempDir(), Fsync: wal.SyncNone, CheckpointEvery: every}
+		s := newService(b, g, opt)
+		defer s.Close()
+		ctx := context.Background()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for off := 0; off < len(ops); off += 512 {
+				if err := s.Enqueue(ctx, ops[off:off+512]...); err != nil {
 					b.Fatal(err)
 				}
 			}
-			b.StopTimer()
-			st := s.Stats()
-			if st.Checkpoints > 1 {
-				// Exclude the initial store checkpoint: it happens before
-				// traffic and never stalls the writer.
-				b.ReportMetric(float64(st.CheckpointStallNs)/float64(st.Checkpoints-1), "stall-ns/ckpt")
+			if err := s.Flush(ctx); err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+		}
+		b.StopTimer()
+		st := s.Stats()
+		if st.Checkpoints > 1 {
+			// Exclude the initial store checkpoint: it happens before
+			// traffic and never stalls the writer.
+			b.ReportMetric(float64(st.CheckpointStallNs)/float64(st.Checkpoints-1), "stall-ns/ckpt")
+		}
+	})
 }

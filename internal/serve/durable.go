@@ -26,19 +26,20 @@ import (
 //     *before* handing it to ApplyBatch; under wal.SyncEveryBatch the
 //     append is covered by an fsync before its ops are acked, under
 //     wal.SyncNone the sync is deferred to the next Flush (so Flush
-//     returning still means "durable"). By default the fsyncs run on the
-//     dedicated group-commit syncer so applying overlaps syncing (see
-//     pipeline.go); Options.SerialDurability runs them inline instead.
+//     returning still means "durable"). The fsyncs run on the dedicated
+//     group-commit syncer so applying overlaps syncing (see pipeline.go).
 //   - Every CheckpointEvery applied ops — and on Close — the engine state
 //     is checkpointed: the checkpoint is written to a temp file, fsynced,
 //     atomically renamed over checkpoint.dkc, the directory synced, and a
 //     fresh WAL generation started; superseded generations' logs are then
 //     deleted. The engine canonicalizes its candidate index at the same
 //     boundary, which is what makes recovery byte-identical (see
-//     dynamic.CanonicalizeIndex). Pipelined services capture the image in
-//     memory and install it in the background, so the writer only stalls
-//     for the capture; the WAL generation still rolls at the capture
-//     point, which is what lets recovery find the boundary.
+//     Service.canonicalize). The writer captures the image in memory and
+//     the installer writes it in the background, so the writer only
+//     stalls for the capture; the WAL generation still rolls at the
+//     capture point, which is what lets recovery find the boundary.
+//     Close's final checkpoint streams straight to the file instead and
+//     starts no new generation.
 //   - Open loads the checkpoint, replays the matching WAL generation's
 //     intact record prefix through ApplyBatch (a torn tail from a crash
 //     mid-append is truncated away), then walks any newer generations a
@@ -70,16 +71,12 @@ const storeHdrSize = 16
 // durable is the writer-owned durability state of a Service.
 type durable struct {
 	dir       string
-	policy    wal.SyncPolicy
 	every     int // applied ops between checkpoints
 	log       *wal.Log
 	lock      *os.File // flock-held LOCK file; exclusivity for the store
 	gen       int64
 	sinceCkpt int
 
-	// unsynced counts ops appended since the last inline fsync — the
-	// serial-mode twin of groupSyncer.pending, feeding GroupCommitOps.
-	unsynced int
 	// chunks is the writer's scratch for vectored group appends.
 	chunks [][]workload.Op
 	// ckptBuf is the reusable checkpoint capture image (store header +
@@ -87,38 +84,26 @@ type durable struct {
 	// reclaimed only after the next wait — both sides only read it.
 	ckptBuf []byte
 
-	// sync and ckpt are the pipeline goroutines (pipeline.go); nil under
-	// Options.SerialDurability, in which case fsyncs and checkpoints run
-	// inline on the writer as they did before the pipeline existed.
+	// sync and ckpt are the pipeline goroutines (pipeline.go).
 	sync *groupSyncer
 	ckpt *installer
 }
 
 // startPipeline launches the group-commit syncer and the background
-// checkpoint installer, unless serial durability was requested. Called
-// after the Service owns its durable state, before the writer starts.
+// checkpoint installer. Called after the Service owns its durable state,
+// before the writer starts.
 func (d *durable) startPipeline(s *Service, opt Options) {
-	if opt.SerialDurability {
-		return
-	}
-	d.sync = newGroupSyncer(s, d.log, opt.GroupCommitInterval)
+	d.sync = newGroupSyncer(s, d.log, opt.Fsync == wal.SyncEveryBatch)
 	d.ckpt = newInstaller(s)
 }
 
 // stopPipeline winds both pipeline goroutines down: the syncer works off
-// (or error-acks) everything pending, the installer finishes any
-// in-flight checkpoint. Called with the writer already exited; idempotent
-// via the nil checks because Close owns the fields afterwards.
+// (or error-acks) every commit already requested, the installer finishes
+// any in-flight checkpoint. Called once, with the writer already exited.
 func (d *durable) stopPipeline() {
-	if d.sync != nil {
-		d.sync.stop()
-		d.sync = nil
-	}
-	if d.ckpt != nil {
-		d.ckpt.stop()
-		d.ckpt.wait()
-		d.ckpt = nil
-	}
+	d.sync.stop()
+	d.ckpt.stop()
+	d.ckpt.wait()
 }
 
 // lockStore takes the store's exclusive advisory lock (flock on a LOCK
@@ -206,9 +191,10 @@ func installFile(dir string, fill func(f *os.File) error) error {
 }
 
 // writeCheckpointFile atomically installs a checkpoint of eng, tagged
-// with the WAL generation that will cover updates applied after it.
-// Used by the serial path; pipelined installs go through installImage
-// with an already-captured buffer.
+// with the WAL generation that will cover updates applied after it,
+// streaming the image straight to the file. Used by initStore and
+// finalCheckpoint; periodic checkpoints go through installImage with an
+// already-captured buffer.
 func writeCheckpointFile(dir string, gen int64, eng *dynamic.Engine) error {
 	return installFile(dir, func(f *os.File) error {
 		// No buffering layer here: WriteCheckpoint buffers internally, and
@@ -253,8 +239,8 @@ func initStore(opt Options, eng *dynamic.Engine) (*durable, error) {
 		return fail(err)
 	}
 	// The log itself is created with SyncNone regardless of policy: serve
-	// owns every fsync (inline or on the group-commit syncer) so it can
-	// coalesce them and count them; d.policy still records what was asked.
+	// owns every fsync (on the group-commit syncer) so it can coalesce
+	// them and count them.
 	lg, err := wal.Create(walPath(opt.Dir, gen), wal.SyncNone)
 	if err != nil {
 		return fail(err)
@@ -263,7 +249,7 @@ func initStore(opt Options, eng *dynamic.Engine) (*durable, error) {
 		lg.Close()
 		return fail(err)
 	}
-	return &durable{dir: opt.Dir, policy: opt.Fsync, every: opt.CheckpointEvery, log: lg, lock: lock, gen: gen}, nil
+	return &durable{dir: opt.Dir, every: opt.CheckpointEvery, log: lg, lock: lock, gen: gen}, nil
 }
 
 // Open resumes a durable service from dir: it loads the checkpoint,
@@ -332,15 +318,15 @@ func open(dir string, opt Options, follower bool) (*Service, error) {
 	if err != nil && !errors.Is(err, fs.ErrNotExist) {
 		return nil, err
 	}
-	// Chain recovery past in-flight checkpoint installs: a pipelined
+	// Chain recovery past in-flight checkpoint installs: a durable
 	// service rolls to WAL generation g+1 at the in-memory capture and
 	// installs checkpoint g+1 in the background, so a crash inside that
 	// window leaves checkpoint.dkc one (or, across repeated crashes,
 	// several) generations behind the newest log. Each generation switch
 	// was a canonicalization boundary on the live engine; reproducing it
 	// between the replays is what keeps the recovered lineage — and any
-	// follower fed from it — byte-identical (see dynamic.CanonicalizeIndex
-	// and repl.go). The newest generation takes over as the append target.
+	// follower fed from it — byte-identical (see Service.canonicalize).
+	// The newest generation takes over as the append target.
 	for {
 		nwp := walPath(dir, gen+1)
 		if _, serr := os.Stat(nwp); serr != nil {
@@ -366,7 +352,7 @@ func open(dir string, opt Options, follower bool) (*Service, error) {
 	removeStaleWALs(dir, ckptGen, gen)
 	s := wrapEngine(eng, opt)
 	s.follower = follower
-	s.dur = &durable{dir: dir, policy: opt.Fsync, every: opt.CheckpointEvery, log: lg, lock: lock, gen: gen}
+	s.dur = &durable{dir: dir, every: opt.CheckpointEvery, log: lg, lock: lock, gen: gen}
 	// Anchor the checkpoint schedule to the replayed backlog so a service
 	// that keeps crashing before its first rollover cannot grow the WAL
 	// chain without bound.
@@ -405,7 +391,8 @@ func (s *Service) appendWAL(ops []workload.Op) error {
 	}
 	s.walBatches.Add(1)
 	s.walBytes.Add(uint64(nb))
-	return s.walAppended(len(ops))
+	s.dur.sync.noteAppend(len(ops))
+	return nil
 }
 
 // appendWALGroup logs a whole drain cycle ahead of application: one
@@ -424,40 +411,7 @@ func (s *Service) appendWALGroup(buf []workload.Op, maxBatch int) error {
 	}
 	s.walBatches.Add(uint64(len(chunks)))
 	s.walBytes.Add(uint64(nb))
-	return s.walAppended(len(buf))
-}
-
-// walAppended dispatches the post-append durability work for ops that
-// just reached the log file: pipelined services notify the group-commit
-// syncer (requesting a commit under SyncEveryBatch), serial ones fsync
-// inline right here — still strictly before the ops can be acked.
-func (s *Service) walAppended(ops int) error {
-	d := s.dur
-	if d.sync != nil {
-		d.sync.noteAppend(ops, d.policy == wal.SyncEveryBatch)
-		return nil
-	}
-	d.unsynced += ops
-	if d.policy == wal.SyncEveryBatch {
-		return s.syncWALInline()
-	}
-	return nil
-}
-
-// syncWALInline fsyncs the log on the calling goroutine and settles the
-// group-commit accounting for the ops it covered. Serial mode only (or
-// Close, after the pipeline stopped).
-func (s *Service) syncWALInline() error {
-	d := s.dur
-	if !d.log.Dirty() {
-		return nil
-	}
-	if err := d.log.Sync(); err != nil {
-		return err
-	}
-	s.walSyncs.Add(1)
-	s.groupCommitOps.Add(uint64(d.unsynced))
-	d.unsynced = 0
+	d.sync.noteAppend(len(buf))
 	return nil
 }
 
@@ -472,25 +426,16 @@ func (s *Service) maybeCheckpoint(applied int) error {
 	return s.storeCheckpoint()
 }
 
-// storeCheckpoint rolls the store over at the current batch boundary —
-// pipelined services capture in memory and install in the background,
-// serial ones write the full checkpoint inline — and accounts the
-// writer's stall either way. Called with the writer quiescent: on the
-// writer goroutine itself (periodic, repl canon, replication catch-up).
+// storeCheckpoint rolls the store over at the current batch boundary
+// and accounts the writer's stall: drain what must be durable, serialize
+// the engine image into memory, roll the WAL generation, canonicalize,
+// and hand the slow install to the background goroutine. The writer
+// resumes applying immediately after. Called with the writer quiescent:
+// on the writer goroutine itself (periodic, repl canon, replication
+// catch-up).
 func (s *Service) storeCheckpoint() error {
 	start := time.Now()
 	defer func() { s.ckptStallNs.Add(uint64(time.Since(start))) }()
-	if s.dur.ckpt != nil {
-		return s.captureCheckpoint()
-	}
-	return s.checkpointInline(false)
-}
-
-// captureCheckpoint is the writer-side half of a pipelined checkpoint:
-// drain what must be durable, serialize the engine image into memory,
-// roll the WAL generation, canonicalize, and hand the slow install to the
-// background goroutine. The writer resumes applying immediately after.
-func (s *Service) captureCheckpoint() error {
 	d := s.dur
 	// Exactly one install in flight: absorb the previous one first (a
 	// fast no-op in the steady state — CheckpointEvery ops of apply time
@@ -531,18 +476,12 @@ func (s *Service) captureCheckpoint() error {
 	// Counted at capture: this is when the boundary lands in the history,
 	// whether or not the install has hit the disk yet.
 	s.checkpoints.Add(1)
-	s.eng.CanonicalizeIndex()
-	// Canonicalization boundaries are part of the replicated history:
-	// every replica must canonicalize at the same version or swap
-	// tie-breaking drifts (see repl.go).
-	if sink := s.replSink(); sink != nil {
-		sink.ReplCanon(s.eng.Snapshot().Version())
-	}
+	s.canonicalize()
 	d.ckpt.start(installReq{data: d.ckptBuf, gen: gen, oldLog: oldLog, done: make(chan error, 1)})
 	return nil
 }
 
-// installCheckpoint is the background half of a pipelined checkpoint:
+// installCheckpoint is the background half of a periodic checkpoint:
 // close the superseded log, install the captured image atomically, and
 // drop WAL generations the install made redundant. Runs on the installer
 // goroutine; errors are latched by the caller.
@@ -564,23 +503,17 @@ func (s *Service) installCheckpoint(req installReq) error {
 	return nil
 }
 
-// checkpointInline writes a checkpoint and starts the next WAL
-// generation, all on the calling goroutine — the serial-durability path.
-// final (Close) skips the new generation and the index canonicalization —
-// the checkpoint alone carries the whole state, so recovery replays
-// nothing and the dying engine needs no further determinism upkeep.
-// Called with the writer quiescent: either on the writer goroutine itself
-// or from Close after the writer exited and the pipeline stopped.
-func (s *Service) checkpointInline(final bool) error {
-	if err := s.syncWALInline(); err != nil {
-		return err
-	}
+// finalCheckpoint writes Close's checkpoint straight to the store and
+// closes and deletes the log it supersedes. It starts no new WAL
+// generation and skips the index canonicalization: the checkpoint alone
+// carries the whole state, so recovery replays nothing and the dying
+// engine needs no further determinism upkeep. Called from Close with the
+// writer exited and the pipeline drained and stopped.
+func (s *Service) finalCheckpoint() error {
 	gen := s.dur.gen + 1
 	if err := writeCheckpointFile(s.dur.dir, gen, s.eng); err != nil {
 		return err
 	}
-	s.dur.gen = gen
-	s.dur.sinceCkpt = 0
 	s.checkpoints.Add(1)
 	// Drop the reference before closing so an error below never leaves a
 	// closed log behind for Close to re-close.
@@ -589,25 +522,6 @@ func (s *Service) checkpointInline(final bool) error {
 	if err := lg.Close(); err != nil {
 		return err
 	}
-	if final {
-		removeStaleWALs(s.dur.dir, gen, gen)
-		return nil
-	}
-	lg, err := wal.Create(walPath(s.dur.dir, gen), wal.SyncNone)
-	if err != nil {
-		return err
-	}
-	s.dur.log = lg
-	if err := syncDir(s.dur.dir); err != nil {
-		return err
-	}
 	removeStaleWALs(s.dur.dir, gen, gen)
-	s.eng.CanonicalizeIndex()
-	// Canonicalization boundaries are part of the replicated history:
-	// every replica must canonicalize at the same version or swap
-	// tie-breaking drifts (see repl.go).
-	if sink := s.replSink(); sink != nil {
-		sink.ReplCanon(s.eng.Snapshot().Version())
-	}
 	return nil
 }

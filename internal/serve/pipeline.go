@@ -1,7 +1,7 @@
 package serve
 
-// Write-path pipeline. A pipelined durable service splits the two slow
-// pieces of durability off the writer goroutine:
+// Write-path pipeline. A durable service splits the two slow pieces of
+// durability off the writer goroutine:
 //
 //   - groupSyncer owns every WAL fsync. The writer appends a batch's
 //     record (buffered write — the bytes reach the log file before
@@ -23,13 +23,12 @@ package serve
 //     flight: the next capture (and Close) drains it first.
 //
 // Both goroutines latch their first error through Service.fail, after
-// which the service is fail-stopped exactly as with inline durability:
-// nothing further applies and no successful ack is issued.
+// which the service is fail-stopped: nothing further applies and no
+// successful ack is issued.
 
 import (
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/wal"
 )
@@ -50,13 +49,13 @@ type syncWaiter struct {
 	flush bool
 }
 
-// groupSyncer is the dedicated fsync goroutine of a pipelined durable
-// service. The writer never calls Log.Sync directly; it notes appends and
-// registers waiters here, and the syncer is the only goroutine issuing
-// fsyncs while the writer runs (wal.Log is safe for exactly that split).
+// groupSyncer is the dedicated fsync goroutine of a durable service. The
+// writer never calls Log.Sync; it notes appends and registers waiters
+// here, and the syncer is the only goroutine issuing fsyncs (wal.Log is
+// safe for exactly that split).
 type groupSyncer struct {
-	s        *Service
-	interval time.Duration
+	s          *Service
+	everyBatch bool // wal.SyncEveryBatch: every append requests a commit
 
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -69,25 +68,25 @@ type groupSyncer struct {
 	done chan struct{}
 }
 
-func newGroupSyncer(s *Service, lg *wal.Log, interval time.Duration) *groupSyncer {
-	y := &groupSyncer{s: s, log: lg, interval: interval, done: make(chan struct{})}
+func newGroupSyncer(s *Service, lg *wal.Log, everyBatch bool) *groupSyncer {
+	y := &groupSyncer{s: s, log: lg, everyBatch: everyBatch, done: make(chan struct{})}
 	y.cond = sync.NewCond(&y.mu)
 	go y.run()
 	return y
 }
 
-// noteAppend records ops whose records just reached the log file;
-// commit additionally requests a group commit for them (SyncEveryBatch —
-// under SyncNone appends accumulate until a flush or drain pays the
-// fsync and the ops count the coalescing stats then).
-func (y *groupSyncer) noteAppend(ops int, commit bool) {
+// noteAppend records ops whose records just reached the log file and,
+// under SyncEveryBatch, requests a group commit for them (under SyncNone
+// appends accumulate until a flush or drain pays the fsync and the ops
+// count in the coalescing stats then).
+func (y *groupSyncer) noteAppend(ops int) {
 	y.mu.Lock()
 	y.pending += uint64(ops)
-	if commit {
+	if y.everyBatch {
 		y.want = true
 	}
 	y.mu.Unlock()
-	if commit {
+	if y.everyBatch {
 		y.cond.Signal()
 	}
 }
@@ -108,7 +107,9 @@ func (y *groupSyncer) await(ws []syncWaiter) {
 // drain blocks until everything appended before the call is durable (or
 // the service has fail-stopped) and returns the sticky error, if any.
 // The writer drains before every checkpoint capture so the old WAL
-// generation is complete and synced when the generation switches.
+// generation is complete and synced when the generation switches; Close
+// drains before stopping the syncer so the unflushed tail is synced and
+// counted like every other group commit.
 func (y *groupSyncer) drain() error {
 	ch := make(chan struct{})
 	y.await([]syncWaiter{{ch: ch}})
@@ -145,13 +146,6 @@ func (y *groupSyncer) run() {
 		if !y.want && len(y.waiters) == 0 {
 			y.mu.Unlock()
 			return
-		}
-		if y.interval > 0 && !y.stopped {
-			// Optional commit window: give trailing batches a moment to
-			// join this group before paying the fsync.
-			y.mu.Unlock()
-			time.Sleep(y.interval)
-			y.mu.Lock()
 		}
 		y.want = false
 		ws := y.waiters
@@ -195,8 +189,8 @@ type installReq struct {
 	done   chan error // buffered; carries this install's result
 }
 
-// installer is the background checkpoint-install goroutine of a
-// pipelined durable service.
+// installer is the background checkpoint-install goroutine of a durable
+// service.
 type installer struct {
 	s        *Service
 	req      chan installReq

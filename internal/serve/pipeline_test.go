@@ -48,18 +48,16 @@ func trackWALFiles(t *testing.T) func(path string) *wal.FaultFile {
 // Flush acked — the harshest crash consistent with what fsync promised —
 // and every acked op must survive Open. Ops enqueued but never acked
 // after that point are allowed (and here, guaranteed) to vanish with the
-// cut. Runs under both sync policies and both write paths; for the
-// pipelined path this exercises acks riding the background group commit.
+// cut. Runs under both sync policies; acks ride the background group
+// commit.
 func TestFlushAckSurvivesCrashCutWAL(t *testing.T) {
 	ctx := context.Background()
 	for _, tc := range []struct {
 		name   string
 		policy wal.SyncPolicy
-		serial bool
 	}{
-		{"pipelined/everybatch", wal.SyncEveryBatch, false},
-		{"pipelined/syncnone", wal.SyncNone, false},
-		{"serial/everybatch", wal.SyncEveryBatch, true},
+		{"pipelined/everybatch", wal.SyncEveryBatch},
+		{"pipelined/syncnone", wal.SyncNone},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			lookup := trackWALFiles(t)
@@ -69,9 +67,7 @@ func TestFlushAckSurvivesCrashCutWAL(t *testing.T) {
 			// One WAL generation: no checkpoints move the acked prefix out
 			// of the log, so the cut decides everything past the initial
 			// image.
-			s := durableService(t, g, dir, Options{
-				Fsync: tc.policy, CheckpointEvery: 1 << 20, SerialDurability: tc.serial,
-			})
+			s := durableService(t, g, dir, Options{Fsync: tc.policy, CheckpointEvery: 1 << 20})
 			rounds := 4 + rng.Intn(8)
 			for i := 0; i < rounds; i++ {
 				if err := s.Enqueue(ctx, randomOps(g, rng, 1+rng.Intn(30))...); err != nil {
@@ -102,7 +98,7 @@ func TestFlushAckSurvivesCrashCutWAL(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			r, err := Open(dir, Options{SerialDurability: tc.serial})
+			r, err := Open(dir, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -177,8 +173,8 @@ func TestWALSyncFailureFailStop(t *testing.T) {
 }
 
 // TestCheckpointInstallFailureFailStop: a failure in the background
-// checkpoint installer must latch exactly like an inline checkpoint
-// failure — the service fail-stops and stops acking.
+// checkpoint installer must latch like any other durability failure —
+// the service fail-stops and stops acking.
 func TestCheckpointInstallFailureFailStop(t *testing.T) {
 	dir := t.TempDir()
 	g := gen.CommunitySocial(200, 8, 0.3, 500, 223)

@@ -123,59 +123,50 @@ func TestOpenAfterGracefulClose(t *testing.T) {
 // TestCrashRecovery is the acceptance property: run a random op stream
 // through a durable service with frequent checkpoints, hard-stop at a
 // random point, Open the dir — the recovered snapshot must be
-// byte-identical to the pre-crash one and the engine must verify. Runs
-// against both the pipelined (default) and the serial durable path; the
-// pipelined rows cover background group commits and off-writer installs
-// racing the crash.
+// byte-identical to the pre-crash one and the engine must verify. The
+// crash races background group commits and off-writer installs.
 func TestCrashRecovery(t *testing.T) {
 	ctx := context.Background()
-	for _, mode := range []struct {
-		name   string
-		serial bool
-	}{{"pipelined", false}, {"serial", true}} {
-		t.Run(mode.name, func(t *testing.T) {
-			for seed := int64(0); seed < 4; seed++ {
-				dir := t.TempDir()
-				g := gen.CommunitySocial(300, 8, 0.3, 800, 50+seed)
-				rng := rand.New(rand.NewSource(60 + seed))
-				// Tiny CheckpointEvery forces several checkpoint + canonicalize +
-				// WAL-rollover cycles mid-stream; SyncNone exercises the
-				// flush-time sync path.
-				opt := Options{Fsync: wal.SyncNone, CheckpointEvery: 64, SerialDurability: mode.serial}
-				s := durableService(t, g, dir, opt)
-				rounds := 5 + rng.Intn(20)
-				for i := 0; i < rounds; i++ {
-					if err := s.Enqueue(ctx, randomOps(g, rng, 1+rng.Intn(40))...); err != nil {
-						t.Fatal(err)
-					}
-					// Flush every round: the acked prefix is the whole stream.
-					if err := s.Flush(ctx); err != nil {
-						t.Fatal(err)
-					}
-				}
-				want := s.Snapshot()
-				s.crashForTest()
-
-				r, err := Open(dir, opt)
-				if err != nil {
-					t.Fatalf("seed %d: %v", seed, err)
-				}
-				sameState(t, r.Snapshot(), want)
-				if err := r.eng.Verify(); err != nil {
-					t.Fatalf("seed %d: recovered engine: %v", seed, err)
-				}
-				// And the recovered service accepts further traffic.
-				if err := r.Enqueue(ctx, randomOps(g, rng, 5)...); err != nil {
-					t.Fatal(err)
-				}
-				if err := r.Flush(ctx); err != nil {
-					t.Fatal(err)
-				}
-				if err := r.Close(); err != nil {
-					t.Fatal(err)
-				}
+	for seed := int64(0); seed < 4; seed++ {
+		dir := t.TempDir()
+		g := gen.CommunitySocial(300, 8, 0.3, 800, 50+seed)
+		rng := rand.New(rand.NewSource(60 + seed))
+		// Tiny CheckpointEvery forces several checkpoint + canonicalize +
+		// WAL-rollover cycles mid-stream; SyncNone exercises the
+		// flush-time sync path.
+		opt := Options{Fsync: wal.SyncNone, CheckpointEvery: 64}
+		s := durableService(t, g, dir, opt)
+		rounds := 5 + rng.Intn(20)
+		for i := 0; i < rounds; i++ {
+			if err := s.Enqueue(ctx, randomOps(g, rng, 1+rng.Intn(40))...); err != nil {
+				t.Fatal(err)
 			}
-		})
+			// Flush every round: the acked prefix is the whole stream.
+			if err := s.Flush(ctx); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want := s.Snapshot()
+		s.crashForTest()
+
+		r, err := Open(dir, opt)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		sameState(t, r.Snapshot(), want)
+		if err := r.eng.Verify(); err != nil {
+			t.Fatalf("seed %d: recovered engine: %v", seed, err)
+		}
+		// And the recovered service accepts further traffic.
+		if err := r.Enqueue(ctx, randomOps(g, rng, 5)...); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Flush(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -183,22 +174,13 @@ func TestCrashRecovery(t *testing.T) {
 // after a crash: recovery must land on the state at some batch boundary
 // of the acked stream — never garbage, never a torn batch — and verify.
 func TestCrashRecoveryTornTail(t *testing.T) {
-	for _, mode := range []struct {
-		name   string
-		serial bool
-	}{{"pipelined", false}, {"serial", true}} {
-		t.Run(mode.name, func(t *testing.T) { testCrashRecoveryTornTail(t, mode.serial) })
-	}
-}
-
-func testCrashRecoveryTornTail(t *testing.T, serial bool) {
 	ctx := context.Background()
 	dir := t.TempDir()
 	g := gen.CommunitySocial(250, 8, 0.3, 700, 71)
 	rng := rand.New(rand.NewSource(73))
 	// No mid-stream checkpoints: the WAL carries the whole stream, so a
 	// cut can land anywhere in it.
-	s := durableService(t, g, dir, Options{Fsync: wal.SyncNone, CheckpointEvery: 1 << 20, SerialDurability: serial})
+	s := durableService(t, g, dir, Options{Fsync: wal.SyncNone, CheckpointEvery: 1 << 20})
 
 	// Flush after every enqueue so batch boundaries are deterministic:
 	// one WAL record per round. Capture the post-round snapshots as the
@@ -354,5 +336,25 @@ func TestDurableStats(t *testing.T) {
 	}
 	if got := s.Stats().Checkpoints; got < 3 {
 		t.Fatalf("Close must write a final checkpoint, got %d", got)
+	}
+
+	// Under SyncNone a tail that is never flushed is synced only by
+	// Close, and that fsync counts its ops like any other group commit:
+	// every applied op is made durable by some counted fsync.
+	s = durableService(t, g, t.TempDir(), Options{Fsync: wal.SyncNone, CheckpointEvery: 1 << 20})
+	if err := s.Enqueue(ctx, randomOps(g, rng, 20)...); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Enqueue(ctx, randomOps(g, rng, 25)...); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.GroupCommitOps != st.Applied {
+		t.Fatalf("GroupCommitOps %d, want Applied %d (%d fsyncs)", st.GroupCommitOps, st.Applied, st.WALSyncs)
 	}
 }

@@ -19,17 +19,8 @@ import (
 // ErrNotPrimary and state advances only through Replicate/Canonicalize,
 // which apply the primary's exact batch sequence through the same
 // single-writer loop — so MVCC snapshots are byte-identical to the
-// primary's at every shipped version.
-//
-// Determinism contract (why canon boundaries are part of the stream):
-// dynamic.LoadCheckpoint rebuilds the candidate index in canonical
-// order, and swap tie-breaking follows candidate order, so two engines
-// stay byte-identical only if they canonicalize at the same versions.
-// The primary canonicalizes at its checkpoint boundaries and whenever a
-// replication checkpoint is captured; both paths emit ReplCanon, and a
-// follower canonicalizes exactly at the shipped markers — never on its
-// own schedule (its durable checkpoints ride the same markers, keeping
-// a crash-recovered follower on the primary's lineage).
+// primary's at every shipped version. Canonicalization boundaries are
+// part of the stream; Service.canonicalize states why.
 
 // ErrNotPrimary is returned by Enqueue on a follower-mode service:
 // followers take writes only from the replication stream.
@@ -86,6 +77,28 @@ func (s *Service) replSink() ReplSink {
 		return *p
 	}
 	return nil
+}
+
+// canonicalize rebuilds the engine's candidate index in canonical order
+// and announces the boundary to the replication sink at the current
+// version. Writer goroutine only, with the writer quiescent.
+//
+// Determinism contract: dynamic.LoadCheckpoint rebuilds the candidate
+// index in canonical order, and swap tie-breaking follows candidate
+// order, so two engines stay byte-identical only if they canonicalize at
+// the same versions. Every capture of a checkpoint image — a store
+// checkpoint or a replication checkpoint — is therefore a boundary on
+// the live engine too, and every boundary goes into the replicated
+// history. A follower canonicalizes exactly at the shipped markers,
+// never on its own schedule (its durable checkpoints ride the same
+// markers, keeping a crash-recovered follower on the primary's
+// lineage). Recovery reproduces a boundary at each WAL generation
+// switch (see open).
+func (s *Service) canonicalize() {
+	s.eng.CanonicalizeIndex()
+	if sink := s.replSink(); sink != nil {
+		sink.ReplCanon(s.eng.Snapshot().Version())
+	}
 }
 
 // Barrier runs fn on the writer goroutine at a batch boundary at or
@@ -215,10 +228,7 @@ func (s *Service) applyRepl(req *replReq) {
 				s.fail(err)
 			}
 		} else {
-			s.eng.CanonicalizeIndex()
-			if sink := s.replSink(); sink != nil {
-				sink.ReplCanon(s.eng.Snapshot().Version())
-			}
+			s.canonicalize()
 		}
 		req.done <- replResult{version: s.eng.Snapshot().Version(), err: err}
 		return
@@ -268,40 +278,29 @@ func (c svcCheckpointer) Checkpoint(w io.Writer) (uint64, error) {
 	if err := s.Err(); err != nil {
 		return 0, err
 	}
-	if s.dur != nil {
-		// On a durable service the capture must be a real store
-		// checkpoint: storeCheckpoint canonicalizes the live index at
-		// this version, and doing that without rolling the store would
-		// break byte-identical crash recovery mid-generation. It also
-		// emits ReplCanon for the boundary.
-		if err := s.storeCheckpoint(); err != nil {
-			s.fail(err)
+	ver := s.eng.Snapshot().Version()
+	if s.dur == nil {
+		if err := s.eng.WriteCheckpoint(w); err != nil {
 			return 0, err
 		}
-		ver := s.eng.Snapshot().Version()
-		if s.dur.ckpt != nil {
-			// Pipelined: the capture that just rolled the store holds the
-			// exact image to serve. Write those bytes (minus the store
-			// header) rather than re-serializing the engine, and never
-			// touch the possibly half-installed on-disk file. Read-only
-			// aliasing with the background installer is safe.
-			_, err := w.Write(s.dur.ckptBuf[storeHdrSize:])
-			return ver, err
-		}
-		return ver, s.eng.WriteCheckpoint(w)
+		// The capture is a canon boundary for its loader; make it one for
+		// the live engine and its streaming replicas too.
+		s.canonicalize()
+		return ver, nil
 	}
-	ver := s.eng.Snapshot().Version()
-	if err := s.eng.WriteCheckpoint(w); err != nil {
+	// On a durable service the capture must be a real store checkpoint:
+	// storeCheckpoint canonicalizes the live index at this version, and
+	// doing that without rolling the store would break byte-identical
+	// crash recovery mid-generation. The image it just captured is the
+	// one to serve: write those bytes (minus the store header) and never
+	// touch the possibly half-installed on-disk file. Read-only aliasing
+	// with the background installer is safe.
+	if err := s.storeCheckpoint(); err != nil {
+		s.fail(err)
 		return 0, err
 	}
-	// LoadCheckpoint rebuilds the index canonically, so the capture is a
-	// canon boundary for its loader; canonicalize the live engine too and
-	// announce the boundary to streaming replicas.
-	s.eng.CanonicalizeIndex()
-	if sink := s.replSink(); sink != nil {
-		sink.ReplCanon(ver)
-	}
-	return ver, nil
+	_, err := w.Write(s.dur.ckptBuf[storeHdrSize:])
+	return ver, err
 }
 
 // NewFollowerFromCheckpoint builds a follower-mode Service from a

@@ -30,7 +30,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/dynamic"
 	"repro/internal/graph"
@@ -79,18 +78,6 @@ type Options struct {
 	// a durable service. Default 1 << 17. Each checkpoint truncates the
 	// WAL, bounding both recovery replay time and disk growth.
 	CheckpointEvery int
-	// GroupCommitInterval optionally delays the pipelined syncer's fsync
-	// after a commit request so trailing batches join the same group. The
-	// default (0) syncs immediately — coalescing then comes only from
-	// appends that land while the previous fsync is in flight, which is
-	// already the common case under load. Ignored with SerialDurability.
-	GroupCommitInterval time.Duration
-	// SerialDurability disables the write-path pipeline (see pipeline.go)
-	// and restores the fully serial durable path: fsyncs run inline on the
-	// writer between append and apply, and checkpoints block the writer for
-	// the full image write. Durability semantics are identical either way;
-	// this exists for A/B benchmarking and as an escape hatch.
-	SerialDurability bool
 	// ApplyGate, when non-nil, is acquired around every local ApplyBatch
 	// call so a process hosting many services can cap their aggregate
 	// apply parallelism (the engine fans each batch out to Workers
@@ -148,15 +135,15 @@ type Stats struct {
 	WALBytes   uint64
 	// WALSyncs counts completed WAL fsyncs; GroupCommitOps counts the ops
 	// those fsyncs made durable. Their ratio is the group-commit
-	// coalescing factor — ops per fsync — which is the whole win of the
-	// pipelined write path: under SyncEveryBatch the serial path pins it
-	// near one batch, the pipeline lets it grow with load.
+	// coalescing factor — ops per fsync: appends that land while one
+	// fsync is in flight are all covered by the next, so it grows with
+	// load.
 	WALSyncs       uint64
 	GroupCommitOps uint64
 	// CheckpointStallNs is cumulative wall time the writer spent stalled
-	// on checkpoint rollovers. Pipelined services stall only for the
-	// in-memory capture (plus any wait for a previous install still in
-	// flight); serial ones pay the full image write + fsync + rename here.
+	// on checkpoint rollovers: the in-memory capture, plus any wait for a
+	// previous install still in flight. The image write, fsync and rename
+	// run on the background installer and are not counted here.
 	CheckpointStallNs uint64
 	// QueueDepth is the instantaneous update backlog: ops accepted by
 	// Enqueue that the writer has not yet applied. Unlike every field
@@ -385,34 +372,25 @@ func (s *Service) run(maxBatch int) {
 			}
 		}
 		buf = buf[:0]
-		// Acking a flush promises durability. Pipelined: hand the markers
+		// Acking a flush promises durability. Durable: hand the markers
 		// to the syncer — they ride the next group commit and wake strictly
 		// after the covering fsync (or after the failure latch), without
-		// stalling the writer here. Serial/in-memory: sync inline (under
-		// deferred-sync policies) and ack on the spot.
-		if s.dur != nil && s.dur.sync != nil {
-			if len(pendingFlush) > 0 {
-				waiterBuf = waiterBuf[:0]
-				for _, f := range pendingFlush {
-					waiterBuf = append(waiterBuf, syncWaiter{ch: f, flush: true})
-				}
-				s.dur.sync.await(waiterBuf)
-				pendingFlush = pendingFlush[:0]
+		// stalling the writer here. In-memory: ack on the spot.
+		if s.dur != nil {
+			waiterBuf = waiterBuf[:0]
+			for _, f := range pendingFlush {
+				waiterBuf = append(waiterBuf, syncWaiter{ch: f, flush: true})
 			}
+			s.dur.sync.await(waiterBuf)
 		} else {
-			if s.dur != nil && len(pendingFlush) > 0 && s.Err() == nil {
-				if err := s.syncWALInline(); err != nil {
-					s.fail(err)
-				}
-			}
 			for _, f := range pendingFlush {
 				// Count before waking the flusher: a caller returning from
 				// Flush must observe its own flush in Stats.
 				s.flushes.Add(1)
 				close(f)
 			}
-			pendingFlush = pendingFlush[:0]
 		}
+		pendingFlush = pendingFlush[:0]
 		// Wake the delta subscribers after the engine published.
 		s.notifyPublished()
 		// Replication specials run at the batch boundary, in arrival
@@ -591,15 +569,19 @@ func (s *Service) Close() error {
 		if s.dur == nil {
 			return
 		}
-		// The writer has exited; its durability state is ours now. Wind
-		// the pipeline down first: the syncer acks every outstanding group
-		// commit (so no Flush caller hangs), the installer finishes the
-		// in-flight checkpoint. Only then is the final inline checkpoint
-		// meaningful — and on a latched failure it is skipped entirely.
+		// The writer has exited; its durability state is ours now. Drain
+		// the syncer first, so the unflushed tail is synced and counted
+		// like every other group commit (its error is the sticky one,
+		// read below). Then wind the pipeline down: the syncer acks every
+		// outstanding waiter (so no Flush caller hangs), the installer
+		// finishes the in-flight checkpoint. Only then is the final
+		// checkpoint meaningful — and on a latched failure it is skipped
+		// entirely.
+		_ = s.dur.sync.drain()
 		s.dur.stopPipeline()
 		if err := s.Err(); err != nil {
 			s.closeErr = err
-		} else if err := s.checkpointInline(true); err != nil {
+		} else if err := s.finalCheckpoint(); err != nil {
 			s.fail(err)
 			s.closeErr = err
 		}

@@ -96,7 +96,7 @@ func openedFile(path string, f *os.File) File {
 // (the writer appends batch N+1 while a background syncer fsyncs batch
 // N). An fsync only promises durability for bytes written before it
 // started, which is exactly what the size/synced pair below tracks:
-// bytes racing into the file during an fsync stay unsynced until the
+// bytes racing into the file during an fsync are covered only by the
 // next one. Dirty/Synced/Size are safe from any goroutine.
 type Log struct {
 	f      File

@@ -8,17 +8,16 @@
 # and fails when the PR median regresses past the threshold. Medians over
 # several -count repetitions keep a single noisy sample (CI neighbours,
 # GC pause) from failing or passing the gate on its own. UNIT picks
-# another metric of the same rows, e.g. B/op from a -benchmem run.
+# another metric of the same rows, e.g. B/op from a -benchmem run;
+# custom b.ReportMetric units work too — the write-path gate compares
+# BenchmarkCheckpointStall's stall-ns/ckpt between base and PR.
 #
 # --speedup gates a ratio within ONE bench output instead: the median of
 # SLOW_BENCH divided by the median of FAST_BENCH must be at least
-# MIN_RATIO. This is how a new optimisation is gated when the base
-# commit's bench binary predates the benchmark (base-vs-PR comparison is
-# impossible: no base samples exist) — e.g. the wire read path gates
-# cached /snapshot against the uncached JSON encode from the same run.
-# UNIT picks which benchmark metric to compare (default ns/op); custom
-# b.ReportMetric units work too — the write-path gate compares the
-# stall-ns/ckpt metric of the pipelined vs serial checkpoint rows.
+# MIN_RATIO. It suits two different transports or mechanisms that do
+# the same job — e.g. the pipelined TCP frame loop against HTTP serving
+# the same cached /snapshot body. UNIT picks which benchmark metric to
+# compare (default ns/op).
 #
 # --overhead is --speedup's inverse: the median of LOADED_BENCH may
 # exceed the median of BASE_BENCH by at most MAX_PCT percent. It gates a
