@@ -126,6 +126,12 @@ func TestOpenAfterGracefulClose(t *testing.T) {
 // byte-identical to the pre-crash one and the engine must verify. The
 // crash races background group commits and off-writer installs.
 func TestCrashRecovery(t *testing.T) {
+	// The subtest is named for the durable path it exercises: the
+	// pipelined group-commit syncer plus background checkpoint installer.
+	t.Run("pipelined", testCrashRecovery)
+}
+
+func testCrashRecovery(t *testing.T) {
 	ctx := context.Background()
 	for seed := int64(0); seed < 4; seed++ {
 		dir := t.TempDir()
@@ -174,6 +180,10 @@ func TestCrashRecovery(t *testing.T) {
 // after a crash: recovery must land on the state at some batch boundary
 // of the acked stream — never garbage, never a torn batch — and verify.
 func TestCrashRecoveryTornTail(t *testing.T) {
+	t.Run("pipelined", testCrashRecoveryTornTail)
+}
+
+func testCrashRecoveryTornTail(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
 	g := gen.CommunitySocial(250, 8, 0.3, 700, 71)
