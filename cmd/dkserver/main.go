@@ -39,13 +39,15 @@
 //
 // Replication: with -tcp set, the process also serves replication
 // streams to followers under the fencing epoch given by -epoch
-// (monotone across primary handoffs — bump it on every failover). A
-// follower process runs with -follow PRIMARY_TCP_ADDR instead of the
-// graph flags: it installs a checkpoint from the primary (or resumes
-// its own -data store), applies the shipped batch stream, serves reads
-// over both transports, and answers /readyz by its replication state
-// (installed + connected + lag within -readylag). Writes against a
-// follower are refused with 403.
+// (monotone across primary handoffs — bump it on every failover). The
+// primary checkpoints every -checkpoint applied ops (in memory when it
+// has no -data) and keeps the shipped history back to its latest
+// checkpoint. A follower process runs with -follow PRIMARY_TCP_ADDR
+// instead of the graph flags: it installs the primary's latest
+// checkpoint (or resumes its own -data store), applies the shipped
+// batch stream, serves reads over both transports, and answers /readyz
+// by its replication state (installed + connected + lag within
+// -readylag). Writes against a follower are refused with 403.
 //
 //	dkserver -k 3 -dataset HST -tcp :8081 -epoch 1            # primary
 //	dkserver -follow primary:8081 -addr :8090 -data /var/f1   # follower
@@ -108,7 +110,7 @@ func main() {
 		maxBatch    = flag.Int("batch", 0, "max ops coalesced per engine batch (0 = default)")
 		dataDir     = flag.String("data", "", "durable store directory (WAL + checkpoints); empty = in-memory")
 		fsyncMode   = flag.String("fsync", "batch", `WAL sync policy with -data: "batch" or "none"`)
-		ckptEvery   = flag.Int("checkpoint", 0, "applied ops between checkpoints with -data (0 = default)")
+		ckptEvery   = flag.Int("checkpoint", 0, "applied ops between checkpoints with -data or -tcp; followers install from the latest (0 = default)")
 		maxOps      = flag.Int("maxops", 8192, "maximum ops per /update request and nodes per /cliques batch")
 		maxBody     = flag.Int64("maxbody", 1<<20, "maximum /update request body bytes")
 		drain       = flag.Duration("drain", 15*time.Second, "graceful-shutdown timeout for in-flight requests")

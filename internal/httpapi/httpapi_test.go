@@ -492,15 +492,11 @@ func TestHealthEndpoints(t *testing.T) {
 func TestUpdateOnFollower(t *testing.T) {
 	g := testGraph(t)
 	s := newTestService(t, g)
-	var buf bytes.Buffer
-	err := s.Barrier(context.Background(), func(cp serve.Checkpointer) error {
-		_, err := cp.Checkpoint(&buf)
-		return err
-	})
+	_, img, err := s.Checkpoint(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	fol, err := serve.NewFollowerFromCheckpoint(&buf, serve.Options{})
+	fol, err := serve.NewFollowerFromCheckpoint(bytes.NewReader(img), serve.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

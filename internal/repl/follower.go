@@ -405,13 +405,16 @@ func (f *Follower) markBad() {
 // install replaces the follower's engine with the shipped checkpoint.
 // The old service keeps answering reads until the new one is up; a
 // durable follower's store is cleared and re-initialised from the new
-// image so crash recovery follows the new lineage.
+// image so crash recovery follows the new lineage. Once the old service
+// is closed the state is bad until the install succeeds, so a failed
+// install never resumes the stream on a closed engine.
 func (f *Follower) install(fr *wire.Frame) error {
 	old := f.svc.Load()
 	if old != nil {
 		if err := old.Close(); err != nil {
 			f.opt.Logf("repl follower: closing replaced service: %v", err)
 		}
+		f.markBad()
 	}
 	opt := serve.Options{Workers: f.opt.Workers, Fsync: f.opt.Fsync}
 	if f.opt.Dir != "" {

@@ -9,10 +9,14 @@
 // Catch-up protocol: a follower opens a stream with its last accepted
 // epoch and applied version. If the primary still holds the history
 // suffix past that version, the stream resumes there; otherwise — or
-// for a fresh follower — the primary captures an engine checkpoint at a
-// writer barrier and sends it as an install frame, followed by the
-// suffix. A follower that falls behind a history trim mid-stream is
-// re-installed the same way.
+// for a fresh follower — the primary sends its install base, the image
+// of the service's latest checkpoint, as an install frame, followed by
+// the suffix. Every checkpoint the service takes (on its
+// serve.Options.CheckpointEvery schedule) replaces the base and trims
+// the history it covers, so replication keeps no schedule of its own;
+// only before the first checkpoint after attach does the primary ask the
+// service for one. A follower that falls behind a history trim
+// mid-stream is re-installed the same way.
 //
 // Epoch fencing: the primary stamps its (operator-assigned, monotone
 // across handoffs) epoch on every frame. A follower remembers the
@@ -25,8 +29,8 @@ package repl
 
 import (
 	"bufio"
-	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -38,18 +42,9 @@ import (
 	"repro/internal/workload"
 )
 
-// DefaultHistoryLimit is how many shipped ops the primary retains for
-// resume before capturing a fresh checkpoint and trimming.
-const DefaultHistoryLimit = 1 << 16
-
-// PrimaryOptions tunes a Primary; the zero value picks defaults.
-type PrimaryOptions struct {
-	// HistoryLimit caps the retained history in ops (not entries). When
-	// an applied batch pushes past it the primary captures a checkpoint
-	// inline and trims everything the capture covers. Default
-	// DefaultHistoryLimit.
-	HistoryLimit int
-}
+// PrimaryOptions tunes a Primary. It has no fields: the history a
+// primary keeps is bounded by the service's checkpoint schedule.
+type PrimaryOptions struct{}
 
 // entry is one unit of the replicated history: a shipped batch or a
 // canonicalization marker.
@@ -59,7 +54,7 @@ type entry struct {
 	ops     []wire.EdgeOp // nil for canon entries; immutable once stored
 }
 
-// capture is a checkpoint the primary can install fresh or lagging
+// capture is a checkpoint image the primary installs fresh or lagging
 // followers from.
 type capture struct {
 	version uint64
@@ -72,14 +67,12 @@ type capture struct {
 type Primary struct {
 	svc   *serve.Service
 	epoch uint64
-	limit int
 
 	mu       sync.Mutex
 	history  []entry
-	firstSeq uint64 // sequence number of history[0]
-	histOps  int    // total ops across history
-	floor    uint64 // history is complete for versions > floor
-	base     *capture
+	firstSeq uint64   // sequence number of history[0]
+	floor    uint64   // history is complete for versions > floor
+	base     *capture // the latest checkpoint; nil until the first one
 	closed   bool
 	notify   chan struct{} // closed+replaced on every history append
 }
@@ -89,17 +82,13 @@ type Primary struct {
 // complete from the barrier's version onward — a follower resuming at
 // or past it never needs an install. Detach with Close.
 func NewPrimary(ctx context.Context, svc *serve.Service, epoch uint64, opt PrimaryOptions) (*Primary, error) {
-	if opt.HistoryLimit <= 0 {
-		opt.HistoryLimit = DefaultHistoryLimit
-	}
 	p := &Primary{
 		svc:    svc,
 		epoch:  epoch,
-		limit:  opt.HistoryLimit,
 		notify: make(chan struct{}),
 	}
-	err := svc.Barrier(ctx, func(cp serve.Checkpointer) error {
-		p.floor = cp.Version()
+	err := svc.Barrier(ctx, func() error {
+		p.floor = svc.Snapshot().Version()
 		p.firstSeq = 1
 		svc.SetReplSink(p)
 		return nil
@@ -131,10 +120,8 @@ func (p *Primary) wake() {
 	p.notify = make(chan struct{})
 }
 
-// ReplBatch implements serve.ReplSink: record one applied batch and, if
-// the history is over its limit, capture a checkpoint inline (we are on
-// the writer goroutine — cp is valid right now) and trim.
-func (p *Primary) ReplBatch(cp serve.Checkpointer, ops []workload.Op, version uint64) {
+// ReplBatch implements serve.ReplSink: record one applied batch.
+func (p *Primary) ReplBatch(ops []workload.Op, version uint64) {
 	// Copy: ops aliases the writer's reusable buffer.
 	eops := make([]wire.EdgeOp, len(ops))
 	for i, op := range ops {
@@ -142,47 +129,22 @@ func (p *Primary) ReplBatch(cp serve.Checkpointer, ops []workload.Op, version ui
 	}
 	p.mu.Lock()
 	p.history = append(p.history, entry{version: version, ops: eops})
-	p.histOps += len(eops)
-	over := p.histOps > p.limit
 	p.wake()
 	p.mu.Unlock()
-	if over {
-		// Ignore the error: a failed capture leaves the history untrimmed
-		// and the service fail-stopped if it was a durable-store failure;
-		// streams keep serving what is retained.
-		p.capture(cp) //nolint:errcheck
-	}
 }
 
-// ReplCanon implements serve.ReplSink: record a canonicalization
-// boundary. Also reached re-entrantly from capture (a checkpoint
-// capture IS a canon boundary), which is why capture never holds p.mu
-// across cp.Checkpoint.
-func (p *Primary) ReplCanon(version uint64) {
+// ReplCanon implements serve.ReplSink: record a checkpoint's
+// canonicalization boundary, make its image the install base, and trim
+// the history the base covers.
+func (p *Primary) ReplCanon(version uint64, image []byte) {
 	p.mu.Lock()
 	if n := len(p.history); n == 0 || !p.history[n-1].canon || p.history[n-1].version != version {
 		p.history = append(p.history, entry{canon: true, version: version})
 		p.wake()
 	}
-	p.mu.Unlock()
-}
-
-// capture snapshots the engine through cp and makes it the install
-// base, trimming the history it covers. Must be called with the writer
-// quiescent (from a ReplSink callback or inside a Barrier).
-func (p *Primary) capture(cp serve.Checkpointer) error {
-	var buf bytes.Buffer
-	// cp.Checkpoint canonicalizes and re-enters ReplCanon; p.mu must not
-	// be held here.
-	ver, err := cp.Checkpoint(&buf)
-	if err != nil {
-		return err
-	}
-	p.mu.Lock()
-	p.base = &capture{version: ver, data: buf.Bytes()}
+	p.base = &capture{version: version, data: image}
 	p.trimLocked()
 	p.mu.Unlock()
-	return nil
 }
 
 // trimLocked drops every history entry the base capture covers: batches
@@ -201,7 +163,6 @@ func (p *Primary) trimLocked() {
 			break
 		}
 		drop++
-		p.histOps -= len(e.ops)
 	}
 	if drop > 0 {
 		p.history = append([]entry(nil), p.history[drop:]...)
@@ -228,8 +189,11 @@ func (p *Primary) seekLocked(version uint64) uint64 {
 	return p.firstSeq + uint64(len(p.history))
 }
 
-// ensureBase makes sure an install capture exists, taking one at a
-// writer barrier if needed.
+// ensureBase makes sure an install base exists. Every checkpoint the
+// service takes sets one, so only before the first checkpoint after
+// attach does it ask the service for one. p.mu must not be held: the
+// capture re-enters ReplCanon. Once set, the base is replaced but never
+// cleared.
 func (p *Primary) ensureBase(ctx context.Context) error {
 	p.mu.Lock()
 	has := p.base != nil
@@ -237,15 +201,16 @@ func (p *Primary) ensureBase(ctx context.Context) error {
 	if has {
 		return nil
 	}
-	return p.svc.Barrier(ctx, func(cp serve.Checkpointer) error {
-		p.mu.Lock()
-		has := p.base != nil
-		p.mu.Unlock()
-		if has {
-			return nil
-		}
-		return p.capture(cp)
-	})
+	if _, _, err := p.svc.Checkpoint(ctx); err != nil {
+		return err
+	}
+	p.mu.Lock()
+	has = p.base != nil
+	p.mu.Unlock()
+	if !has {
+		return errors.New("repl: primary detached from its service")
+	}
+	return nil
 }
 
 // ServeReplication runs the primary side of one replication stream on a

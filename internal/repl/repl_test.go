@@ -29,15 +29,16 @@ func testGraph(t testing.TB) *graph.Graph {
 	return gen.CommunitySocial(400, 8, 0.3, 900, 42)
 }
 
-// newPrimaryService builds a serving service over the test graph; dir
-// non-empty makes it durable.
-func newPrimaryService(t testing.TB, g *graph.Graph, dir string) *serve.Service {
+// newPrimaryService builds a serving service over the test graph with
+// WAL syncs deferred; opt.Dir non-empty makes it durable.
+func newPrimaryService(t testing.TB, g *graph.Graph, opt serve.Options) *serve.Service {
 	t.Helper()
 	res, err := core.Find(g, core.Options{K: 3, Algorithm: core.LP})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := serve.New(g, 3, res.Cliques, serve.Options{Dir: dir, Fsync: wal.SyncNone})
+	opt.Fsync = wal.SyncNone
+	s, err := serve.New(g, 3, res.Cliques, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,20 +121,14 @@ func snapFrame(s *dynamic.Snapshot) []byte {
 	return wire.AppendSnapshotFrame(nil, s.Version(), s.K(), s.N(), s.M(), s.Size(), s.Cliques(), true)
 }
 
-// captureImage grabs a checkpoint image at a writer barrier.
+// captureImage takes a checkpoint and returns its image.
 func captureImage(t testing.TB, svc *serve.Service) (uint64, []byte) {
 	t.Helper()
-	var buf bytes.Buffer
-	var ver uint64
-	err := svc.Barrier(context.Background(), func(cp serve.Checkpointer) error {
-		var err error
-		ver, err = cp.Checkpoint(&buf)
-		return err
-	})
+	ver, img, err := svc.Checkpoint(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	return ver, buf.Bytes()
+	return ver, img
 }
 
 // newTestFollower builds a follower with test-friendly backoff; extra
@@ -177,11 +172,11 @@ func runFollower(t testing.TB, f *Follower) context.CancelFunc {
 // checks byte-for-byte snapshot equality at several synced points, plus
 // checkpoint-image equality at a shared canon boundary. A second, late
 // follower must converge too — through a checkpoint install, because
-// the small history limit has long trimmed the early batches.
+// the short checkpoint interval has long trimmed the early batches.
 func TestReplicationConvergence(t *testing.T) {
 	g := testGraph(t)
-	svc := newPrimaryService(t, g, "")
-	_, addr := startRepl(t, svc, 1, PrimaryOptions{HistoryLimit: 256})
+	svc := newPrimaryService(t, g, serve.Options{CheckpointEvery: 256})
+	_, addr := startRepl(t, svc, 1, PrimaryOptions{})
 	rng := rand.New(rand.NewSource(7))
 
 	f := newTestFollower(t, addr, nil)
@@ -236,7 +231,7 @@ func TestReplicationConvergence(t *testing.T) {
 // follower reconnects and resumes from its version — no second install.
 func TestFollowerResume(t *testing.T) {
 	g := testGraph(t)
-	svc := newPrimaryService(t, g, "")
+	svc := newPrimaryService(t, g, serve.Options{})
 	_, addr := startRepl(t, svc, 1, PrimaryOptions{})
 	rng := rand.New(rand.NewSource(11))
 
@@ -273,69 +268,80 @@ func TestFollowerResume(t *testing.T) {
 	}
 }
 
-// TestEpochFenceFollowerRefuses stages a deposed primary feeding a
-// follower that has already accepted a higher epoch: the follower must
-// refuse every lower-epoch frame before any state change. The fake
-// primary speaks raw wire frames so it can violate the protocol the
-// real Primary enforces on itself.
-func TestEpochFenceFollowerRefuses(t *testing.T) {
-	// A valid checkpoint image to make the refusal unambiguous: the
-	// frames are well-formed, only their epoch is stale.
-	g := testGraph(t)
-	donor := newPrimaryService(t, g, "")
-	iver, img := captureImage(t, donor)
-
+// fakePrimary listens on loopback and answers every replicate handshake
+// with the raw frames reply returns for it, so a test can send what the
+// real Primary never would. Each connection then stays open until the
+// follower hangs up. The returned channel gets one result per
+// connection: nil once the frames are written, else what went wrong.
+func fakePrimary(t testing.TB, reply func(hello *wire.Frame) []byte) (string, <-chan error) {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ln.Close()
+	t.Cleanup(func() { ln.Close() })
 	served := make(chan error, 8)
+	stream := func(conn net.Conn) error {
+		buf := make([]byte, 0, 256)
+		for {
+			var chunk [256]byte
+			n, err := conn.Read(chunk[:])
+			if err != nil {
+				return fmt.Errorf("reading handshake: %w", err)
+			}
+			buf = append(buf, chunk[:n]...)
+			hello, _, err := wire.DecodeRequest(buf)
+			if err != nil {
+				continue
+			}
+			if hello.Type != wire.FrameReqReplicate {
+				return fmt.Errorf("unexpected request type %d", hello.Type)
+			}
+			if _, err := conn.Write(reply(hello)); err != nil {
+				return fmt.Errorf("writing frames: %w", err)
+			}
+			return nil
+		}
+	}
 	go func() {
 		for {
 			conn, err := ln.Accept()
 			if err != nil {
 				return
 			}
-			go func(conn net.Conn) {
+			go func() {
 				defer conn.Close()
-				// Read the replicate handshake.
-				buf := make([]byte, 0, 256)
-				for {
-					var one [256]byte
-					n, err := conn.Read(one[:])
-					if err != nil {
-						served <- fmt.Errorf("reading handshake: %w", err)
-						return
-					}
-					buf = append(buf, one[:n]...)
-					if f, _, err := wire.DecodeRequest(buf); err == nil {
-						if f.Type != wire.FrameReqReplicate {
-							served <- fmt.Errorf("unexpected request type %d", f.Type)
-							return
-						}
-						break
-					}
+				select {
+				case served <- stream(conn):
+				default:
 				}
-				// A well-formed install at the follower's epoch, then a
-				// batch from a DEPOSED epoch 1. The follower must apply the
-				// first and refuse the second without touching state.
-				out := wire.AppendReplCheckpointFrame(nil, 2, iver, img)
-				out = wire.AppendReplBatchFrame(out, 1, iver+1, []wire.EdgeOp{{Insert: true, U: 0, V: 1}})
-				if _, err := conn.Write(out); err != nil {
-					served <- fmt.Errorf("writing frames: %w", err)
-					return
-				}
-				served <- nil
-				// Hold the conn until the follower hangs up on the fenced
-				// frame.
 				var one [1]byte
 				conn.Read(one[:])
-			}(conn)
+			}()
 		}
 	}()
+	return ln.Addr().String(), served
+}
 
-	f := newTestFollower(t, ln.Addr().String(), nil)
+// TestEpochFenceFollowerRefuses stages a deposed primary feeding a
+// follower that has already accepted a higher epoch: the follower must
+// refuse every lower-epoch frame before any state change.
+func TestEpochFenceFollowerRefuses(t *testing.T) {
+	// A valid checkpoint image to make the refusal unambiguous: the
+	// frames are well-formed, only their epoch is stale.
+	g := testGraph(t)
+	donor := newPrimaryService(t, g, serve.Options{})
+	iver, img := captureImage(t, donor)
+
+	// A well-formed install at the follower's epoch, then a batch from a
+	// DEPOSED epoch 1. The follower must apply the first and refuse the
+	// second without touching state.
+	addr, served := fakePrimary(t, func(*wire.Frame) []byte {
+		out := wire.AppendReplCheckpointFrame(nil, 2, iver, img)
+		return wire.AppendReplBatchFrame(out, 1, iver+1, []wire.EdgeOp{{Insert: true, U: 0, V: 1}})
+	})
+
+	f := newTestFollower(t, addr, nil)
 	// The follower has already followed an epoch-2 primary.
 	f.mu.Lock()
 	f.epoch = 2
@@ -361,11 +367,51 @@ func TestEpochFenceFollowerRefuses(t *testing.T) {
 	}
 }
 
+// TestFollowerReinstallFailure fails a re-install after the follower
+// has closed its old engine: the image is not at the version its frame
+// promises. The next handshake must then ask for a fresh install rather
+// than claim the closed engine's state, and that install must bring the
+// follower back.
+func TestFollowerReinstallFailure(t *testing.T) {
+	g := testGraph(t)
+	donor := newPrimaryService(t, g, serve.Options{})
+	iver, img := captureImage(t, donor)
+
+	hellos := make(chan *wire.Frame, 8)
+	var conns atomic.Int32
+	addr, served := fakePrimary(t, func(hello *wire.Frame) []byte {
+		select {
+		case hellos <- hello:
+		default:
+		}
+		out := wire.AppendReplCheckpointFrame(nil, 1, iver, img)
+		if conns.Add(1) == 1 {
+			out = wire.AppendReplCheckpointFrame(out, 1, iver+5, img)
+		}
+		return out
+	})
+	f := newTestFollower(t, addr, nil)
+	runFollower(t, f)
+	for range 2 {
+		if err := <-served; err != nil {
+			t.Fatal(err)
+		}
+	}
+	<-hellos
+	if hello := <-hellos; hello.HaveState {
+		t.Fatalf("handshake after a failed re-install claims state at version %d, want a fresh install", hello.Version)
+	}
+	waitFor(t, 10*time.Second, "the fresh install", func() bool { return f.Status().Installs >= 2 })
+	if err := f.Service().Flush(context.Background()); err != nil {
+		t.Fatalf("follower engine after the fresh install: %v", err)
+	}
+}
+
 // TestEpochFencePrimaryRefuses checks the symmetric fence: a primary
 // refuses a follower that reports a higher epoch than its own.
 func TestEpochFencePrimaryRefuses(t *testing.T) {
 	g := testGraph(t)
-	svc := newPrimaryService(t, g, "")
+	svc := newPrimaryService(t, g, serve.Options{})
 	_, addr := startRepl(t, svc, 1, PrimaryOptions{})
 
 	conn, err := net.Dial("tcp", addr)
@@ -387,17 +433,79 @@ func TestEpochFencePrimaryRefuses(t *testing.T) {
 	}
 }
 
-// trimPast advances the primary past version and captures a new install
-// base there, at a writer barrier. The capture trims every history entry
-// at or below the base, so a follower at version can no longer resume
-// and must re-install.
-func trimPast(ctx context.Context, svc *serve.Service, p *Primary, version uint64, rng *rand.Rand) error {
+// trimPast advances the primary past version and takes a checkpoint
+// there, which becomes the primary's install base. The primary trims
+// every history entry at or below the base, so a follower at version
+// can no longer resume and must re-install.
+func trimPast(ctx context.Context, svc *serve.Service, version uint64, rng *rand.Rand) error {
 	for svc.Snapshot().Version() <= version {
 		if err := applyChurn(ctx, svc, rng, 1, 8); err != nil {
 			return err
 		}
 	}
-	return svc.Barrier(ctx, p.capture)
+	_, _, err := svc.Checkpoint(ctx)
+	return err
+}
+
+// applyOps enqueues ops in batches of size ops, flushing each so it
+// becomes its own ApplyBatch unit.
+func applyOps(t testing.TB, svc *serve.Service, ops []workload.Op, size int) {
+	t.Helper()
+	ctx := context.Background()
+	for len(ops) > 0 {
+		n := min(size, len(ops))
+		if err := svc.Enqueue(ctx, ops[:n]...); err != nil {
+			t.Fatal(err)
+		}
+		if err := svc.Flush(ctx); err != nil {
+			t.Fatal(err)
+		}
+		ops = ops[n:]
+	}
+}
+
+// toggleOps is a stream of n edge updates that toggle edges of g.
+func toggleOps(g *graph.Graph, n int) []workload.Op {
+	stream := workload.ReadWriteClients(g, 1, n, 0, 5)[0]
+	ops := make([]workload.Op, n)
+	for i, op := range stream {
+		ops[i] = op.Update
+	}
+	return ops
+}
+
+// TestReplCheckpointSchedule pins the one checkpoint schedule: an
+// attached primary adds no checkpoints to the service's own, and it
+// installs a fresh follower from the latest of them.
+func TestReplCheckpointSchedule(t *testing.T) {
+	g := testGraph(t)
+	t.Run("no-extra-checkpoints", func(t *testing.T) {
+		ops := toggleOps(g, 70000)
+		prim := newPrimaryService(t, g, serve.Options{Dir: t.TempDir()})
+		startRepl(t, prim, 1, PrimaryOptions{})
+		twin := newPrimaryService(t, g, serve.Options{Dir: t.TempDir()})
+		applyOps(t, prim, ops, 4096)
+		applyOps(t, twin, ops, 4096)
+		if p, w := prim.Stats().Checkpoints, twin.Stats().Checkpoints; p != w {
+			t.Fatalf("primary wrote %d store checkpoints, a twin with no primary %d", p, w)
+		}
+	})
+	t.Run("install-from-latest", func(t *testing.T) {
+		prim := newPrimaryService(t, g, serve.Options{Dir: t.TempDir(), CheckpointEvery: 1024})
+		_, addr := startRepl(t, prim, 1, PrimaryOptions{})
+		applyOps(t, prim, toggleOps(g, 3000), 256)
+		before := prim.Stats().Checkpoints
+		f := newTestFollower(t, addr, nil)
+		runFollower(t, f)
+		ver := prim.Snapshot().Version()
+		waitFor(t, 15*time.Second, "follower sync", func() bool { return f.Status().Version >= ver })
+		if !bytes.Equal(snapFrame(prim.Snapshot()), snapFrame(f.Service().Snapshot())) {
+			t.Fatal("follower snapshot frame differs from primary")
+		}
+		if after := prim.Stats().Checkpoints; after != before {
+			t.Fatalf("installing a fresh follower took %d store checkpoints, want 0", after-before)
+		}
+	})
 }
 
 // TestFaultScheduleConvergence is the fault-injection property test:
@@ -412,10 +520,10 @@ func TestFaultScheduleConvergence(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			g := testGraph(t)
-			svc := newPrimaryService(t, g, "")
-			// A small history window forces captures and trims during the
-			// run, so kills land followers on the re-install path too.
-			p, addr := startRepl(t, svc, 1, PrimaryOptions{HistoryLimit: 128})
+			// A short checkpoint interval forces captures and trims during
+			// the run, so kills land followers on the re-install path too.
+			svc := newPrimaryService(t, g, serve.Options{CheckpointEvery: 128})
+			_, addr := startRepl(t, svc, 1, PrimaryOptions{})
 			rng := rand.New(rand.NewSource(seed))
 
 			// Besides the random kills, each schedule kills the live stream
@@ -441,7 +549,7 @@ func TestFaultScheduleConvergence(t *testing.T) {
 					if trimNext {
 						// The previous stream has ended, so the follower's
 						// version cannot move under us.
-						if err := trimPast(ctx, svc, p, f.Status().Version, trimRng); err != nil {
+						if err := trimPast(ctx, svc, f.Status().Version, trimRng); err != nil {
 							return nil, err
 						}
 						trimNext = false
@@ -516,7 +624,7 @@ func TestFaultScheduleConvergence(t *testing.T) {
 func TestCrossProcessDeterminism(t *testing.T) {
 	g := testGraph(t)
 	dirP, dirF := t.TempDir(), t.TempDir()
-	svc := newPrimaryService(t, g, dirP)
+	svc := newPrimaryService(t, g, serve.Options{Dir: dirP})
 	_, addr := startRepl(t, svc, 1, PrimaryOptions{})
 	rng := rand.New(rand.NewSource(13))
 

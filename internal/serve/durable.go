@@ -11,7 +11,6 @@ import (
 	"os"
 	"path/filepath"
 	"syscall"
-	"time"
 
 	"repro/internal/dynamic"
 	"repro/internal/wal"
@@ -34,12 +33,13 @@ import (
 //     fresh WAL generation started; superseded generations' logs are then
 //     deleted. The engine canonicalizes its candidate index at the same
 //     boundary, which is what makes recovery byte-identical (see
-//     Service.canonicalize). The writer captures the image in memory and
+//     Service.checkpoint). The writer captures the image in memory and
 //     the installer writes it in the background, so the writer only
 //     stalls for the capture; the WAL generation still rolls at the
-//     capture point, which is what lets recovery find the boundary.
-//     Close's final checkpoint streams straight to the file instead and
-//     starts no new generation.
+//     capture point, which is what lets recovery find the boundary. The
+//     same in-memory image goes to an attached replication sink, which
+//     installs followers from it. Close's final checkpoint streams
+//     straight to the file instead and starts no new generation.
 //   - Open loads the checkpoint, replays the matching WAL generation's
 //     intact record prefix through ApplyBatch (a torn tail from a crash
 //     mid-append is truncated away), then walks any newer generations a
@@ -70,18 +70,18 @@ const storeHdrSize = 16
 
 // durable is the writer-owned durability state of a Service.
 type durable struct {
-	dir       string
-	every     int // applied ops between checkpoints
-	log       *wal.Log
-	lock      *os.File // flock-held LOCK file; exclusivity for the store
-	gen       int64
-	sinceCkpt int
+	dir  string
+	log  *wal.Log
+	lock *os.File // flock-held LOCK file; exclusivity for the store
+	gen  int64
 
 	// chunks is the writer's scratch for vectored group appends.
 	chunks [][]workload.Op
-	// ckptBuf is the reusable checkpoint capture image (store header +
-	// engine image). It is handed to the installer by reference and
-	// reclaimed only after the next wait — both sides only read it.
+	// ckptBuf is the reusable checkpoint capture buffer (store header +
+	// engine image). It is handed to the installer by reference — both
+	// sides only read it — and reused by the next capture after the
+	// install is drained. A capture whose image a sink or a caller takes
+	// drops it instead, since they may keep the image.
 	ckptBuf []byte
 
 	// sync and ckpt are the pipeline goroutines (pipeline.go).
@@ -249,7 +249,7 @@ func initStore(opt Options, eng *dynamic.Engine) (*durable, error) {
 		lg.Close()
 		return fail(err)
 	}
-	return &durable{dir: opt.Dir, every: opt.CheckpointEvery, log: lg, lock: lock, gen: gen}, nil
+	return &durable{dir: opt.Dir, log: lg, lock: lock, gen: gen}, nil
 }
 
 // Open resumes a durable service from dir: it loads the checkpoint,
@@ -325,7 +325,7 @@ func open(dir string, opt Options, follower bool) (*Service, error) {
 	// several) generations behind the newest log. Each generation switch
 	// was a canonicalization boundary on the live engine; reproducing it
 	// between the replays is what keeps the recovered lineage — and any
-	// follower fed from it — byte-identical (see Service.canonicalize).
+	// follower fed from it — byte-identical (see Service.checkpoint).
 	// The newest generation takes over as the append target.
 	for {
 		nwp := walPath(dir, gen+1)
@@ -352,11 +352,11 @@ func open(dir string, opt Options, follower bool) (*Service, error) {
 	removeStaleWALs(dir, ckptGen, gen)
 	s := wrapEngine(eng, opt)
 	s.follower = follower
-	s.dur = &durable{dir: dir, every: opt.CheckpointEvery, log: lg, lock: lock, gen: gen}
+	s.dur = &durable{dir: dir, log: lg, lock: lock, gen: gen}
 	// Anchor the checkpoint schedule to the replayed backlog so a service
 	// that keeps crashing before its first rollover cannot grow the WAL
 	// chain without bound.
-	s.dur.sinceCkpt = int(recovered)
+	s.sinceCkpt = int(recovered)
 	s.recovered.Store(recovered)
 	s.dur.startPipeline(s, opt)
 	s.start(opt.MaxBatch)
@@ -415,70 +415,60 @@ func (s *Service) appendWALGroup(buf []workload.Op, maxBatch int) error {
 	return nil
 }
 
-// maybeCheckpoint rolls the store over to a new checkpoint + WAL
-// generation once enough ops have been applied since the last one.
-// Called by the writer goroutine between ApplyBatch calls.
-func (s *Service) maybeCheckpoint(applied int) error {
-	s.dur.sinceCkpt += applied
-	if s.dur.sinceCkpt < s.dur.every {
-		return nil
-	}
-	return s.storeCheckpoint()
-}
-
-// storeCheckpoint rolls the store over at the current batch boundary
-// and accounts the writer's stall: drain what must be durable, serialize
-// the engine image into memory, roll the WAL generation, canonicalize,
-// and hand the slow install to the background goroutine. The writer
-// resumes applying immediately after. Called with the writer quiescent:
-// on the writer goroutine itself (periodic, repl canon, replication
-// catch-up).
-func (s *Service) storeCheckpoint() error {
-	start := time.Now()
-	defer func() { s.ckptStallNs.Add(uint64(time.Since(start))) }()
+// storeCheckpoint rolls the store over at the current batch boundary:
+// drain what must be durable, serialize the engine image into memory,
+// roll the WAL generation, and hand the slow install to the background
+// goroutine. The writer resumes applying immediately after. It returns
+// the captured engine image (the capture minus its store header); keep
+// marks an image a sink or a caller takes, so the next capture
+// serializes into a fresh buffer. Called from Service.checkpoint only,
+// which canonicalizes right after and accounts the writer's stall.
+func (s *Service) storeCheckpoint(keep bool) ([]byte, error) {
 	d := s.dur
 	// Exactly one install in flight: absorb the previous one first (a
 	// fast no-op in the steady state — CheckpointEvery ops of apply time
 	// dwarf one image install).
 	if err := d.ckpt.wait(); err != nil {
-		return err
+		return nil, err
 	}
 	// The old generation must be complete and durable before the switch:
 	// recovery treats the generation boundary as the canonicalization
 	// point, so no record may migrate across it afterwards.
 	if err := d.sync.drain(); err != nil {
-		return err
+		return nil, err
 	}
 	gen := d.gen + 1
 	buf := bytes.NewBuffer(d.ckptBuf[:0])
 	hdr := storeHeader(gen)
 	buf.Write(hdr[:])
 	if err := s.eng.WriteCheckpoint(buf); err != nil {
-		return err
+		return nil, err
 	}
 	d.ckptBuf = buf.Bytes()
 	lg, err := wal.Create(walPath(d.dir, gen), wal.SyncNone)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	// The new generation's directory entry must be durable before any op
 	// logged to it is acked — and before the capture may install, since
 	// recovery discovers the capture boundary by this file's existence.
 	if err := syncDir(d.dir); err != nil {
 		lg.Close()
-		return err
+		return nil, err
 	}
 	oldLog := d.log
 	d.log = lg
 	d.sync.setLog(lg)
 	d.gen = gen
-	d.sinceCkpt = 0
 	// Counted at capture: this is when the boundary lands in the history,
 	// whether or not the install has hit the disk yet.
 	s.checkpoints.Add(1)
-	s.canonicalize()
 	d.ckpt.start(installReq{data: d.ckptBuf, gen: gen, oldLog: oldLog, done: make(chan error, 1)})
-	return nil
+	img := d.ckptBuf[storeHdrSize:]
+	if keep {
+		d.ckptBuf = nil
+	}
+	return img, nil
 }
 
 // installCheckpoint is the background half of a periodic checkpoint:

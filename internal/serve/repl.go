@@ -2,10 +2,12 @@ package serve
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"io"
+	"time"
 
 	"repro/internal/dynamic"
 	"repro/internal/workload"
@@ -14,49 +16,36 @@ import (
 // Replication support. A primary Service exposes a ReplSink hook the
 // log-shipping layer (internal/repl) attaches to: the writer goroutine
 // reports every S-changing batch right after it is applied (and WAL-
-// logged), and every candidate-index canonicalization boundary. A
-// follower Service is the receiving side: local writes are refused with
-// ErrNotPrimary and state advances only through Replicate/Canonicalize,
-// which apply the primary's exact batch sequence through the same
-// single-writer loop — so MVCC snapshots are byte-identical to the
-// primary's at every shipped version. Canonicalization boundaries are
-// part of the stream; Service.canonicalize states why.
+// logged), and every checkpoint it takes, which is also a
+// candidate-index canonicalization boundary, together with the image it
+// captured. A follower Service is the receiving side: local writes are
+// refused with ErrNotPrimary and state advances only through
+// Replicate/Canonicalize, which apply the primary's exact batch sequence
+// through the same single-writer loop — so MVCC snapshots are
+// byte-identical to the primary's at every shipped version.
+// Canonicalization boundaries are part of the stream; Service.checkpoint
+// states why.
 
 // ErrNotPrimary is returned by Enqueue on a follower-mode service:
 // followers take writes only from the replication stream.
 var ErrNotPrimary = errors.New("serve: not the primary; follower refuses local writes")
 
 // ReplSink receives replication events from the writer goroutine.
-// Both methods are called synchronously on the writer (or, for
-// Checkpointer-triggered canonicalizations, on the goroutine running
-// the capture) — implementations must be fast and must not call back
-// into the Service except through the provided Checkpointer. The ops
-// slice aliases the writer's reusable buffer: copy it before retaining.
+// Both methods are called synchronously on the writer with the writer
+// quiescent — implementations must be fast and must not call back into
+// the Service.
 type ReplSink interface {
 	// ReplBatch reports one applied S-changing batch: applying ops took
 	// the engine to version (versions of successive calls are exactly
-	// consecutive). cp can capture a checkpoint of the engine as it
-	// stands right now — the writer is quiescent for the duration of the
-	// call.
-	ReplBatch(cp Checkpointer, ops []workload.Op, version uint64)
-	// ReplCanon reports that the engine canonicalized its candidate
-	// index with the snapshot at version — a boundary every replica must
-	// reproduce.
-	ReplCanon(version uint64)
-}
-
-// Checkpointer captures engine checkpoints with the writer quiescent.
-// It is only valid for the duration of the ReplBatch or Barrier call
-// that provided it.
-type Checkpointer interface {
-	// Version returns the engine's current snapshot version.
-	Version() uint64
-	// Checkpoint writes a dynamic.WriteCheckpoint image of the engine to
-	// w and returns the version it captures. The capture is a
-	// canonicalization boundary: the live engine's index is canonical
-	// afterwards (on a durable service via a real store checkpoint, so
-	// crash recovery stays byte-identical) and ReplCanon fires for it.
-	Checkpoint(w io.Writer) (uint64, error)
+	// consecutive). ops aliases the writer's reusable buffer: copy it
+	// before retaining.
+	ReplBatch(ops []workload.Op, version uint64)
+	// ReplCanon reports a checkpoint: the engine canonicalized its
+	// candidate index with the snapshot at version — a boundary every
+	// replica must reproduce — and image is the dynamic.WriteCheckpoint
+	// capture taken there. The sink may keep image; the service never
+	// writes into it again.
+	ReplCanon(version uint64, image []byte)
 }
 
 // SetReplSink attaches (or, with nil, detaches) the replication sink.
@@ -79,34 +68,103 @@ func (s *Service) replSink() ReplSink {
 	return nil
 }
 
-// canonicalize rebuilds the engine's candidate index in canonical order
-// and announces the boundary to the replication sink at the current
-// version. Writer goroutine only, with the writer quiescent.
+// checkpoint is the service's one capture routine: it takes a
+// dynamic.WriteCheckpoint image of the engine at the current batch
+// boundary, canonicalizes the candidate index there, and hands the image
+// with its canon marker to the replication sink. A durable service
+// captures through a real store checkpoint; an in-memory one serializes
+// the image only when a sink or the caller (keep) takes it, and otherwise
+// just canonicalizes. It returns the image, nil when nobody took one.
+// Writer goroutine only, with the writer quiescent. A failure
+// fail-stops the service.
 //
 // Determinism contract: dynamic.LoadCheckpoint rebuilds the candidate
 // index in canonical order, and swap tie-breaking follows candidate
 // order, so two engines stay byte-identical only if they canonicalize at
-// the same versions. Every capture of a checkpoint image — a store
-// checkpoint or a replication checkpoint — is therefore a boundary on
-// the live engine too, and every boundary goes into the replicated
-// history. A follower canonicalizes exactly at the shipped markers,
-// never on its own schedule (its durable checkpoints ride the same
-// markers, keeping a crash-recovered follower on the primary's
-// lineage). Recovery reproduces a boundary at each WAL generation
-// switch (see open).
-func (s *Service) canonicalize() {
-	s.eng.CanonicalizeIndex()
-	if sink := s.replSink(); sink != nil {
-		sink.ReplCanon(s.eng.Snapshot().Version())
+// the same versions. Every capture is therefore a boundary on the live
+// engine too, and every boundary goes into the replicated history. A
+// follower canonicalizes exactly at the shipped markers, never on its
+// own schedule (its durable checkpoints ride the same markers, keeping a
+// crash-recovered follower on the primary's lineage). Recovery
+// reproduces a boundary at each WAL generation switch (see open).
+func (s *Service) checkpoint(keep bool) ([]byte, error) {
+	if s.dur != nil {
+		defer func(start time.Time) { s.ckptStallNs.Add(uint64(time.Since(start))) }(time.Now())
 	}
+	sink := s.replSink()
+	keep = keep || sink != nil
+	var img []byte
+	var err error
+	if s.dur != nil {
+		img, err = s.storeCheckpoint(keep)
+	} else if keep {
+		var buf bytes.Buffer
+		err = s.eng.WriteCheckpoint(&buf)
+		img = buf.Bytes()
+	}
+	if err != nil {
+		s.fail(err)
+		return nil, err
+	}
+	s.sinceCkpt = 0
+	s.eng.CanonicalizeIndex()
+	if sink != nil {
+		sink.ReplCanon(s.eng.Snapshot().Version(), img)
+	}
+	return img, nil
+}
+
+// maybeCheckpoint runs the checkpoint schedule: every CheckpointEvery
+// applied ops, a service that is durable or has a replication sink takes
+// a checkpoint. Called by the writer goroutine after each local
+// ApplyBatch call.
+func (s *Service) maybeCheckpoint(applied int) error {
+	if s.dur == nil && s.replSink() == nil {
+		return nil
+	}
+	s.sinceCkpt += applied
+	if s.sinceCkpt < s.every {
+		return nil
+	}
+	_, err := s.checkpoint(false)
+	return err
+}
+
+// Checkpoint takes a checkpoint at a writer barrier and returns the
+// version and the dynamic.WriteCheckpoint image it captured; the image is
+// the caller's to keep. Like every checkpoint it is a canonicalization
+// boundary, a store checkpoint on a durable service, and reaches the
+// replication sink.
+func (s *Service) Checkpoint(ctx context.Context) (uint64, []byte, error) {
+	type capture struct {
+		version uint64
+		image   []byte
+	}
+	// Buffered: the closure may run after ctx has given up on it.
+	res := make(chan capture, 1)
+	err := s.Barrier(ctx, func() error {
+		img, err := s.checkpoint(true)
+		if err != nil {
+			return err
+		}
+		res <- capture{s.eng.Snapshot().Version(), img}
+		return nil
+	})
+	if err != nil {
+		return 0, nil, err
+	}
+	c := <-res
+	return c.version, c.image, nil
 }
 
 // Barrier runs fn on the writer goroutine at a batch boundary at or
-// after the call, with the writer quiescent until fn returns — the only
-// safe vantage point for capturing a replication checkpoint that no
-// concurrent batch can straddle. It returns fn's error, or the
-// context's/service's if fn never ran.
-func (s *Service) Barrier(ctx context.Context, fn func(cp Checkpointer) error) error {
+// after the call, with the writer quiescent until fn returns — the
+// vantage point no concurrent batch can straddle, where Checkpoint
+// captures and a replication sink attaches. It returns fn's error, or
+// the context's/service's if fn never ran; fn may still run after the
+// context gave up, so it must not hand results back through variables
+// the caller reads.
+func (s *Service) Barrier(ctx context.Context, fn func() error) error {
 	if s.closed.Load() {
 		return ErrClosed
 	}
@@ -211,7 +269,7 @@ type replResult struct {
 
 // barrierReq runs a closure on the quiescent writer.
 type barrierReq struct {
-	fn   func(cp Checkpointer) error
+	fn   func() error
 	done chan error // buffered; the writer never blocks on it
 }
 
@@ -222,14 +280,7 @@ func (s *Service) applyRepl(req *replReq) {
 		return
 	}
 	if req.canon {
-		var err error
-		if s.dur != nil {
-			if err = s.storeCheckpoint(); err != nil {
-				s.fail(err)
-			}
-		} else {
-			s.canonicalize()
-		}
+		_, err := s.checkpoint(false)
 		req.done <- replResult{version: s.eng.Snapshot().Version(), err: err}
 		return
 	}
@@ -252,7 +303,7 @@ func (s *Service) applyRepl(req *replReq) {
 	ver := s.eng.Snapshot().Version()
 	if changed > 0 {
 		if sink := s.replSink(); sink != nil {
-			sink.ReplBatch(svcCheckpointer{s}, req.ops, ver)
+			sink.ReplBatch(req.ops, ver)
 		}
 	}
 	s.notifyPublished()
@@ -260,47 +311,11 @@ func (s *Service) applyRepl(req *replReq) {
 }
 
 // runBarrier executes a Barrier closure on the writer goroutine.
-func (s *Service) runBarrier(fn func(cp Checkpointer) error) error {
+func (s *Service) runBarrier(fn func() error) error {
 	if err := s.Err(); err != nil {
 		return err
 	}
-	return fn(svcCheckpointer{s})
-}
-
-// svcCheckpointer is the Checkpointer handed to ReplBatch/Barrier
-// closures; it is only used while the writer is quiescent.
-type svcCheckpointer struct{ s *Service }
-
-func (c svcCheckpointer) Version() uint64 { return c.s.eng.Snapshot().Version() }
-
-func (c svcCheckpointer) Checkpoint(w io.Writer) (uint64, error) {
-	s := c.s
-	if err := s.Err(); err != nil {
-		return 0, err
-	}
-	ver := s.eng.Snapshot().Version()
-	if s.dur == nil {
-		if err := s.eng.WriteCheckpoint(w); err != nil {
-			return 0, err
-		}
-		// The capture is a canon boundary for its loader; make it one for
-		// the live engine and its streaming replicas too.
-		s.canonicalize()
-		return ver, nil
-	}
-	// On a durable service the capture must be a real store checkpoint:
-	// storeCheckpoint canonicalizes the live index at this version, and
-	// doing that without rolling the store would break byte-identical
-	// crash recovery mid-generation. The image it just captured is the
-	// one to serve: write those bytes (minus the store header) and never
-	// touch the possibly half-installed on-disk file. Read-only aliasing
-	// with the background installer is safe.
-	if err := s.storeCheckpoint(); err != nil {
-		s.fail(err)
-		return 0, err
-	}
-	_, err := w.Write(s.dur.ckptBuf[storeHdrSize:])
-	return ver, err
+	return fn()
 }
 
 // NewFollowerFromCheckpoint builds a follower-mode Service from a

@@ -75,8 +75,10 @@ type Options struct {
 	// checkpoints, so Flush returning always means durable.
 	Fsync wal.SyncPolicy
 	// CheckpointEvery is the number of applied ops between checkpoints of
-	// a durable service. Default 1 << 17. Each checkpoint truncates the
-	// WAL, bounding both recovery replay time and disk growth.
+	// a durable service or one with a replication sink. Default 1 << 17.
+	// Each checkpoint truncates the WAL, bounding both recovery replay
+	// time and disk growth, and becomes the replication install base,
+	// bounding the history a primary keeps for resuming followers.
 	CheckpointEvery int
 	// ApplyGate, when non-nil, is acquired around every local ApplyBatch
 	// call so a process hosting many services can cap their aggregate
@@ -126,8 +128,9 @@ type Stats struct {
 	// resumed with Open; zero for fresh services. Replayed ops are not
 	// re-counted in Enqueued/Applied.
 	Recovered uint64
-	// Checkpoints counts checkpoints written (including the initial one a
-	// fresh durable store starts with and the final one Close writes).
+	// Checkpoints counts store checkpoints written (including the initial
+	// one a fresh durable store starts with and the final one Close
+	// writes). An in-memory service's captures are not counted.
 	Checkpoints uint64
 	// WALBatches / WALBytes count write-ahead-log appends and their size.
 	// Zero for non-durable services.
@@ -201,6 +204,12 @@ type Service struct {
 	// interface value so attachment is one atomic store (see repl.go).
 	sink atomic.Pointer[ReplSink]
 
+	// every and sinceCkpt are the checkpoint schedule (Options.
+	// CheckpointEvery, maybeCheckpoint): the interval in applied ops and
+	// the writer-owned count since the last checkpoint.
+	every     int
+	sinceCkpt int
+
 	// dur is the durability state (nil for in-memory services); werr
 	// latches the first WAL/checkpoint failure, after which the service is
 	// fail-stopped: no further op is applied and Enqueue/Flush/Close
@@ -257,6 +266,7 @@ func wrapEngine(eng *dynamic.Engine, opt Options) *Service {
 		k:     eng.K(),
 		n:     eng.Graph().N(),
 		gate:  opt.ApplyGate,
+		every: opt.CheckpointEvery,
 		in:    make(chan item, opt.QueueCapacity),
 		quit:  make(chan struct{}),
 		done:  make(chan struct{}),
@@ -361,14 +371,11 @@ func (s *Service) run(maxBatch int) {
 				// after its batch in the stream. chunk aliases buf — the
 				// sink copies what it retains.
 				if sink := s.replSink(); sink != nil {
-					sink.ReplBatch(svcCheckpointer{s}, chunk, s.eng.Snapshot().Version())
+					sink.ReplBatch(chunk, s.eng.Snapshot().Version())
 				}
 			}
-			if s.dur != nil {
-				if err := s.maybeCheckpoint(end - off); err != nil {
-					s.fail(err)
-					break
-				}
+			if s.maybeCheckpoint(end-off) != nil {
+				break
 			}
 		}
 		buf = buf[:0]

@@ -7,8 +7,10 @@ import (
 	"repro/internal/serve"
 )
 
-// ReplPrimaryOptions tunes AttachPrimary; the zero value picks
-// defaults (a 64Ki-op history window before checkpoint-and-trim).
+// ReplPrimaryOptions tunes AttachPrimary. It has no fields: the
+// primary installs followers from the service's latest checkpoint and
+// keeps history back to it, so ServiceOptions.CheckpointEvery bounds
+// the history.
 type ReplPrimaryOptions = repl.PrimaryOptions
 
 // ReplPrimary is the log-shipping side of replication: attached to a
