@@ -1,105 +1,122 @@
 package core
 
 import (
+	"fmt"
+	"math/bits"
+	"slices"
 	"time"
 
 	"repro/internal/graph"
 	"repro/internal/kclique"
 )
 
-// heapEntry is a clique held in the global min-heap of Algorithm 3: the
-// local-minimum-score clique found in some root's out-neighbourhood.
-// Members are kept sorted ascending so the strict tie-break comparator
-// needs no per-comparison sort or copy; the root (the maximum-ordering
-// member, needed for lazy recomputation) is carried separately.
-type heapEntry struct {
-	clique []int32 // sorted ascending
-	root   int32   // maximum-ordering member, Algorithm 3's heap key owner
+// rootMin is a root's local minimum-score clique, the result of
+// Algorithm 3's FindMin over the root's valid out-neighbourhood. Members
+// are sorted ascending.
+type rootMin struct {
+	clique []int32
 	score  int64
-	seq    int64 // discovery sequence, the default tie-break
 }
 
-// cliqueHeap is a binary min-heap of entries ordered by (score,
-// tie-break). Its typed sift methods stand in for container/heap, whose
-// Push and Pop box every entry in an interface. Both tie-breaks make the
-// order strict and total (seq is unique; under StrictTies each root holds
-// at most one entry and a clique is found only from its own root, so no
-// two entries share a member list), so the pop sequence is the same as
-// any other correct heap's.
-type cliqueHeap struct {
-	entries []heapEntry
-	strict  bool
+// cliqueQueue is Calculation's priority queue: a monotone radix heap
+// (Ahuja, Mehlhorn, Orlin and Tarjan, JACM 1990) on clique score that pops
+// roots in (score, tie-break) order. Each root has at most one entry, its
+// mins slot. The buckets hold (score, root) pairs, and a re-push overwrites
+// the slot of the stale entry popped just before it.
+//
+// The queue is monotone: no push is below the last popped score. Calculation
+// re-pushes root r only right after popping r's stale entry, and the new
+// entry minimises over r's current valid out-neighbourhood, a subset of
+// the one the old entry minimised over, so s_new >= s_old >= every earlier
+// pop. On an equal score the new tie key is larger as well. By default ties
+// go to the earlier push, and the new entry is the latest. Under
+// StrictTies ties go to the lexicographically least member list, and the
+// old clique was the least one of its score in the larger neighbourhood;
+// the new one differs from it, because the new one is all-valid.
+type cliqueQueue struct {
+	mins   []rootMin // per root: its queued or last popped local minimum
+	strict bool
+	// last is the score of the current run: every queued score is >= last.
+	// Scores are sums of k-clique counts, so last starts at 0. buckets[b],
+	// b >= 1, holds the scores whose highest bit differing from last is
+	// bit b-1; buckets[0][head:] is the rest of the run at last.
+	last    int64
+	head    int
+	buckets [64][]queueItem
 }
 
-func (h *cliqueHeap) less(i, j int) bool {
-	a, b := &h.entries[i], &h.entries[j]
-	if a.score != b.score {
-		return a.score < b.score
+type queueItem struct {
+	score int64
+	root  int32
+}
+
+// push queues root's local minimum, mins[root]. Buckets fill in push
+// order and keep it, so by default the run pops first in, first out. Under
+// StrictTies a push to the current run goes to its ordered place in the
+// part not yet popped.
+func (q *cliqueQueue) push(root int32) {
+	it := queueItem{score: q.mins[root].score, root: root}
+	if it.score < q.last {
+		panic(fmt.Sprintf("core: clique queue push of score %d below the last popped score %d", it.score, q.last))
 	}
-	if h.strict {
-		return cliqueLexLess(a.clique, b.clique)
+	b := bits.Len64(uint64(it.score ^ q.last))
+	if b == 0 && q.strict {
+		i, _ := slices.BinarySearchFunc(q.buckets[0][q.head:], it, q.lexCompare)
+		q.buckets[0] = slices.Insert(q.buckets[0], q.head+i, it)
+		return
 	}
-	return a.seq < b.seq
+	q.buckets[b] = append(q.buckets[b], it)
 }
 
-func (h *cliqueHeap) swap(i, j int) { h.entries[i], h.entries[j] = h.entries[j], h.entries[i] }
-
-// init establishes the heap order over entries.
-func (h *cliqueHeap) init() {
-	n := len(h.entries)
-	for i := n/2 - 1; i >= 0; i-- {
-		h.down(i, n)
+// pop removes the first entry in (score, tie-break) order and returns its
+// root, or false when the queue is empty.
+func (q *cliqueQueue) pop() (int32, bool) {
+	if q.head == len(q.buckets[0]) && !q.nextRun() {
+		return 0, false
 	}
+	q.head++
+	return q.buckets[0][q.head-1].root, true
 }
 
-func (h *cliqueHeap) push(e heapEntry) {
-	h.entries = append(h.entries, e)
-	h.up(len(h.entries) - 1)
-}
-
-// pop removes and returns the minimum entry; the heap must not be empty.
-func (h *cliqueHeap) pop() heapEntry {
-	n := len(h.entries) - 1
-	h.swap(0, n)
-	h.down(0, n)
-	e := h.entries[n]
-	h.entries = h.entries[:n]
-	return e
-}
-
-func (h *cliqueHeap) up(j int) {
-	for j > 0 {
-		i := (j - 1) / 2 // parent
-		if !h.less(j, i) {
-			break
-		}
-		h.swap(i, j)
-		j = i
+// nextRun forms the run at the least queued score: the lowest non-empty
+// bucket holds it, so last moves to it and that bucket's entries move
+// down, the ones at last into buckets[0]. Under StrictTies the run is
+// then sorted by member list.
+func (q *cliqueQueue) nextRun() bool {
+	b := 1
+	for b < len(q.buckets) && len(q.buckets[b]) == 0 {
+		b++
 	}
+	if b == len(q.buckets) {
+		return false
+	}
+	src := q.buckets[b]
+	q.last = src[0].score
+	for _, it := range src[1:] {
+		q.last = min(q.last, it.score)
+	}
+	q.buckets[0], q.head = q.buckets[0][:0], 0
+	for _, it := range src {
+		i := bits.Len64(uint64(it.score ^ q.last))
+		q.buckets[i] = append(q.buckets[i], it)
+	}
+	q.buckets[b] = src[:0]
+	if q.strict {
+		slices.SortFunc(q.buckets[0], q.lexCompare)
+	}
+	return true
 }
 
-// down sifts entry i toward the leaves of the heap's first n entries.
-func (h *cliqueHeap) down(i, n int) {
-	for {
-		j := 2*i + 1 // left child
-		if j >= n {
-			return
-		}
-		if r := j + 1; r < n && h.less(r, j) {
-			j = r
-		}
-		if !h.less(j, i) {
-			return
-		}
-		h.swap(i, j)
-		i = j
-	}
+// lexCompare orders two entries of one run by their member lists, the
+// StrictTies tie-break.
+func (q *cliqueQueue) lexCompare(a, b queueItem) int {
+	return slices.Compare(q.mins[a.root].clique, q.mins[b.root].clique)
 }
 
 // runLightweight is Algorithm 3 (the L and LP competitors): compute node
 // scores without storing cliques, orient the graph by ascending score,
-// seed a min-heap with each root's local minimum-score clique (HeapInit,
-// done root-parallel), then repeatedly commit the global minimum, lazily
+// queue each root's local minimum-score clique (HeapInit, done
+// root-parallel), then repeatedly commit the global minimum, lazily
 // recomputing a root's local minimum when its cached clique has been
 // invalidated (Calculation). prune selects the score-driven pruning
 // strategy inside FindMin — the only difference between L and LP.
@@ -125,32 +142,24 @@ func runLightweight(g *graph.Graph, opt *Options, prune bool) ([][]int32, uint64
 	}
 
 	// HeapInit (lines 10-14): one local minimum per root, root-parallel on
-	// the kclique worker pool. Results land in a per-root slot, so the heap
-	// seeded below is identical for every worker count: sequence numbers are
-	// assigned serially in root order afterwards.
+	// the kclique worker pool. Results land in a per-root slot and are
+	// queued serially in root order afterwards, so the queue is identical
+	// for every worker count.
 	maxDeg := g.MaxDegree()
-	type found struct {
-		clique []int32
-		score  int64
-	}
-	local := make([]found, n)
+	mins := make([]rootMin, n)
 	kclique.ParallelRoots(d, k, opt.Workers, func(_ int, u int32, sc *kclique.Scratch) bool {
 		if c, s, ok := findMin(d, k, u, scores, nil, prune, sc); ok {
 			sortClique(c)
-			local[u] = found{clique: c, score: s}
+			mins[u] = rootMin{clique: c, score: s}
 		}
 		return true
 	})
-
-	h := &cliqueHeap{strict: opt.StrictTies}
-	var seq int64
+	q := &cliqueQueue{mins: mins, strict: opt.StrictTies}
 	for u := int32(0); int(u) < n; u++ {
-		if local[u].clique != nil {
-			h.entries = append(h.entries, heapEntry{clique: local[u].clique, root: u, score: local[u].score, seq: seq})
-			seq++
+		if mins[u].clique != nil {
+			q.push(u)
 		}
 	}
-	h.init()
 
 	// Calculation (lines 31-39).
 	valid := make([]bool, n)
@@ -160,37 +169,38 @@ func runLightweight(g *graph.Graph, opt *Options, prune bool) ([][]int32, uint64
 	sc := kclique.GetScratch(k, maxDeg)
 	defer kclique.PutScratch(sc)
 	var out [][]int32
-	pops := 0
-	for len(h.entries) > 0 {
-		pops++
+	for pops := 1; ; pops++ {
 		if !deadline.IsZero() && pops&1023 == 0 && time.Now().After(deadline) {
 			return nil, total, ErrOOT
 		}
-		e := h.pop()
+		root, queued := q.pop()
+		if !queued {
+			break
+		}
+		clique := mins[root].clique
 		ok := true
-		for _, v := range e.clique {
+		for _, v := range clique {
 			if !valid[v] {
 				ok = false
 				break
 			}
 		}
 		if ok {
-			for _, v := range e.clique {
+			for _, v := range clique {
 				valid[v] = false
 			}
-			out = append(out, e.clique)
+			out = append(out, clique)
 			continue
 		}
 		// Stale entry: if the root is still free, recompute its local
 		// minimum over the shrunken valid out-neighbourhood and re-push.
-		root := e.root
 		if !valid[root] || d.OutDegree(root) < k-1 {
 			continue
 		}
 		if c, s, found := findMin(d, k, root, scores, valid, prune, sc); found {
 			sortClique(c)
-			h.push(heapEntry{clique: c, root: root, score: s, seq: seq})
-			seq++
+			mins[root] = rootMin{clique: c, score: s}
+			q.push(root)
 		}
 	}
 	return out, total, nil

@@ -1,6 +1,8 @@
 package graph
 
 import (
+	"cmp"
+	"math"
 	"math/rand"
 	"slices"
 	"sort"
@@ -273,6 +275,74 @@ func TestScoreOrdering(t *testing.T) {
 	// Ties (nodes 1 and 3, scores 0) broken by degree: deg(3)=1 < deg(1)=2.
 	if !(ord.Rank[3] < ord.Rank[1]) {
 		t.Errorf("tie-break by degree failed: rank3=%d rank1=%d", ord.Rank[3], ord.Rank[1])
+	}
+}
+
+// orderBy is the comparison-sort reference for the counting and radix
+// orderings: nodes are ranked ascending by (key, degree, id).
+func orderBy(g *Graph, key func(u int32) int64) Ordering {
+	n := g.N()
+	perm := make([]int32, n)
+	for i := range perm {
+		perm[i] = int32(i)
+	}
+	slices.SortFunc(perm, func(a, b int32) int {
+		if c := cmp.Compare(key(a), key(b)); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(g.Degree(a), g.Degree(b)); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	rank := make([]int32, n)
+	for r, u := range perm {
+		rank[u] = int32(r)
+	}
+	return Ordering{Rank: rank, ByRank: perm}
+}
+
+// TestScoreOrderingMatchesComparisonSort checks the radix sort against
+// orderBy on score vectors that need zero, one and many passes: all
+// equal, a small span, negative scores, spans past 2^40 and the full
+// int64 range.
+func TestScoreOrderingMatchesComparisonSort(t *testing.T) {
+	draws := []struct {
+		name string
+		draw func(rng *rand.Rand) int64
+	}{
+		{"all equal", func(*rand.Rand) int64 { return 7 }},
+		{"byte span", func(rng *rand.Rand) int64 { return rng.Int63n(140) }},
+		{"few values", func(rng *rand.Rand) int64 { return rng.Int63n(3) * 256 }},
+		{"negative", func(rng *rand.Rand) int64 { return rng.Int63n(2000) - 1000 }},
+		{"2^40 span", func(rng *rand.Rand) int64 { return rng.Int63n(1<<42) - 1<<41 }},
+		{"int64 range", func(rng *rand.Rand) int64 {
+			switch rng.Intn(4) {
+			case 0:
+				return math.MinInt64
+			case 1:
+				return math.MaxInt64
+			}
+			return int64(rng.Uint64())
+		}},
+	}
+	for _, d := range draws {
+		for seed := int64(0); seed < 8; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			g := randomGraph(40+int(seed)*20, 0.08, seed)
+			score := make([]int64, g.N())
+			for i := range score {
+				score[i] = d.draw(rng)
+			}
+			got := ScoreOrdering(g, score)
+			want := orderBy(g, func(u int32) int64 { return score[u] })
+			if !slices.Equal(got.Rank, want.Rank) || !slices.Equal(got.ByRank, want.ByRank) {
+				t.Fatalf("%s, seed %d: ScoreOrdering %v, (score, degree, id) sort %v", d.name, seed, got.ByRank, want.ByRank)
+			}
+		}
+	}
+	if ord := ScoreOrdering(NewBuilder(0).MustBuild(), nil); len(ord.Rank) != 0 || len(ord.ByRank) != 0 {
+		t.Fatalf("empty graph: %+v", ord)
 	}
 }
 

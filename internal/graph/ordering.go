@@ -1,9 +1,6 @@
 package graph
 
-import (
-	"cmp"
-	"slices"
-)
+import "slices"
 
 // An Ordering assigns each node a distinct rank η in [0, N). Algorithms in
 // this repository follow the paper's convention (Algorithm 1 line 3): the
@@ -15,32 +12,6 @@ type Ordering struct {
 	Rank []int32
 	// ByRank[r] is the node with rank r (the inverse permutation).
 	ByRank []int32
-}
-
-// orderBy builds an Ordering from a comparison key: nodes are ranked
-// ascending by (key, tiebreak-degree, id). Distinct ranks are guaranteed.
-func orderBy(g *Graph, key func(u int32) int64) Ordering {
-	n := g.N()
-	perm := make([]int32, n)
-	for i := range perm {
-		perm[i] = int32(i)
-	}
-	// The (key, degree, id) comparator is a total order, so the unstable
-	// slices.SortFunc produces the same permutation SliceStable did.
-	slices.SortFunc(perm, func(a, b int32) int {
-		if c := cmp.Compare(key(a), key(b)); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(g.Degree(a), g.Degree(b)); c != 0 {
-			return c
-		}
-		return cmp.Compare(a, b)
-	})
-	rank := make([]int32, n)
-	for r, u := range perm {
-		rank[u] = int32(r)
-	}
-	return Ordering{Rank: rank, ByRank: perm}
 }
 
 // DegreeOrdering ranks nodes ascending by degree: a node with a larger
@@ -67,8 +38,42 @@ func DegreeOrdering(g *Graph) Ordering {
 
 // ScoreOrdering ranks nodes ascending by the given per-node score (the
 // node scores s_n of Algorithm 3 line 3). Ties broken by (degree, id).
+// It is a stable LSD radix sort of DegreeOrdering's (degree, id)
+// permutation, one counting pass per byte of the score span max − min,
+// keyed on score − min so any int64 scores work. Scores on social graphs
+// span a byte or two, so this is one or two passes over the nodes.
 func ScoreOrdering(g *Graph, score []int64) Ordering {
-	return orderBy(g, func(u int32) int64 { return score[u] })
+	// DegreeOrdering's Rank array is not needed: it is the pass buffer,
+	// and then the rank array of the result.
+	ord := DegreeOrdering(g)
+	perm, buf := ord.ByRank, ord.Rank
+	if len(perm) == 0 {
+		return ord
+	}
+	score = score[:len(perm)]
+	lo := uint64(slices.Min(score))
+	span := uint64(slices.Max(score)) - lo
+	for shift := 0; shift < 64 && span>>shift != 0; shift += 8 {
+		var next [256]int
+		for _, u := range perm {
+			next[byte((uint64(score[u])-lo)>>shift)]++
+		}
+		at := 0
+		for b, c := range next {
+			next[b] = at
+			at += c
+		}
+		for _, u := range perm {
+			b := byte((uint64(score[u]) - lo) >> shift)
+			buf[next[b]] = u
+			next[b]++
+		}
+		perm, buf = buf, perm
+	}
+	for r, u := range perm {
+		buf[u] = int32(r)
+	}
+	return Ordering{Rank: buf, ByRank: perm}
 }
 
 // DegeneracyOrdering computes the standard core (degeneracy) ordering by
@@ -174,33 +179,33 @@ type DAG struct {
 	out     []int32 // len M
 }
 
-// Orient builds the DAG of g under ord in two passes: out-degrees into the
-// offsets, then the rows into one flat array.
+// Orient builds the DAG of g under ord in one pass. Ranks are distinct,
+// so every edge is oriented exactly once and the rows fill exactly M
+// slots; each row's end offset is written as the row closes. Each
+// neighbour is stored unconditionally and kept by advancing the write
+// position only when it has the smaller rank: half of all adjacency
+// entries are kept, each edge from one of its two ends, and a branch on
+// which would mispredict often. The store after the last kept neighbour
+// needs one slot of slack.
 func Orient(g *Graph, ord Ordering) *DAG {
 	n := g.N()
+	rank := ord.Rank
 	offsets := make([]int64, n+1)
+	out := make([]int32, g.M()+1)
+	w := int64(0)
 	for u := int32(0); int(u) < n; u++ {
-		ru := ord.Rank[u]
-		cnt := int64(0)
+		ru := rank[u]
 		for _, v := range g.Neighbors(u) {
-			if ord.Rank[v] < ru {
-				cnt++
+			out[w] = v
+			var keep int64
+			if rank[v] < ru {
+				keep = 1
 			}
+			w += keep
 		}
-		offsets[u+1] = offsets[u] + cnt
+		offsets[u+1] = w
 	}
-	out := make([]int32, offsets[n])
-	w := 0
-	for u := int32(0); int(u) < n; u++ {
-		ru := ord.Rank[u]
-		for _, v := range g.Neighbors(u) {
-			if ord.Rank[v] < ru {
-				out[w] = v
-				w++
-			}
-		}
-	}
-	return &DAG{G: g, Ord: ord, offsets: offsets, out: out}
+	return &DAG{G: g, Ord: ord, offsets: offsets, out: out[:w]}
 }
 
 // Out returns the out-neighbours of u (neighbours with smaller rank),

@@ -15,6 +15,7 @@ package kclique
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/graph"
 )
@@ -25,6 +26,10 @@ type Scratch struct {
 	cand  [][]int32 // candidate sets per recursion level
 	stack []int32   // current partial clique
 	best  []int32   // best clique found by FindMin
+
+	// tieA and tieB hold the sorted member lists FindMinStrict compares
+	// on a score tie (lexLess); grown to k on the first tie.
+	tieA, tieB []int32
 
 	// mark/epoch stamp one candidate set at a time: mark[v]>>6 == epoch
 	// means v is in the current set, and the low six bits hold v's local
@@ -391,26 +396,17 @@ func (st *findMinState) result() ([]int32, int64, bool) {
 	return append([]int32(nil), st.sc.best...), st.bestScore, true
 }
 
-// cliqueLexLess compares cliques by their sorted member lists.
-func cliqueLexLess(a, b []int32) bool {
-	sa := append([]int32(nil), a...)
-	sb := append([]int32(nil), b...)
-	sortInt32(sa)
-	sortInt32(sb)
-	for i := 0; i < len(sa) && i < len(sb); i++ {
-		if sa[i] != sb[i] {
-			return sa[i] < sb[i]
-		}
-	}
-	return len(sa) < len(sb)
-}
-
-func sortInt32(s []int32) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
+// lexLess reports whether clique a precedes clique b in the fixed total
+// clique ordering of Theorem 4: their member lists compared in ascending
+// order. Neither input is modified; the sorted copies go into the tie
+// buffers, so a comparison allocates nothing once they have held k
+// members.
+func (sc *Scratch) lexLess(a, b []int32) bool {
+	sc.tieA = append(sc.tieA[:0], a...)
+	sc.tieB = append(sc.tieB[:0], b...)
+	slices.Sort(sc.tieA)
+	slices.Sort(sc.tieB)
+	return slices.Compare(sc.tieA, sc.tieB) < 0
 }
 
 // offer considers the completion sc.stack + v, of clique score s, as the
@@ -421,8 +417,9 @@ func (st *findMinState) offer(v int32, s int64) {
 	if !better && st.strict && s == st.bestScore && len(sc.best) > 0 {
 		// Fixed total clique ordering: break the score tie by the sorted
 		// member lists (Theorem 4).
-		candidate := append(append([]int32(nil), sc.stack...), v)
-		better = cliqueLexLess(candidate, sc.best)
+		sc.stack = append(sc.stack, v)
+		better = sc.lexLess(sc.stack, sc.best)
+		sc.stack = sc.stack[:len(sc.stack)-1]
 	}
 	if better {
 		st.bestScore = s

@@ -2,10 +2,12 @@ package kclique
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
 
+	"repro/internal/gen"
 	"repro/internal/graph"
 )
 
@@ -125,7 +127,7 @@ func TestFindMinStrictReturnsLexSmallest(t *testing.T) {
 				for _, x := range c {
 					s += scores[x]
 				}
-				if s == gotScore && cliqueLexLess(c, got) {
+				if s == gotScore && slices.Compare(sorted(c), sorted(got)) < 0 {
 					t.Fatalf("seed=%d u=%d: %v beats returned %v", seed, u, c, got)
 				}
 				if s < gotScore {
@@ -192,16 +194,11 @@ func TestQuickFindOneAgreesWithEnumeration(t *testing.T) {
 	}
 }
 
-func TestSortInt32(t *testing.T) {
-	s := []int32{5, 1, 4, 1, 3}
-	sortInt32(s)
-	want := []int32{1, 1, 3, 4, 5}
-	for i := range want {
-		if s[i] != want[i] {
-			t.Fatalf("got %v", s)
-		}
-	}
-	sortInt32(nil) // must not panic
+// sorted returns an ascending copy of a clique's members.
+func sorted(c []int32) []int32 {
+	s := slices.Clone(c)
+	slices.Sort(s)
+	return s
 }
 
 func TestCliqueLexLess(t *testing.T) {
@@ -214,9 +211,36 @@ func TestCliqueLexLess(t *testing.T) {
 		{[]int32{1, 2}, []int32{1, 2, 3}, true},     // prefix shorter
 		{[]int32{1, 2, 3}, []int32{1, 2, 3}, false}, // equal
 	}
+	sc := NewScratch(3, 0)
 	for _, tc := range cases {
-		if got := cliqueLexLess(tc.a, tc.b); got != tc.want {
-			t.Errorf("cliqueLexLess(%v,%v) = %v, want %v", tc.a, tc.b, got, tc.want)
+		a, b := slices.Clone(tc.a), slices.Clone(tc.b)
+		if got := sc.lexLess(a, b); got != tc.want {
+			t.Errorf("lexLess(%v,%v) = %v, want %v", tc.a, tc.b, got, tc.want)
 		}
+		if !slices.Equal(a, tc.a) || !slices.Equal(b, tc.b) {
+			t.Errorf("lexLess(%v,%v) reordered its inputs to %v, %v", tc.a, tc.b, a, b)
+		}
+	}
+}
+
+// TestFindMinStrictAllocatesLikeFindMin: breaking a score tie compares
+// sorted copies in the scratch's buffers, so over every root of a score
+// DAG with many ties FindMinStrict allocates exactly what FindMin does,
+// one result copy per root that has a clique.
+func TestFindMinStrictAllocatesLikeFindMin(t *testing.T) {
+	g := gen.CommunitySocial(4000, 16, 0.2, 40000, 5)
+	k := 4
+	_, score := Count(listingDAG(g), k, 1)
+	d := graph.Orient(g, graph.ScoreOrdering(g, score))
+	sc := NewScratch(k, g.MaxDegree())
+	allocs := func(find func(*graph.DAG, int, int32, []int64, []bool, bool, *Scratch) ([]int32, int64, bool)) float64 {
+		return testing.AllocsPerRun(2, func() {
+			for u := int32(0); int(u) < g.N(); u++ {
+				find(d, k, u, score, nil, true, sc)
+			}
+		})
+	}
+	if plain, strict := allocs(FindMin), allocs(FindMinStrict); strict != plain {
+		t.Fatalf("over %d roots FindMinStrict made %.0f allocations, FindMin %.0f", g.N(), strict, plain)
 	}
 }
