@@ -44,15 +44,21 @@ func cliquesDigest(cliques [][]int32) string {
 
 // TestFindDigests pins the static methods' outputs: the md5 of
 // Result.Cliques and TotalKCliques for L, LP and GC at k = 3..5, by
-// default and under StrictTies, at 1 and 2 workers. Each shape has
-// score-DAG roots on both sides of the word-packed kernel's 64-member
-// cap. Under StrictTies all three methods agree (Theorem 4 for GC and
-// LP).
+// default and under StrictTies, at 1 and 2 workers. Under StrictTies all
+// three methods agree (Theorem 4 for GC and LP).
+//
+// The first three shapes have score-DAG roots on both sides of the
+// word-packed kernel's 64-member cap, and their largest degrees (67, 254
+// and 83) send L and LP's count to the listing DAG (kclique.CountDAG).
+// "degree" has a largest degree of 26, so L and LP count on the degree
+// DAG; its digests were taken before the count DAG could be the degree
+// DAG.
 func TestFindDigests(t *testing.T) {
 	shapes := map[string]*graph.Graph{
 		"community": gen.CommunitySocial(600, 12, 0.2, 10000, 12),
 		"ba":        gen.BarabasiAlbert(2000, 12, 7),
 		"core":      digestCore(),
+		"degree":    gen.CommunitySocial(2000, 12, 0.2, 4000, 12),
 	}
 	want := []struct {
 		shape string
@@ -70,6 +76,9 @@ func TestFindDigests(t *testing.T) {
 		{"core", 3, 33584, [6]string{"ef0f3c0b47e2e561b07b21d33f01a8db", "ef0f3c0b47e2e561b07b21d33f01a8db", "802d27b6e721717bd7fec51d9e50d316", "ebc9921a5e40fdabe9e3f5dd16ec44a5", "ebc9921a5e40fdabe9e3f5dd16ec44a5", "ebc9921a5e40fdabe9e3f5dd16ec44a5"}},
 		{"core", 4, 65801, [6]string{"a2707ad0614ca9980657a29996d20be3", "a2707ad0614ca9980657a29996d20be3", "37e4a88bf9731c5ded2e5272f3ec8c1e", "48fd47c782806f279930f31d9a20b5fc", "48fd47c782806f279930f31d9a20b5fc", "48fd47c782806f279930f31d9a20b5fc"}},
 		{"core", 5, 29920, [6]string{"110dab1a22e13e3ff0ac0a318aafee62", "110dab1a22e13e3ff0ac0a318aafee62", "110dab1a22e13e3ff0ac0a318aafee62", "7d1614971f8c32708eacb537220f181c", "7d1614971f8c32708eacb537220f181c", "7d1614971f8c32708eacb537220f181c"}},
+		{"degree", 3, 18758, [6]string{"d2431820a978c90908af4e1072dfb066", "d2431820a978c90908af4e1072dfb066", "329ee026ce9c2c2a3dd2585284aae43e", "2d3a283f08b4d516a501d28f3692fdf7", "2d3a283f08b4d516a501d28f3692fdf7", "2d3a283f08b4d516a501d28f3692fdf7"}},
+		{"degree", 4, 21138, [6]string{"ce0bba8bf29a1bd23f6109cbbce9e34b", "ce0bba8bf29a1bd23f6109cbbce9e34b", "6d49a0eafc987fb17ea3c55999a3ce43", "8c980b01a2433225a084d151623bdd79", "8c980b01a2433225a084d151623bdd79", "8c980b01a2433225a084d151623bdd79"}},
+		{"degree", 5, 13722, [6]string{"443d795779f790260a97a2faf250ea66", "443d795779f790260a97a2faf250ea66", "53f127a665e12710f079d8fde8852515", "402a402532b1a12786945d6a6146f553", "402a402532b1a12786945d6a6146f553", "402a402532b1a12786945d6a6146f553"}},
 	}
 	for _, w := range want {
 		i := 0

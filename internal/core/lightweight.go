@@ -10,19 +10,11 @@ import (
 	"repro/internal/kclique"
 )
 
-// rootMin is a root's local minimum-score clique, the result of
-// Algorithm 3's FindMin over the root's valid out-neighbourhood. Members
-// are sorted ascending.
-type rootMin struct {
-	clique []int32
-	score  int64
-}
-
 // cliqueQueue is Calculation's priority queue: a monotone radix heap
 // (Ahuja, Mehlhorn, Orlin and Tarjan, JACM 1990) on clique score that pops
 // roots in (score, tie-break) order. Each root has at most one entry, its
-// mins slot. The buckets hold (score, root) pairs, and a re-push overwrites
-// the slot of the stale entry popped just before it.
+// slot in the slab. The buckets hold (score, root) pairs, and a re-push
+// overwrites the slot of the stale entry popped just before it.
 //
 // The queue is monotone: no push is below the last popped score. Calculation
 // re-pushes root r only right after popping r's stale entry, and the new
@@ -34,8 +26,17 @@ type rootMin struct {
 // old clique was the least one of its score in the larger neighbourhood;
 // the new one differs from it, because the new one is all-valid.
 type cliqueQueue struct {
-	mins   []rootMin // per root: its queued or last popped local minimum
-	strict bool
+	// The slab holds each root's queued or last popped local minimum, the
+	// result of Algorithm 3's FindMin over the root's valid
+	// out-neighbourhood: root r's members, sorted ascending, are
+	// members[r*k : r*k+k] (see clique), and score[r] is its clique score.
+	// score[r] == 0 marks a root without one: each member of a clique lies
+	// in it, so a clique's score is at least k. Pointer-free, so the GC
+	// never scans it.
+	k       int
+	members []int32
+	score   []int64
+	strict  bool
 	// last is the score of the current run: every queued score is >= last.
 	// Scores are sums of k-clique counts, so last starts at 0. buckets[b],
 	// b >= 1, holds the scores whose highest bit differing from last is
@@ -45,17 +46,29 @@ type cliqueQueue struct {
 	buckets [64][]queueItem
 }
 
+// newCliqueQueue returns an empty queue with a slab for n roots and
+// cliques of k members.
+func newCliqueQueue(n, k int, strict bool) *cliqueQueue {
+	return &cliqueQueue{k: k, members: make([]int32, n*k), score: make([]int64, n), strict: strict}
+}
+
+// clique returns root's slot in the slab: k members, capacity k.
+func (q *cliqueQueue) clique(root int32) []int32 {
+	i := int(root) * q.k
+	return q.members[i : i+q.k : i+q.k]
+}
+
 type queueItem struct {
 	score int64
 	root  int32
 }
 
-// push queues root's local minimum, mins[root]. Buckets fill in push
-// order and keep it, so by default the run pops first in, first out. Under
-// StrictTies a push to the current run goes to its ordered place in the
-// part not yet popped.
+// push queues root's local minimum, its slot in the slab. Buckets fill in
+// push order and keep it, so by default the run pops first in, first out.
+// Under StrictTies a push to the current run goes to its ordered place in
+// the part not yet popped.
 func (q *cliqueQueue) push(root int32) {
-	it := queueItem{score: q.mins[root].score, root: root}
+	it := queueItem{score: q.score[root], root: root}
 	if it.score < q.last {
 		panic(fmt.Sprintf("core: clique queue push of score %d below the last popped score %d", it.score, q.last))
 	}
@@ -110,7 +123,7 @@ func (q *cliqueQueue) nextRun() bool {
 // lexCompare orders two entries of one run by their member lists, the
 // StrictTies tie-break.
 func (q *cliqueQueue) lexCompare(a, b queueItem) int {
-	return slices.Compare(q.mins[a.root].clique, q.mins[b.root].clique)
+	return slices.Compare(q.clique(a.root), q.clique(b.root))
 }
 
 // runLightweight is Algorithm 3 (the L and LP competitors): compute node
@@ -126,8 +139,7 @@ func runLightweight(g *graph.Graph, opt *Options, prune bool) ([][]int32, uint64
 	n := g.N()
 
 	// Line 2: node scores from the counting pass (memory O(n+m)).
-	countDAG := graph.Orient(g, graph.ListingOrdering(g))
-	total, scores, err := kclique.CountWithDeadline(countDAG, k, opt.Workers, deadline)
+	total, scores, err := kclique.CountWithDeadline(kclique.CountDAG(g), k, opt.Workers, deadline)
 	if err != nil {
 		return nil, total, ErrOOT
 	}
@@ -136,29 +148,9 @@ func runLightweight(g *graph.Graph, opt *Options, prune bool) ([][]int32, uint64
 	ord := graph.ScoreOrdering(g, scores)
 	d := graph.Orient(g, ord)
 
-	findMin := kclique.FindMin
-	if opt.StrictTies {
-		findMin = kclique.FindMinStrict
-	}
-
-	// HeapInit (lines 10-14): one local minimum per root, root-parallel on
-	// the kclique worker pool. Results land in a per-root slot and are
-	// queued serially in root order afterwards, so the queue is identical
-	// for every worker count.
-	maxDeg := g.MaxDegree()
-	mins := make([]rootMin, n)
-	kclique.ParallelRoots(d, k, opt.Workers, func(_ int, u int32, sc *kclique.Scratch) bool {
-		if c, s, ok := findMin(d, k, u, scores, nil, prune, sc); ok {
-			sortClique(c)
-			mins[u] = rootMin{clique: c, score: s}
-		}
-		return true
-	})
-	q := &cliqueQueue{mins: mins, strict: opt.StrictTies}
-	for u := int32(0); int(u) < n; u++ {
-		if mins[u].clique != nil {
-			q.push(u)
-		}
+	q := newCliqueQueue(n, k, opt.StrictTies)
+	if !q.heapInit(d, scores, prune, opt.Workers, deadline) {
+		return nil, total, ErrOOT
 	}
 
 	// Calculation (lines 31-39).
@@ -166,9 +158,9 @@ func runLightweight(g *graph.Graph, opt *Options, prune bool) ([][]int32, uint64
 	for i := range valid {
 		valid[i] = true
 	}
-	sc := kclique.GetScratch(k, maxDeg)
+	sc := kclique.GetScratch(k, g.MaxDegree())
 	defer kclique.PutScratch(sc)
-	var out [][]int32
+	var picked []int32 // the roots whose cliques were committed, in order
 	for pops := 1; ; pops++ {
 		if !deadline.IsZero() && pops&1023 == 0 && time.Now().After(deadline) {
 			return nil, total, ErrOOT
@@ -177,7 +169,7 @@ func runLightweight(g *graph.Graph, opt *Options, prune bool) ([][]int32, uint64
 		if !queued {
 			break
 		}
-		clique := mins[root].clique
+		clique := q.clique(root)
 		ok := true
 		for _, v := range clique {
 			if !valid[v] {
@@ -189,19 +181,63 @@ func runLightweight(g *graph.Graph, opt *Options, prune bool) ([][]int32, uint64
 			for _, v := range clique {
 				valid[v] = false
 			}
-			out = append(out, clique)
+			picked = append(picked, root)
 			continue
 		}
 		// Stale entry: if the root is still free, recompute its local
 		// minimum over the shrunken valid out-neighbourhood and re-push.
-		if !valid[root] || d.OutDegree(root) < k-1 {
-			continue
-		}
-		if c, s, found := findMin(d, k, root, scores, valid, prune, sc); found {
-			sortClique(c)
-			mins[root] = rootMin{clique: c, score: s}
+		if valid[root] && d.OutDegree(root) >= k-1 && q.findMin(d, root, scores, valid, prune, sc) {
 			q.push(root)
 		}
 	}
+
+	// A committed root lies in its own clique, so its slot is never
+	// rewritten. The result gets an array of its own: cut from the slab, it
+	// would keep all n·k members alive.
+	flat := make([]int32, len(picked)*k)
+	out := make([][]int32, len(picked))
+	for i, root := range picked {
+		out[i] = flat[i*k : i*k+k : i*k+k]
+		copy(out[i], q.clique(root))
+	}
 	return out, total, nil
+}
+
+// heapInit is HeapInit (lines 10-14): every root's local minimum goes to
+// its slot, root-parallel on the kclique worker pool, and the roots that
+// have one are then queued serially in root order, so the queue is
+// identical for every worker count. As in the count, each worker checks
+// a non-zero deadline every 64 roots; heapInit reports false, with
+// nothing queued, when it elapsed.
+func (q *cliqueQueue) heapInit(d *graph.DAG, scores []int64, prune bool, workers int, deadline time.Time) bool {
+	done := kclique.ParallelRoots(d, q.k, workers, deadline, func(_ int, u int32, sc *kclique.Scratch) bool {
+		q.findMin(d, u, scores, nil, prune, sc)
+		return true
+	})
+	if !done {
+		return false
+	}
+	for u, s := range q.score {
+		if s != 0 {
+			q.push(int32(u))
+		}
+	}
+	return true
+}
+
+// findMin runs Algorithm 3's FindMin for root over its valid
+// out-neighbourhood (nil: all of it), with the queue's tie-break, and
+// writes the clique, sorted, and its score into root's slot. It reports
+// whether root has a clique; the slot is unchanged when it has none.
+func (q *cliqueQueue) findMin(d *graph.DAG, root int32, scores []int64, valid []bool, prune bool, sc *kclique.Scratch) bool {
+	find := kclique.FindMin
+	if q.strict {
+		find = kclique.FindMinStrict
+	}
+	c, s, ok := find(q.clique(root)[:0], d, q.k, root, scores, valid, prune, sc)
+	if ok {
+		sortClique(c)
+		q.score[root] = s
+	}
+	return ok
 }

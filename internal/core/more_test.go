@@ -228,3 +228,56 @@ func TestWindmillGraph(t *testing.T) {
 		}
 	}
 }
+
+// TestLPAllocsDoNotGrowWithRoots: L and LP keep every root's local
+// minimum in one slab, so a solve's allocations do not grow with the
+// number of roots. BenchmarkFind's graph has ~39,000 roots with a local
+// minimum; one allocation each would be far past the bound.
+func TestLPAllocsDoNotGrowWithRoots(t *testing.T) {
+	g := gen.CommunitySocial(30000, 16, 0.15, 60000, 11)
+	for _, alg := range []Algorithm{L, LP} {
+		allocs := testing.AllocsPerRun(2, func() {
+			if _, err := Find(g, Options{K: 4, Algorithm: alg, Workers: 2}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs >= 1000 {
+			t.Errorf("%v: one solve made %.0f allocations, want under 1000", alg, allocs)
+		}
+	}
+}
+
+// TestHeapInitStopsAtDeadline: HeapInit checks the deadline every 64
+// roots per worker, so with one already past it stops long before it has
+// visited every root, queues nothing and reports that it stopped.
+func TestHeapInitStopsAtDeadline(t *testing.T) {
+	g := gen.CommunitySocial(2000, 12, 0.2, 4000, 12)
+	k := 4
+	_, scores := kclique.ScoreGraph(g, k, 1)
+	d := graph.Orient(g, graph.ScoreOrdering(g, scores))
+	withMin := func(q *cliqueQueue) int {
+		n := 0
+		for _, s := range q.score {
+			if s != 0 {
+				n++
+			}
+		}
+		return n
+	}
+	for _, workers := range []int{1, 2} {
+		full := newCliqueQueue(g.N(), k, false)
+		if !full.heapInit(d, scores, true, workers, time.Time{}) {
+			t.Fatalf("workers=%d: HeapInit without a deadline reported it stopped", workers)
+		}
+		q := newCliqueQueue(g.N(), k, false)
+		if q.heapInit(d, scores, true, workers, time.Now().Add(-time.Second)) {
+			t.Fatalf("workers=%d: HeapInit past its deadline reported it finished", workers)
+		}
+		if got, all := withMin(q), withMin(full); got >= 64*workers || all <= 64*workers {
+			t.Fatalf("workers=%d: HeapInit past its deadline found %d local minima of %d", workers, got, all)
+		}
+		if root, ok := q.pop(); ok {
+			t.Fatalf("workers=%d: HeapInit past its deadline queued root %d", workers, root)
+		}
+	}
+}

@@ -56,8 +56,15 @@ func (s *queueSim) freshClique(after []int32) ([]int32, bool) {
 	return nil, false
 }
 
+// setMin writes root's local minimum into its slot, as HeapInit and
+// Calculation do before a push.
+func (q *cliqueQueue) setMin(root int32, c []int32, score int64) {
+	copy(q.clique(root), c)
+	q.score[root] = score
+}
+
 func (s *queueSim) push(root int32, c []int32, score int64) {
-	s.q.mins[root] = rootMin{clique: c, score: score}
+	s.q.setMin(root, c, score)
 	s.q.push(root)
 	s.ref = append(s.ref, refEntry{root: root, score: score, seq: s.seq})
 	s.seq++
@@ -71,7 +78,7 @@ func (s *queueSim) refPop() refEntry {
 			return c
 		}
 		if s.strict {
-			return slices.Compare(s.q.mins[a.root].clique, s.q.mins[b.root].clique)
+			return slices.Compare(s.q.clique(a.root), s.q.clique(b.root))
 		}
 		return cmp.Compare(a.seq, b.seq)
 	})
@@ -96,18 +103,18 @@ func (s *queueSim) run(roots int) {
 			continue
 		}
 		pushes++
-		popped := s.q.mins[want.root]
-		score := popped.score
+		popped, popScore := s.q.clique(want.root), s.q.score[want.root]
+		score := popScore
 		var after []int32
 		switch s.rng.Intn(5) {
 		case 0, 1: // an equal score
 			if s.strict {
-				after = popped.clique
+				after = popped
 			}
 		case 2: // the next power-of-two boundary, or just below it
 			if score > 0 && score < 1<<61 {
 				score = int64(1)<<bits.Len64(uint64(score)) - int64(s.rng.Intn(2))
-				score = max(score, popped.score)
+				score = max(score, popScore)
 			}
 		case 3:
 			score += s.rng.Int63n(8)
@@ -138,7 +145,7 @@ func TestCliqueQueueMatchesSortReference(t *testing.T) {
 				t:      t,
 				rng:    rand.New(rand.NewSource(trial)),
 				strict: strict,
-				q:      &cliqueQueue{mins: make([]rootMin, roots), strict: strict},
+				q:      newCliqueQueue(roots, 3, strict),
 				seen:   map[[3]int32]bool{},
 			}
 			s.run(roots)
@@ -159,16 +166,19 @@ func TestCliqueQueuePushBelowLastPanics(t *testing.T) {
 		}()
 		push()
 	}
-	q := &cliqueQueue{mins: []rootMin{{clique: []int32{0, 1, 2}, score: 5}, {clique: []int32{0, 1, 3}, score: 9}}}
+	q := newCliqueQueue(2, 3, false)
+	q.setMin(0, []int32{0, 1, 2}, 5)
+	q.setMin(1, []int32{0, 1, 3}, 9)
 	q.push(0)
 	q.push(1)
 	if root, _ := q.pop(); root != 0 {
 		t.Fatalf("popped root %d, want 0", root)
 	}
-	q.mins[0].score = 4
+	q.score[0] = 4
 	mustPanic("a push of score 4 after a pop at 5", func() { q.push(0) })
 
-	fresh := &cliqueQueue{mins: []rootMin{{clique: []int32{0, 1, 2}, score: -1}}}
+	fresh := newCliqueQueue(1, 3, false)
+	fresh.setMin(0, []int32{0, 1, 2}, -1)
 	mustPanic("a push of score -1", func() { fresh.push(0) })
 }
 
@@ -177,26 +187,26 @@ func TestCliqueQueuePushBelowLastPanics(t *testing.T) {
 func TestCliqueQueueZeroAlloc(t *testing.T) {
 	for _, strict := range []bool{false, true} {
 		rng := rand.New(rand.NewSource(1))
-		mins := make([]rootMin, 64)
-		for i := range mins {
-			mins[i] = rootMin{clique: []int32{int32(i), 100, 200}, score: rng.Int63n(300)}
+		const roots = 64
+		q := newCliqueQueue(roots, 3, strict)
+		for r := int32(0); r < roots; r++ {
+			q.setMin(r, []int32{r, 100, 200}, rng.Int63n(300))
 		}
-		q := &cliqueQueue{mins: mins, strict: strict}
 		allocs := testing.AllocsPerRun(50, func() {
 			q.last = 0 // restart the monotone sequence
-			for r := range mins {
-				q.push(int32(r))
+			for r := int32(0); r < roots; r++ {
+				q.push(r)
 			}
 			for {
 				r, ok := q.pop()
 				if !ok {
 					break
 				}
-				if r%3 == 0 && mins[r].clique[2] == 200 {
-					mins[r].clique[2] = 300 // a later member list at the same score
+				if c := q.clique(r); r%3 == 0 && c[2] == 200 {
+					c[2] = 300 // a later member list at the same score
 					q.push(r)
 				} else {
-					mins[r].clique[2] = 200
+					c[2] = 200
 				}
 			}
 		})

@@ -80,6 +80,12 @@ func ScoreOrdering(g *Graph, score []int64) Ordering {
 // repeatedly removing a minimum-degree node. The first removed node gets
 // rank 0. It returns the ordering and the graph degeneracy.
 func DegeneracyOrdering(g *Graph) (Ordering, int) {
+	return peel(g, false)
+}
+
+// peel computes the degeneracy ordering, or its reverse when reversed is
+// set (the first removed node gets rank n-1), and the graph degeneracy.
+func peel(g *Graph, reversed bool) (Ordering, int) {
 	n := g.N()
 	deg := make([]int32, n)
 	maxDeg := 0
@@ -115,8 +121,12 @@ func DegeneracyOrdering(g *Graph) (Ordering, int) {
 		if int(deg[u]) > degeneracy {
 			degeneracy = int(deg[u])
 		}
-		rank[u] = int32(i)
-		byRank[i] = u
+		r := int32(i)
+		if reversed {
+			r = int32(n - 1 - i)
+		}
+		rank[u] = r
+		byRank[r] = u
 		removed[u] = true
 		for _, v := range g.Neighbors(u) {
 			// Only nodes in strictly higher buckets move; nodes with
@@ -162,10 +172,10 @@ func (o Ordering) Reverse() Ordering {
 
 // ListingOrdering returns the ordering used for k-clique listing: reversed
 // degeneracy order, so each node's out-neighbourhood has size at most the
-// graph degeneracy.
+// graph degeneracy. The peel assigns the reversed ranks directly.
 func ListingOrdering(g *Graph) Ordering {
-	ord, _ := DegeneracyOrdering(g)
-	return ord.Reverse()
+	ord, _ := peel(g, true)
+	return ord
 }
 
 // DAG is the oriented version of a Graph under an Ordering: the

@@ -26,8 +26,9 @@ func Count(d *graph.DAG, k int, workers int) (uint64, []int64) {
 
 // CountWithDeadline is Count with a wall-clock budget: if deadline is
 // non-zero and elapses mid-count it returns ErrDeadline (counts are then
-// partial and must not be used). Runs on the ParallelRoots worker pool with
-// one countCtx (and its Scratch) per worker.
+// partial and must not be used). Runs on the ParallelRoots worker pool,
+// which checks the deadline, with one countCtx (and its Scratch) per
+// worker.
 func CountWithDeadline(d *graph.DAG, k int, workers int, deadline time.Time) (uint64, []int64, error) {
 	n := d.N()
 	scores := make([]int64, n)
@@ -39,14 +40,7 @@ func CountWithDeadline(d *graph.DAG, k int, workers int, deadline time.Time) (ui
 	}
 	workers = Workers(workers, n)
 	ctxs := make([]countCtx, workers)
-	ticks := make([]int, workers)
-	done := ParallelRoots(d, k, workers, func(worker int, u int32, sc *Scratch) bool {
-		if !deadline.IsZero() {
-			ticks[worker]++
-			if ticks[worker]&63 == 0 && time.Now().After(deadline) {
-				return false
-			}
-		}
+	done := ParallelRoots(d, k, workers, deadline, func(worker int, u int32, sc *Scratch) bool {
 		cc := &ctxs[worker]
 		cc.d, cc.k, cc.scores, cc.sc = d, k, scores, sc
 		if d.OutDegree(u) <= wordBits {
@@ -79,10 +73,8 @@ type countCtx struct {
 func (c *countCtx) rootWords(u int32) {
 	sc, out := c.sc, c.d.Out(u)
 	sc.loadWords(c.d.N(), out)
-	for i := range out {
-		sc.row(c.d, i) // countWords reads every row: build them all
-		sc.local[i] = 0
-	}
+	sc.buildRows(c.d, len(out))
+	clear(sc.local[:len(out)])
 	n := sc.countWords(c.k-1, fullWord(len(out)))
 	if n == 0 {
 		return
@@ -198,10 +190,22 @@ func CountNaive(d *graph.DAG, k int) (uint64, []int64) {
 	return total, scores
 }
 
-// ScoreGraph computes node scores for a plain graph: it builds a degeneracy
-// DAG internally (orientation does not change counts) and returns the total
-// k-clique count and per-node scores.
+// CountDAG orients g for Count; per-node counts do not depend on the
+// orientation. The degree order's largest out-row is the graph's largest
+// degree (the node it ranks last points at every neighbour), so when that
+// fits the word-packed kernel every root runs on it and the degeneracy
+// peel is skipped. Otherwise the listing order bounds out-rows by the
+// degeneracy, which keeps far more roots on the kernel than the degree
+// order would on a graph with hubs.
+func CountDAG(g *graph.Graph) *graph.DAG {
+	if g.MaxDegree() <= wordBits {
+		return graph.Orient(g, graph.DegreeOrdering(g))
+	}
+	return graph.Orient(g, graph.ListingOrdering(g))
+}
+
+// ScoreGraph computes node scores for a plain graph: it counts on
+// CountDAG(g) and returns the total k-clique count and per-node scores.
 func ScoreGraph(g *graph.Graph, k, workers int) (uint64, []int64) {
-	d := graph.Orient(g, graph.ListingOrdering(g))
-	return Count(d, k, workers)
+	return Count(CountDAG(g), k, workers)
 }

@@ -43,8 +43,11 @@ type Scratch struct {
 	// members (words.go).
 	ids   [wordBits]int32  // local id -> node id, ascending
 	rows  [wordBits]uint64 // rows[i]: ids[i]'s row inside the set
-	built uint64           // rows built so far (built lazily except by Count)
+	built uint64           // rows built so far (see buildRows and row)
 	local [wordBits]int64  // Count: cliques of the root through ids[i]
+	// outs[i] is ids[i]'s out-row, gathered by buildRows's first phase.
+	// It aliases a DAG, so PutScratch clears it.
+	outs [wordBits][]int32
 
 	// NoStamp forces ForEach, ParallelForEach, ForEachAmong and FindOne
 	// onto the merge recursion for every candidate set, turning off both
@@ -325,10 +328,12 @@ func FindOne(d *graph.DAG, k int, root int32, valid []bool, sc *Scratch) ([]int3
 // FindMin). With prune set, branches whose partial score already reaches
 // the best known clique score are cut (the paper's score-driven pruning);
 // with prune unset this is the plain exhaustive local search used by the L
-// variant. Returns the best clique (freshly allocated), its clique score,
-// and whether any clique was found.
-func FindMin(d *graph.DAG, k int, root int32, score []int64, valid []bool, prune bool, sc *Scratch) ([]int32, int64, bool) {
-	return findMin(d, k, root, score, valid, prune, false, sc)
+// variant. Returns dst with the best clique appended, its clique score,
+// and whether any clique was found; dst is returned unchanged when none
+// was. A nil dst gets a fresh slice, and a dst with room for k members
+// makes the search allocate nothing.
+func FindMin(dst []int32, d *graph.DAG, k int, root int32, score []int64, valid []bool, prune bool, sc *Scratch) ([]int32, int64, bool) {
+	return findMin(dst, d, k, root, score, valid, prune, false, sc)
 }
 
 // FindMinStrict is FindMin under the fixed total clique ordering of
@@ -336,22 +341,28 @@ func FindMin(d *graph.DAG, k int, root int32, score []int64, valid []bool, prune
 // the returned clique is unique for a given graph and score vector. Safe to
 // combine with pruning because equal-score ties can only materialise at the
 // final level (see the prune comment below).
-func FindMinStrict(d *graph.DAG, k int, root int32, score []int64, valid []bool, prune bool, sc *Scratch) ([]int32, int64, bool) {
-	return findMin(d, k, root, score, valid, prune, true, sc)
+func FindMinStrict(dst []int32, d *graph.DAG, k int, root int32, score []int64, valid []bool, prune bool, sc *Scratch) ([]int32, int64, bool) {
+	return findMin(dst, d, k, root, score, valid, prune, true, sc)
 }
 
-func findMin(d *graph.DAG, k int, root int32, score []int64, valid []bool, prune, strict bool, sc *Scratch) ([]int32, int64, bool) {
+func findMin(dst []int32, d *graph.DAG, k int, root int32, score []int64, valid []bool, prune, strict bool, sc *Scratch) ([]int32, int64, bool) {
 	st, cand, ok := newFindMin(d, k, root, score, valid, prune, strict, sc)
 	if !ok {
-		return nil, 0, false
+		return dst, 0, false
 	}
 	if len(cand) <= wordBits {
 		st.sc.loadWords(d.N(), cand)
+		if valid == nil {
+			// The whole out-row (HeapInit): the prune test rarely stops a
+			// top-level member, so nearly every row is read. Filtered sets
+			// (Calculation's recomputes) build theirs lazily.
+			st.sc.buildRows(d, len(cand))
+		}
 		st.recWords(k-1, fullWord(len(cand)), score[root])
 	} else {
 		st.rec(k-1, cand, score[root])
 	}
-	return st.result()
+	return st.result(dst)
 }
 
 // newFindMin sets up the search rooted at root: the candidate set is
@@ -387,13 +398,13 @@ type findMinState struct {
 	sc        *Scratch
 }
 
-// result returns a fresh copy of the best clique found, its score, and
+// result returns dst with the best clique found appended, its score, and
 // whether there was one.
-func (st *findMinState) result() ([]int32, int64, bool) {
+func (st *findMinState) result(dst []int32) ([]int32, int64, bool) {
 	if len(st.sc.best) == 0 {
-		return nil, 0, false
+		return dst, 0, false
 	}
-	return append([]int32(nil), st.sc.best...), st.bestScore, true
+	return append(dst, st.sc.best...), st.bestScore, true
 }
 
 // lexLess reports whether clique a precedes clique b in the fixed total

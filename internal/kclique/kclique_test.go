@@ -296,7 +296,7 @@ func TestFindMinMatchesEnumeration(t *testing.T) {
 			for u := int32(0); int(u) < g.N(); u++ {
 				wantScore, wantFound := minScoreRooted(d, k, u, scores)
 				for _, prune := range []bool{false, true} {
-					c, s, ok := FindMin(d, k, u, scores, nil, prune, sc)
+					c, s, ok := FindMin(nil, d, k, u, scores, nil, prune, sc)
 					if ok != wantFound {
 						t.Fatalf("seed=%d k=%d u=%d prune=%v: found=%v want %v", seed, k, u, prune, ok, wantFound)
 					}
@@ -334,7 +334,7 @@ func TestFindMinRespectsValid(t *testing.T) {
 		t.Skipf("node 0 not max rank; layout changed")
 	}
 	valid := []bool{true, true, true, true, true}
-	c1, _, ok := FindMin(d, 3, root, scores, valid, true, nil)
+	c1, _, ok := FindMin(nil, d, 3, root, scores, valid, true, nil)
 	if !ok {
 		t.Fatal("expected a triangle at root")
 	}
@@ -344,7 +344,7 @@ func TestFindMinRespectsValid(t *testing.T) {
 		valid[v] = false
 		break
 	}
-	c2, _, ok := FindMin(d, 3, root, scores, valid, true, nil)
+	c2, _, ok := FindMin(nil, d, 3, root, scores, valid, true, nil)
 	if !ok {
 		t.Fatal("expected the second triangle after invalidation")
 	}
@@ -364,8 +364,8 @@ func TestFindMinPruneEquivalence(t *testing.T) {
 		ord := graph.ScoreOrdering(g, scores)
 		d := graph.Orient(g, ord)
 		for u := int32(0); int(u) < g.N(); u++ {
-			_, s1, ok1 := FindMin(d, k, u, scores, nil, false, nil)
-			_, s2, ok2 := FindMin(d, k, u, scores, nil, true, nil)
+			_, s1, ok1 := FindMin(nil, d, k, u, scores, nil, false, nil)
+			_, s2, ok2 := FindMin(nil, d, k, u, scores, nil, true, nil)
 			if ok1 != ok2 || (ok1 && s1 != s2) {
 				t.Fatalf("seed=%d u=%d: prune changed result (%v,%d) vs (%v,%d)", seed, u, ok1, s1, ok2, s2)
 			}

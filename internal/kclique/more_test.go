@@ -113,7 +113,7 @@ func TestFindMinStrictReturnsLexSmallest(t *testing.T) {
 		ord := graph.ScoreOrdering(g, scores)
 		d := graph.Orient(g, ord)
 		for u := int32(0); int(u) < g.N(); u++ {
-			got, gotScore, ok := FindMinStrict(d, k, u, scores, nil, true, nil)
+			got, gotScore, ok := FindMinStrict(nil, d, k, u, scores, nil, true, nil)
 			if !ok {
 				continue
 			}
@@ -225,22 +225,23 @@ func TestCliqueLexLess(t *testing.T) {
 
 // TestFindMinStrictAllocatesLikeFindMin: breaking a score tie compares
 // sorted copies in the scratch's buffers, so over every root of a score
-// DAG with many ties FindMinStrict allocates exactly what FindMin does,
-// one result copy per root that has a clique.
+// DAG with many ties FindMinStrict allocates exactly what FindMin does:
+// nothing, when each result goes to a caller's buffer of k members.
 func TestFindMinStrictAllocatesLikeFindMin(t *testing.T) {
 	g := gen.CommunitySocial(4000, 16, 0.2, 40000, 5)
 	k := 4
 	_, score := Count(listingDAG(g), k, 1)
 	d := graph.Orient(g, graph.ScoreOrdering(g, score))
 	sc := NewScratch(k, g.MaxDegree())
-	allocs := func(find func(*graph.DAG, int, int32, []int64, []bool, bool, *Scratch) ([]int32, int64, bool)) float64 {
+	buf := make([]int32, 0, k)
+	allocs := func(find func([]int32, *graph.DAG, int, int32, []int64, []bool, bool, *Scratch) ([]int32, int64, bool)) float64 {
 		return testing.AllocsPerRun(2, func() {
 			for u := int32(0); int(u) < g.N(); u++ {
-				find(d, k, u, score, nil, true, sc)
+				find(buf, d, k, u, score, nil, true, sc)
 			}
 		})
 	}
-	if plain, strict := allocs(FindMin), allocs(FindMinStrict); strict != plain {
-		t.Fatalf("over %d roots FindMinStrict made %.0f allocations, FindMin %.0f", g.N(), strict, plain)
+	if plain, strict := allocs(FindMin), allocs(FindMinStrict); strict != plain || plain != 0 {
+		t.Fatalf("over %d roots FindMinStrict made %.0f allocations, FindMin %.0f; want 0", g.N(), strict, plain)
 	}
 }

@@ -75,9 +75,10 @@ func ParallelIndex(n, workers int, visit func(worker, i int)) {
 // counter, so skewed degree distributions still balance. Each worker passes
 // its own reusable Scratch; visit runs concurrently across workers and must
 // only write worker-local or atomically-updated state. visit returning
-// false aborts the pool; ParallelRoots reports whether every root was
-// visited.
-func ParallelRoots(d *graph.DAG, k, workers int, visit func(worker int, root int32, sc *Scratch) bool) bool {
+// false aborts the pool, and so does a non-zero deadline passing: each
+// worker checks it before every 64th root it visits. ParallelRoots reports
+// whether every root was visited.
+func ParallelRoots(d *graph.DAG, k, workers int, deadline time.Time, visit func(worker int, root int32, sc *Scratch) bool) bool {
 	n := d.N()
 	if k < 2 || n == 0 {
 		return true
@@ -93,6 +94,7 @@ func ParallelRoots(d *graph.DAG, k, workers int, visit func(worker int, root int
 			defer wg.Done()
 			sc := GetScratch(k, maxOut)
 			defer PutScratch(sc)
+			visited := 0
 			for {
 				u := int32(next.Add(1) - 1)
 				if int(u) >= n || aborted.Load() {
@@ -100,6 +102,11 @@ func ParallelRoots(d *graph.DAG, k, workers int, visit func(worker int, root int
 				}
 				if d.OutDegree(u) < k-1 {
 					continue
+				}
+				visited++
+				if visited&63 == 0 && !deadline.IsZero() && time.Now().After(deadline) {
+					aborted.Store(true)
+					return
 				}
 				if !visit(worker, u, sc) {
 					aborted.Store(true)
@@ -125,7 +132,7 @@ func ParallelForEach(d *graph.DAG, k, workers int, fn func(worker int, clique []
 	if k < 2 {
 		return true
 	}
-	return ParallelRoots(d, k, workers, func(worker int, u int32, sc *Scratch) bool {
+	return ParallelRoots(d, k, workers, time.Time{}, func(worker int, u int32, sc *Scratch) bool {
 		// Same unified core as the serial enumerator (the word-packed
 		// kernel, or the stamped first level for roots over wordBits); the
 		// mark array lives in the per-worker Scratch, so roots stamp

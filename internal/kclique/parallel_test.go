@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/graph"
 )
@@ -120,7 +121,7 @@ func TestParallelRootsVisitsEachRootOnce(t *testing.T) {
 	k := 3
 	for _, workers := range []int{1, 5, 16} {
 		visits := make([]int32, d.N())
-		ParallelRoots(d, k, workers, func(_ int, u int32, sc *Scratch) bool {
+		ParallelRoots(d, k, workers, time.Time{}, func(_ int, u int32, sc *Scratch) bool {
 			atomic.AddInt32(&visits[u], 1)
 			if sc == nil {
 				t.Error("nil scratch")

@@ -31,6 +31,7 @@ func GetScratch(k, maxOut int) *Scratch {
 // use it afterwards.
 func PutScratch(sc *Scratch) {
 	if sc != nil {
+		clear(sc.outs[:]) // a pooled Scratch must not keep a DAG alive
 		scratchPool.Put(sc)
 	}
 }

@@ -37,6 +37,29 @@ func (sc *Scratch) loadWords(n int, cand []int32) {
 	sc.built = 0
 }
 
+// buildRows builds the out-row inside the loaded set of each of its m
+// members, for a caller that reads every row. It runs in two phases:
+// first it gathers every member's out-row from the DAG, then it scans
+// each gathered row against the stamps. Built one at a time, each row is
+// one chain of dependent loads (offsets, out-row, stamps) that the next
+// row waits for; gathered first, the loads that start the rows are in
+// flight together.
+func (sc *Scratch) buildRows(d *graph.DAG, m int) {
+	outs := sc.outs[:m]
+	for i := range outs {
+		outs[i] = d.Out(sc.ids[i])
+	}
+	mark, epoch := sc.mark, sc.epoch
+	for i, out := range outs {
+		var r uint64
+		for _, w := range out {
+			r |= memberBit(mark, epoch, w)
+		}
+		sc.rows[i] = r
+	}
+	sc.built = fullWord(m)
+}
+
 // row returns local member i's out-row inside the loaded set, building it
 // from the DAG on first use.
 func (sc *Scratch) row(d *graph.DAG, i int) uint64 {
@@ -89,8 +112,8 @@ func (sc *Scratch) countWords(l int, cand uint64) uint64 {
 }
 
 // recWords is rec on the loaded set: the same visit order, prune test and
-// tie rules, with cand a mask of local ids. Rows are built only for the
-// members the prune test lets through.
+// tie rules, with cand a mask of local ids. Rows buildRows has not built
+// are built only for the members the prune test lets through.
 func (st *findMinState) recWords(l int, cand uint64, sCur int64) {
 	sc := st.sc
 	if l == 1 {

@@ -30,7 +30,7 @@ func findMinMerge(d *graph.DAG, k int, root int32, score []int64, valid []bool, 
 		return nil, 0, false
 	}
 	st.rec(k-1, cand, score[root])
-	return st.result()
+	return st.result(nil)
 }
 
 // kernelSides counts the roots of d whose out-neighbourhood takes the
@@ -93,7 +93,7 @@ func checkFindMin(t *testing.T, d *graph.DAG, k int, score []int64, valid []bool
 				if strict {
 					find = FindMinStrict
 				}
-				c, s, ok := find(d, k, u, score, valid, prune, sc)
+				c, s, ok := find(nil, d, k, u, score, valid, prune, sc)
 				rc, rs, rok := findMinMerge(d, k, u, score, valid, prune, strict)
 				if ok != rok || s != rs || !slices.Equal(c, rc) {
 					t.Fatalf("k=%d root %d prune=%v strict=%v: kernel (%v, %d, %v), merge recursion (%v, %d, %v)",
@@ -469,6 +469,53 @@ func TestCountWorkerCounts(t *testing.T) {
 		d := listingDAG(randomGraph(45, 0.3, 700+seed))
 		for k := 2; k <= 6; k++ {
 			checkCount(t, d, k, 1, 2, 4)
+		}
+	}
+}
+
+// TestCountDAG pins CountDAG's rule: the degree DAG when the largest
+// degree fits the word-packed kernel, with the boundary at exactly 64
+// (a wheel's hub points at every rim node under the degree order), and
+// the listing DAG otherwise. Count on it matches the listing DAG's
+// counts either way.
+func TestCountDAG(t *testing.T) {
+	wheel := func(rim int) *graph.Graph {
+		b := graph.NewBuilder(rim + 1)
+		for i := int32(1); int(i) <= rim; i++ {
+			b.AddEdge(0, i)
+			b.AddEdge(i, i%int32(rim)+1)
+		}
+		return b.MustBuild()
+	}
+	cases := []struct {
+		name   string
+		g      *graph.Graph
+		degree bool
+	}{
+		{"wheel64", wheel(64), true},
+		{"wheel65", wheel(65), false},
+		{"community", gen.CommunitySocial(2000, 12, 0.2, 4000, 12), true},
+		{"ba", gen.BarabasiAlbert(2000, 12, 7), false},
+	}
+	for _, c := range cases {
+		d := CountDAG(c.g)
+		want := graph.ListingOrdering(c.g)
+		if c.degree {
+			want = graph.DegreeOrdering(c.g)
+		}
+		if !slices.Equal(d.Ord.Rank, want.Rank) {
+			t.Fatalf("%s: CountDAG took the wrong order (degree order wanted: %v)", c.name, c.degree)
+		}
+		if words, merge := kernelSides(d, 3); c.degree && merge != 0 {
+			t.Fatalf("%s: the degree DAG has %d roots past the kernel, %d on it", c.name, merge, words)
+		}
+		for k := 3; k <= 5; k++ {
+			total, scores := Count(d, k, 2)
+			wantTotal, wantScores := CountSerial(listingDAG(c.g), k)
+			if total != wantTotal || !slices.Equal(scores, wantScores) {
+				t.Fatalf("%s k=%d: Count on CountDAG gives %d k-cliques, the listing DAG %d (scores equal: %v)",
+					c.name, k, total, wantTotal, slices.Equal(scores, wantScores))
+			}
 		}
 	}
 }
