@@ -91,7 +91,7 @@ func (e *Engine) anchoredCandidates(sc *enumScratch, anchors []int32, w int32) {
 		kclique.ForEachAmong(e.view, sc.edge[:], e.k-2, cand, sc.kc, func(c []int32) bool {
 			copy(buf, c)
 			slices.Sort(buf)
-			if _, ok := e.candDedup.lookup(buf, hashNodes(buf)); !ok {
+			if e.index.lookup(buf, hashNodes(buf)) == 0 {
 				sc.runs = append(append(sc.runs, owner), buf...)
 			}
 			return true

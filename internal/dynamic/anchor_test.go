@@ -83,12 +83,12 @@ func applyChecked(t *testing.T, e *Engine, batched bool, ops ...workload.Op) {
 // candidate of the clique that currently holds node bound.
 func requireCandidate(t *testing.T, e *Engine, bound int32, members ...int32) {
 	t.Helper()
-	c, ok := e.candDedup.lookup(members, hashNodes(members))
-	if !ok {
+	s := e.index.lookup(members, hashNodes(members))
+	if s == 0 {
 		t.Fatalf("candidate %v missing", members)
 	}
-	if c.owner != e.nodeClique[bound] {
-		t.Fatalf("candidate %v owned by %d, want %d", members, c.owner, e.nodeClique[bound])
+	if owner := e.index.owner[s]; owner != e.nodeClique[bound] {
+		t.Fatalf("candidate %v owned by %d, want %d", members, owner, e.nodeClique[bound])
 	}
 }
 

@@ -86,9 +86,9 @@ func TestApplyBatchInvariants(t *testing.T) {
 // TestApplyBatchWorkerInvariance: the tentpole determinism guarantee for
 // the dynamic layer — identical results byte-for-byte regardless of the
 // worker count used for construction and batch updates. Swaps break ties
-// by candidate id, so the whole candidate index (every id, owner and
-// member list, and the next id) must match too, not just its size: a
-// worker-dependent id permutation would make engines drift later.
+// by each owner's candidate list order, so the whole candidate index
+// (every owner's member lists, in order) must match too, not just its
+// size: a worker-dependent permutation would make engines drift later.
 func TestApplyBatchWorkerInvariance(t *testing.T) {
 	for _, k := range []int{3, 4} {
 		start, stream := batchTestSetupK(t, k, 600, 200, 9)
@@ -165,24 +165,22 @@ func TestApplyBatchEmptyAndNoop(t *testing.T) {
 }
 
 // TestNewWorkersDeterminism: index construction is identical for every
-// worker count (candidate ids included, since installation is serial in
+// worker count (list orders included, since installation is serial in
 // ascending clique order).
 func TestNewWorkersDeterminism(t *testing.T) {
 	start, _ := batchTestSetup(t, 700, 10, 31)
 	base := start(1)
 	for _, workers := range []int{2, 4, 16} {
 		e := start(workers)
-		if e.NumCandidates() != base.NumCandidates() {
-			t.Fatalf("workers=%d: %d candidates, want %d", workers, e.NumCandidates(), base.NumCandidates())
-		}
 		if !reflect.DeepEqual(e.Result(), base.Result()) {
 			t.Fatalf("workers=%d: result diverges", workers)
 		}
+		sameCandidateIndex(t, e, base)
 	}
 }
 
 // candidatesOfGlobal is candidatesOf with the owner-local matching
-// replaced: every enumerated clique probes the global dedup index. It
+// replaced: every enumerated clique probes the global digest table. It
 // returns the candidates the index lacks as (owner, members) runs, and
 // how many it holds.
 func candidatesOfGlobal(e *Engine, id int32) (runs [][]int32, indexed int) {
@@ -200,7 +198,7 @@ func candidatesOfGlobal(e *Engine, id int32) (runs [][]int32, indexed int) {
 		case nonFree == 0:
 			panic("all-free clique: S is not maximal")
 		default:
-			if _, ok := e.candDedup.lookup(cc, hashNodes(cc)); ok {
+			if e.index.lookup(cc, hashNodes(cc)) != 0 {
 				indexed++
 			} else {
 				runs = append(runs, append([]int32{id}, cc...))
@@ -213,7 +211,7 @@ func candidatesOfGlobal(e *Engine, id int32) (runs [][]int32, indexed int) {
 
 // TestCandidatesOfOwnerLocal: matching each enumerated clique against the
 // owner's own indexed candidates finds exactly what a probe of the global
-// dedup index finds, for every owner, and collectRuns returns the missing
+// digest table finds, for every owner, and collectRuns returns the missing
 // ones in the order the per-owner enumeration emits them. The check runs
 // on a graph that moved on from the index: after a random batch, the
 // engine deletes random edges and the graph alone re-inserts those with a

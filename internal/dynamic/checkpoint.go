@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 
 	"repro/internal/graph"
 )
@@ -23,8 +24,9 @@ import (
 // the exact clique ids, snapshot versions, and swap decisions of the
 // original engine — provided the original canonicalized its candidate
 // index at the checkpoint boundary (CanonicalizeIndex), because swap
-// tie-breaking follows candidate-id order and loading assigns candidate
-// ids in the deterministic Algorithm-5 order, not the historical one.
+// tie-breaking follows each owner's candidate list order and loading
+// builds those lists in the deterministic Algorithm-5 order, not the
+// historical insertion order.
 var checkpointMagic = [8]byte{'D', 'K', 'C', 'Q', 'C', 'K', 'P', '1'}
 
 // graphBinarySize returns the exact byte length of graph.WriteBinary's
@@ -105,7 +107,7 @@ func LoadCheckpoint(r io.Reader, workers int) (*Engine, error) {
 			return nil, fmt.Errorf("dynamic: checkpoint header: %w", err)
 		}
 	}
-	if k < 3 || version < 1 || nextClique < 0 || ns < 0 || ns > nextClique || glen < 16 {
+	if k < 3 || version < 1 || nextClique < 0 || nextClique > math.MaxInt32 || ns < 0 || ns > nextClique || glen < 16 {
 		return nil, fmt.Errorf("dynamic: corrupt checkpoint header (k=%d ver=%d next=%d |S|=%d glen=%d)",
 			k, version, nextClique, ns, glen)
 	}
@@ -115,7 +117,9 @@ func LoadCheckpoint(r io.Reader, workers int) (*Engine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dynamic: checkpoint graph: %w", err)
 	}
-	if ns*k > int64(g.N()) {
+	// Everything below is sized by k, so bound it by the graph first; and
+	// ns*k could wrap, so compare ns with N/k instead.
+	if n := int64(g.N()); k > n || ns > n/k {
 		return nil, fmt.Errorf("dynamic: checkpoint holds %d cliques of size %d over %d nodes", ns, k, g.N())
 	}
 	e := newEngineShell(graph.DynamicFrom(g), int(k), workers)
@@ -165,27 +169,22 @@ func LoadCheckpoint(r io.Reader, workers int) (*Engine, error) {
 	return e, nil
 }
 
-// CanonicalizeIndex rebuilds the candidate index from scratch, resetting
-// candidate-id assignment to the deterministic Algorithm-5 order that
+// CanonicalizeIndex rebuilds the candidate index from scratch, keeping
+// the capacity of its arrays, so each owner's candidates take the
+// deterministic Algorithm-5 order, (owner, sorted members), that
 // LoadCheckpoint produces. The indexed candidate *set* is unchanged (the
-// index is a pure function of graph and S) — only the internal ids move.
+// index is a pure function of graph and S) — only the list order moves.
 //
 // The serving layer calls this immediately after writing a checkpoint:
-// swap operations break ties by candidate-id order, so without the rebuild
-// a live engine (historical, creation-ordered ids) and a recovery from the
-// checkpoint (fresh Algorithm-5 ids) could drift apart on the same
+// swap operations break ties by each owner's list order, so without the
+// rebuild a live engine (historical insertion order) and a recovery from
+// the checkpoint (fresh Algorithm-5 order) could drift apart on the same
 // subsequent updates. With it, checkpoint + WAL replay is byte-identical
 // to the engine that never crashed. Stats are preserved; nothing is
 // published (S and the graph are untouched).
 func (e *Engine) CanonicalizeIndex() {
 	st := e.stats
-	e.cands = make(map[int32]*candidate, len(e.cands))
-	e.candDedup = newCandDedup()
-	e.candsByOwn = make(map[int32]*idSet, len(e.candsByOwn))
-	for i := range e.candsByNode {
-		e.candsByNode[i].items = e.candsByNode[i].items[:0]
-	}
-	e.nextCand = 0
+	e.index.reset()
 	e.buildIndex()
 	e.stats = st
 }

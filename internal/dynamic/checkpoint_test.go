@@ -7,6 +7,7 @@ import (
 	"io"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/gen"
@@ -134,24 +135,35 @@ func sameEngineState(t *testing.T, a, b *Engine) {
 	}
 }
 
-// sameCandidateIndex requires bit-for-bit identical candidate indexes —
-// the property CanonicalizeIndex buys at each checkpoint boundary.
+// sameCandidateIndex requires identical candidate indexes: the same
+// candidates, and each owner's in the same list order, the order swap
+// tie-breaks read. That is the property CanonicalizeIndex buys at each
+// checkpoint boundary.
 func sameCandidateIndex(t *testing.T, a, b *Engine) {
 	t.Helper()
-	if a.nextCand != b.nextCand || len(a.cands) != len(b.cands) {
-		t.Fatalf("candidate allocators differ: next %d/%d size %d/%d",
-			a.nextCand, b.nextCand, len(a.cands), len(b.cands))
+	if a.NumCandidates() != b.NumCandidates() {
+		t.Fatalf("candidate counts differ: %d vs %d", a.NumCandidates(), b.NumCandidates())
 	}
-	for id, ca := range a.cands {
-		cb, ok := b.cands[id]
-		if !ok {
-			t.Fatalf("candidate %d missing from second index", id)
-		}
-		if ca.owner != cb.owner || !reflect.DeepEqual(ca.nodes, cb.nodes) {
-			t.Fatalf("candidate %d differs: (%v own %d) vs (%v own %d)",
-				id, ca.nodes, ca.owner, cb.nodes, cb.owner)
+	la, lb := ownerLists(a), ownerLists(b)
+	for owner, lists := range la {
+		if !reflect.DeepEqual(lists, lb[owner]) {
+			t.Fatalf("candidates of clique %d differ: %v vs %v", owner, lists, lb[owner])
 		}
 	}
+	if len(la) != len(lb) {
+		t.Fatalf("%d owners hold candidates vs %d", len(la), len(lb))
+	}
+}
+
+// ownerLists copies out every owner's candidate member lists in list order.
+func ownerLists(e *Engine) map[int32][][]int32 {
+	m := make(map[int32][][]int32)
+	for owner := range e.index.byOwner {
+		for _, c := range e.ownedMembers(owner) {
+			m[owner] = append(m[owner], slices.Clone(c))
+		}
+	}
+	return m
 }
 
 func newCheckpointEngine(t *testing.T, seed int64) *Engine {
@@ -262,5 +274,31 @@ func TestCheckpointRejectsCorruption(t *testing.T) {
 	binary.LittleEndian.PutUint32(bad[len(bad)-4:], 0x7fffffff)
 	if _, err := LoadCheckpoint(bytes.NewReader(bad), 0); err == nil {
 		t.Fatal("corrupted clique record must not load")
+	}
+}
+
+// TestCheckpointRejectsOversizedHeader: a header whose clique size,
+// clique count or next clique id cannot fit is an error, not a panic. The
+// loader sizes its scratch by k, |S|·k wraps to 0 at k = 2^62 and
+// |S| = 4, |S| = 0 passes any product check, and clique ids are int32.
+func TestCheckpointRejectsOversizedHeader(t *testing.T) {
+	e := newCheckpointEngine(t, 31)
+	var buf bytes.Buffer
+	if err := e.WriteCheckpoint(&buf); err != nil {
+		t.Fatal(err)
+	}
+	n := int64(e.g.N())
+	for _, h := range []struct{ k, next, ns int64 }{
+		{1 << 62, n, 4}, {1 << 62, n, 0}, {n + 1, n, 0}, {3, n, n/3 + 1},
+		{3, 1 << 32, int64(e.Size())},
+	} {
+		// Header fields after the magic: k, version, next clique id, |S|.
+		bad := append([]byte(nil), buf.Bytes()...)
+		binary.LittleEndian.PutUint64(bad[8:], uint64(h.k))
+		binary.LittleEndian.PutUint64(bad[24:], uint64(h.next))
+		binary.LittleEndian.PutUint64(bad[32:], uint64(h.ns))
+		if _, err := LoadCheckpoint(bytes.NewReader(bad), 0); err == nil {
+			t.Errorf("k=%d next=%d |S|=%d: corrupt header loaded", h.k, h.next, h.ns)
+		}
 	}
 }

@@ -23,7 +23,9 @@
 //  1. S is a disjoint k-clique set of the current graph.
 //  2. S is maximal: no k-clique exists whose members are all free.
 //  3. The candidate index holds exactly the candidate k-cliques of §V-A
-//     for the current graph and S, each keyed to its owner.
+//     for the current graph and S, each keyed to its owner. It keeps them
+//     in pointer-free slots, on int32-linked lists per owner and per node
+//     and in a digest table (candindex.go).
 //
 // The engine is single-writer, multi-reader: one goroutine at a time may
 // call the mutating entry points, while any number of goroutines read the
@@ -44,17 +46,6 @@ import (
 
 // free marks a node that belongs to no S-clique.
 const free int32 = -1
-
-// candidate is an indexed candidate k-clique: nodes are sorted; owner is
-// the S-clique all its non-free nodes belong to. digest caches the
-// members' FNV hash so the dedup index never re-hashes on lookup misses
-// resolved by comparison or on drops.
-type candidate struct {
-	id     int32
-	owner  int32
-	digest uint64
-	nodes  []int32
-}
 
 // Stats counts engine activity since construction.
 type Stats struct {
@@ -93,11 +84,9 @@ type Engine struct {
 	nodeClique []int32           // node -> owning clique id, or free
 	nextClique int32
 
-	cands       map[int32]*candidate
-	candDedup   *candDedup       // member digest -> candidate
-	candsByOwn  map[int32]*idSet // clique id -> candidate ids owned
-	candsByNode []idSet          // node -> candidate ids containing it
-	nextCand    int32
+	// index holds the candidate cliques of invariant 3, each keyed to its
+	// owner, in pointer-free slots (candindex.go).
+	index candIndex
 
 	// unit holds the deferred work of the mutation in progress; see
 	// batch.go.
@@ -232,18 +221,15 @@ func NewWorkers(g *graph.Graph, k int, initial [][]int32, workers int) (*Engine,
 func newEngineShell(dg *graph.Dynamic, k, workers int) *Engine {
 	n := dg.N()
 	e := &Engine{
-		g:           dg,
-		k:           k,
-		workers:     workers,
-		cliques:     make(map[int32][]int32),
-		nodeClique:  make([]int32, n),
-		cands:       make(map[int32]*candidate),
-		candsByOwn:  make(map[int32]*idSet),
-		candsByNode: make([]idSet, n),
-		esc:         newEnumScratch(k),
+		g:          dg,
+		k:          k,
+		workers:    workers,
+		cliques:    make(map[int32][]int32),
+		nodeClique: make([]int32, n),
+		index:      newCandIndex(k, n),
+		esc:        newEnumScratch(k),
 	}
 	e.view = e.g.View()
-	e.candDedup = newCandDedup()
 	for i := range e.nodeClique {
 		e.nodeClique[i] = free
 	}
@@ -299,7 +285,7 @@ func (e *Engine) K() int { return e.k }
 func (e *Engine) Size() int { return len(e.cliques) }
 
 // NumCandidates returns the current size of the candidate index.
-func (e *Engine) NumCandidates() int { return len(e.cands) }
+func (e *Engine) NumCandidates() int { return e.index.live }
 
 // Stats returns activity counters.
 func (e *Engine) Stats() Stats { return e.stats }
@@ -323,101 +309,38 @@ func (e *Engine) IsFree(u int32) bool { return e.nodeClique[u] == free }
 // determine the owner uniquely, and the index never holds a candidate
 // across an S change that moved them.
 func (e *Engine) addCandidate(nodes []int32, owner int32) bool {
-	digest := hashNodes(nodes)
-	if _, ok := e.candDedup.lookup(nodes, digest); ok {
+	if !e.index.add(nodes, owner) {
 		return false
-	}
-	id := e.nextCand
-	e.nextCand++
-	c := &candidate{id: id, owner: owner, digest: digest, nodes: append([]int32(nil), nodes...)}
-	e.cands[id] = c
-	e.candDedup.insert(c)
-	own := e.candsByOwn[owner]
-	if own == nil {
-		own = &idSet{}
-		e.candsByOwn[owner] = own
-	}
-	own.add(id)
-	for _, u := range c.nodes {
-		e.candsByNode[u].add(id)
 	}
 	e.stats.CandidatesCreated++
 	return true
 }
 
-// dropCandidate removes a candidate from every index.
-func (e *Engine) dropCandidate(id int32) {
-	c, ok := e.cands[id]
-	if !ok {
-		return
-	}
-	delete(e.cands, id)
-	e.candDedup.delete(c)
-	if own := e.candsByOwn[c.owner]; own != nil {
-		own.remove(id)
-		if own.size() == 0 {
-			delete(e.candsByOwn, c.owner)
-		}
-	}
-	for _, u := range c.nodes {
-		e.candsByNode[u].remove(id)
-	}
-	e.stats.CandidatesDropped++
-}
-
 // numCandidatesOfOwner returns how many candidates the clique owns.
-func (e *Engine) numCandidatesOfOwner(owner int32) int {
-	if own := e.candsByOwn[owner]; own != nil {
-		return own.size()
-	}
-	return 0
-}
+func (e *Engine) numCandidatesOfOwner(owner int32) int { return int(e.index.byOwner[owner].n) }
 
 // dropCandidatesOfOwner removes every candidate owned by the clique.
 func (e *Engine) dropCandidatesOfOwner(owner int32) {
-	if own := e.candsByOwn[owner]; own != nil {
-		for _, id := range append([]int32(nil), own.ids()...) {
-			e.dropCandidate(id)
-		}
-	}
+	e.stats.CandidatesDropped += e.index.dropOwner(owner)
 }
 
 // dropCandidatesWithNode removes every candidate containing u.
 func (e *Engine) dropCandidatesWithNode(u int32) {
-	if s := &e.candsByNode[u]; s.size() > 0 {
-		for _, id := range append([]int32(nil), s.ids()...) {
-			e.dropCandidate(id)
-		}
-	}
+	e.stats.CandidatesDropped += e.index.dropWithNode(u)
 }
 
 // dropCandidatesWithEdge removes every candidate containing both u and v.
 func (e *Engine) dropCandidatesWithEdge(u, v int32) {
-	su, sv := &e.candsByNode[u], &e.candsByNode[v]
-	if su.size() == 0 || sv.size() == 0 {
-		return
-	}
-	if su.size() > sv.size() {
-		su, sv = sv, su
-	}
-	// Collect into scratch first: dropCandidate mutates the sets being
-	// intersected.
-	hit := graph.IntersectSorted(e.esc.hits[:0], su.ids(), sv.ids())
-	e.esc.hits = hit
-	for _, id := range hit {
-		e.dropCandidate(id)
-	}
+	e.stats.CandidatesDropped += e.index.dropWithEdge(u, v)
 }
 
 // ownedMembers returns the member lists of the candidates the clique
-// owns, in candidate-id order, staged in the engine scratch: valid until
-// the next call, and the lists alias the candidates' own member slices.
+// owns, in the order of its list, staged in the engine scratch: valid
+// until the next call, and the lists alias the index's member slots.
 func (e *Engine) ownedMembers(owner int32) [][]int32 {
 	lists := e.esc.swapLists[:0]
-	if own := e.candsByOwn[owner]; own != nil {
-		for _, id := range own.ids() {
-			lists = append(lists, e.cands[id].nodes)
-		}
+	for s := e.index.byOwner[owner].head; s != 0; s = e.index.own.next[s] {
+		lists = append(lists, e.index.slotMembers(s))
 	}
 	e.esc.swapLists = lists
 	return lists

@@ -24,12 +24,11 @@ type enumScratch struct {
 	nodes     []int32          // enumeration base: B copy, or N(u) ∩ N(v)
 	bbuf      []int32          // freeNeighborhood output
 	sorted    []int32          // k-sized buffer for sorting candidate members
-	hits      []int32          // candidate ids gathered by dropCandidatesWithEdge
 	near      nodeBits         // anchoredCandidates: N(w) of the current anchor
 	runs      []int32          // missing candidates: (owner, k members) runs
 	runRefs   [][]int32        // collectRuns: runs in install order
 	spans     []runSpan        // collectRuns: where each item's runs landed
-	owned     []*candidate     // candidatesOf: the owner's indexed candidates
+	owned     []int32          // candidatesOf: the owner's candidates' slots
 	swapQ     []int32          // trySwap: the FIFO queue
 	swapLists [][]int32        // ownedMembers: member lists for greedyDisjoint
 	gdNodes   []int32          // greedyDisjoint: concatenated sorted members / used set
@@ -130,15 +129,13 @@ func (e *Engine) freeNeighborhood(sc *enumScratch, members []int32) []int32 {
 // candidate equal to one enumerated here is owned by this S-clique (see
 // addCandidate). Each enumerated clique is therefore matched against the
 // owner's few indexed candidates, gathered once, instead of probing the
-// global dedup index. Reads only the graph, S, the free status and the
+// global digest table. Reads only the graph, S, the free status and the
 // index (never mutating them) and writes only sc, so concurrent calls
 // with distinct scratches are safe as long as no writer mutates them.
 func (e *Engine) candidatesOf(sc *enumScratch, id int32) {
 	owned := sc.owned[:0]
-	if own := e.candsByOwn[id]; own != nil {
-		for _, cid := range own.ids() {
-			owned = append(owned, e.cands[cid])
-		}
+	for s := e.index.byOwner[id].head; s != 0; s = e.index.own.next[s] {
+		owned = append(owned, s)
 	}
 	sc.owned = owned
 	buf := sc.sorted[:e.k]
@@ -154,24 +151,12 @@ func (e *Engine) candidatesOf(sc *enumScratch, id int32) {
 		switch {
 		case nonFree == 0:
 			panic(fmt.Sprintf("dynamic: all-free clique %v next to clique %d: S is not maximal", buf, id))
-		case nonFree < e.k && !ownsClique(owned, buf):
+		case nonFree < e.k && !e.index.ownsAny(owned, buf):
 			// nonFree == k is C itself, the only such clique on B.
 			sc.runs = append(append(sc.runs, id), buf...)
 		}
 		return true
 	})
-}
-
-// ownsClique reports whether owned holds a candidate with exactly the
-// (sorted) members nodes.
-func ownsClique(owned []*candidate, nodes []int32) bool {
-	digest := hashNodes(nodes)
-	for _, c := range owned {
-		if c.digest == digest && nodesEqual(c.nodes, nodes) {
-			return true
-		}
-	}
-	return false
 }
 
 // collectRuns gathers the candidates the index lacks: those through each
@@ -266,9 +251,9 @@ func (e *Engine) growWorkerScratches(n int) {
 // buildIndex constructs the whole candidate index from the current S —
 // Algorithm 5, with the per-clique enumeration running root-parallel
 // exactly as its line 1 prescribes. S must already be maximal. Candidates
-// install in (owner, members) order, so ids and stats are deterministic.
-// The runs of a whole index are far larger than any update's, so the
-// scratches let go of them afterwards.
+// install in (owner, members) order, so list orders and stats are
+// deterministic. The runs of a whole index are far larger than any
+// update's, so the scratches let go of them afterwards.
 func (e *Engine) buildIndex() {
 	ids := make([]int32, 0, len(e.cliques))
 	for id := range e.cliques {

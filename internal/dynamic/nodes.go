@@ -9,7 +9,7 @@ package dynamic
 func (e *Engine) AddNode() int32 {
 	id := e.g.AddNode()
 	e.nodeClique = append(e.nodeClique, free)
-	e.candsByNode = append(e.candsByNode, idSet{})
+	e.index.byNode = append(e.index.byNode, candList{})
 	e.markNodeDirty(id)
 	e.publish()
 	return id

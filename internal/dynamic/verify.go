@@ -6,7 +6,7 @@ import (
 )
 
 // key canonicalises a sorted member list into a comparable string. The hot
-// paths dedup through candDedup's integer digests instead; this helper
+// paths dedup through the index's digest table instead; this helper
 // survives only for Verify's from-scratch comparison and the tests.
 func key(nodes []int32) string {
 	b := make([]byte, 0, len(nodes)*4)
@@ -99,75 +99,44 @@ func (e *Engine) Verify() error {
 		return fmt.Errorf("S not maximal: all-free clique %v exists", witness)
 	}
 
-	// 3. Every indexed candidate is a genuine candidate clique.
-	for id, c := range e.cands {
-		if len(c.nodes) != e.k {
-			return fmt.Errorf("candidate %d has %d nodes", id, len(c.nodes))
+	// 3. Every indexed candidate is a genuine candidate clique, and the
+	// index's lists and digest table hold exactly the live slots.
+	ix := &e.index
+	for s := int32(1); int(s) < len(ix.owner); s++ {
+		owner := ix.owner[s]
+		if owner == free {
+			continue
 		}
-		if !e.g.IsClique(c.nodes) {
-			return fmt.Errorf("candidate %d (%v) is not a clique", id, c.nodes)
+		nodes := ix.slotMembers(s)
+		if !slices.IsSorted(nodes) {
+			return fmt.Errorf("candidate %v is not sorted", nodes)
 		}
-		if _, ok := e.cliques[c.owner]; !ok {
-			return fmt.Errorf("candidate %d owned by missing clique %d", id, c.owner)
+		if !e.g.IsClique(nodes) {
+			return fmt.Errorf("candidate %v is not a clique", nodes)
+		}
+		if _, ok := e.cliques[owner]; !ok {
+			return fmt.Errorf("candidate %v owned by missing clique %d", nodes, owner)
 		}
 		nFree := 0
-		for _, u := range c.nodes {
+		for _, u := range nodes {
 			switch e.nodeClique[u] {
 			case free:
 				nFree++
-			case c.owner:
+			case owner:
 			default:
-				return fmt.Errorf("candidate %d node %d belongs to clique %d, not owner %d",
-					id, u, e.nodeClique[u], c.owner)
+				return fmt.Errorf("candidate %v node %d belongs to clique %d, not owner %d",
+					nodes, u, e.nodeClique[u], owner)
 			}
 		}
 		if nFree == 0 || nFree == e.k {
-			return fmt.Errorf("candidate %d has %d free nodes of %d", id, nFree, e.k)
+			return fmt.Errorf("candidate %v has %d free nodes of %d", nodes, nFree, e.k)
 		}
-		// Index cross-references.
-		if c.digest != hashNodes(c.nodes) {
-			return fmt.Errorf("candidate %d carries stale digest", id)
-		}
-		if got, ok := e.candDedup.lookup(c.nodes, c.digest); !ok || got != c {
-			return fmt.Errorf("candidate %d missing from dedup index", id)
-		}
-		if own := e.candsByOwn[c.owner]; own == nil || !own.has(id) {
-			return fmt.Errorf("candidate %d missing from owner index", id)
-		}
-		for _, u := range c.nodes {
-			if !e.candsByNode[u].has(id) {
-				return fmt.Errorf("candidate %d missing from node index of %d", id, u)
-			}
+		if ix.digest[s] != hashNodes(nodes) {
+			return fmt.Errorf("candidate %v carries a stale digest", nodes)
 		}
 	}
-	// Reverse direction: no dangling index entries.
-	for owner, set := range e.candsByOwn {
-		for _, id := range set.ids() {
-			if c, ok := e.cands[id]; !ok || c.owner != owner {
-				return fmt.Errorf("owner index of %d holds stale candidate %d", owner, id)
-			}
-		}
-	}
-	for u := range e.candsByNode {
-		for _, id := range e.candsByNode[u].ids() {
-			c, ok := e.cands[id]
-			if !ok {
-				return fmt.Errorf("node index of %d holds stale candidate %d", u, id)
-			}
-			found := false
-			for _, w := range c.nodes {
-				if w == int32(u) {
-					found = true
-					break
-				}
-			}
-			if !found {
-				return fmt.Errorf("node index of %d holds candidate %d that lacks the node", u, id)
-			}
-		}
-	}
-	if e.candDedup.size() != len(e.cands) {
-		return fmt.Errorf("dedup index size %d != candidate count %d", e.candDedup.size(), len(e.cands))
+	if err := ix.checkLists(); err != nil {
+		return err
 	}
 
 	// 4. Completeness: the index holds exactly the candidates Algorithm 5
@@ -191,17 +160,140 @@ func (e *Engine) Verify() error {
 			return true
 		})
 	}
-	if len(want) != len(e.cands) {
-		return fmt.Errorf("index has %d candidates, from-scratch build has %d", len(e.cands), len(want))
+	if len(want) != ix.live {
+		return fmt.Errorf("index has %d candidates, from-scratch build has %d", ix.live, len(want))
 	}
-	for _, c := range e.cands {
-		owner, ok := want[key(c.nodes)]
+	for s := int32(1); int(s) < len(ix.owner); s++ {
+		if ix.owner[s] == free {
+			continue
+		}
+		nodes := ix.slotMembers(s)
+		owner, ok := want[key(nodes)]
 		if !ok {
-			return fmt.Errorf("indexed candidate %v not produced by from-scratch build", c.nodes)
+			return fmt.Errorf("indexed candidate %v not produced by from-scratch build", nodes)
 		}
-		if owner != c.owner {
-			return fmt.Errorf("candidate %v owner %d, from-scratch says %d", c.nodes, c.owner, owner)
+		if owner != ix.owner[s] {
+			return fmt.Errorf("candidate %v owner %d, from-scratch says %d", nodes, ix.owner[s], owner)
 		}
+	}
+	return nil
+}
+
+// checkLists checks the index's structure: every live slot is on its
+// owner's list and on each member's node list exactly once; links agree in
+// both directions; heads, tails and counts match; no list reaches a free
+// slot; the free stack holds exactly the free slots; and the digest table
+// holds exactly the live slots.
+func (ix *candIndex) checkLists() error {
+	slots := int32(len(ix.owner))
+	k := int32(ix.k)
+	if len(ix.digest) != int(slots) || len(ix.members) != int(slots*k) ||
+		len(ix.own.next) != int(slots) || len(ix.own.prev) != int(slots) ||
+		len(ix.node.next) != int(slots*k) || len(ix.node.prev) != int(slots*k) {
+		return fmt.Errorf("candidate index arrays disagree on %d slots", slots)
+	}
+	onOwner := make([]bool, slots)
+	for owner, h := range ix.byOwner {
+		if h.n == 0 {
+			return fmt.Errorf("owner %d keeps an empty candidate list", owner)
+		}
+		err := walkList(ix.own, h, func(s int32) error {
+			if ix.owner[s] != owner {
+				return fmt.Errorf("owner list of %d reaches slot %d of owner %d", owner, s, ix.owner[s])
+			}
+			if onOwner[s] {
+				return fmt.Errorf("slot %d is on two owner lists", s)
+			}
+			onOwner[s] = true
+			return nil
+		})
+		if err != nil {
+			return fmt.Errorf("owner list of %d: %w", owner, err)
+		}
+	}
+	onNode := make([]bool, slots*k)
+	for u, h := range ix.byNode {
+		err := walkList(ix.node, h, func(x int32) error {
+			if ix.owner[x/k] == free {
+				return fmt.Errorf("reaches free slot %d", x/k)
+			}
+			if ix.members[x] != int32(u) || onNode[x] {
+				return fmt.Errorf("entry %d (node %d) is misplaced or repeated", x, ix.members[x])
+			}
+			onNode[x] = true
+			return nil
+		})
+		if err != nil {
+			return fmt.Errorf("node list of %d: %w", u, err)
+		}
+	}
+	onStack := make([]bool, slots)
+	for _, s := range ix.freeSlots {
+		if s <= 0 || s >= slots || ix.owner[s] != free || onStack[s] {
+			return fmt.Errorf("free stack holds live, repeated or out-of-range slot %d", s)
+		}
+		onStack[s] = true
+	}
+	live := 0
+	for s := int32(1); s < slots; s++ {
+		if ix.owner[s] == free {
+			if !onStack[s] {
+				return fmt.Errorf("free slot %d is not on the free stack", s)
+			}
+			continue
+		}
+		live++
+		if !onOwner[s] {
+			return fmt.Errorf("slot %d is on no owner list", s)
+		}
+		if got := ix.lookup(ix.slotMembers(s), ix.digest[s]); got != s {
+			return fmt.Errorf("digest table finds slot %d for the members of slot %d", got, s)
+		}
+		for x := s * k; x < (s+1)*k; x++ {
+			if !onNode[x] {
+				return fmt.Errorf("slot %d is missing from the node list of %d", s, ix.members[x])
+			}
+		}
+	}
+	if live != ix.live {
+		return fmt.Errorf("index counts %d live candidates, slots hold %d", ix.live, live)
+	}
+	inTable := 0
+	for _, s := range ix.table {
+		if s == 0 {
+			continue
+		}
+		if s < 0 || s >= slots || ix.owner[s] == free {
+			return fmt.Errorf("digest table holds free or out-of-range slot %d", s)
+		}
+		inTable++
+	}
+	if inTable != live || 2*live > len(ix.table) {
+		return fmt.Errorf("digest table of %d cells holds %d slots, want %d", len(ix.table), inTable, live)
+	}
+	return nil
+}
+
+// walkList walks the list h through l, checking that every element is in
+// range, that each one's prev is the element before it, and that the tail
+// and the count match, and calls visit on each element.
+func walkList(l links, h candList, visit func(x int32) error) error {
+	prev, n := int32(0), int32(0)
+	for x := h.head; x != 0; x = l.next[x] {
+		if x < 0 || int(x) >= len(l.next) || n == h.n || int(n) == len(l.next) {
+			return fmt.Errorf("element %d out of range or past the count %d", x, h.n)
+		}
+		if l.prev[x] != prev {
+			return fmt.Errorf("element %d links back to %d, not %d", x, l.prev[x], prev)
+		}
+		if err := visit(x); err != nil {
+			return err
+		}
+		prev = x
+		n++
+	}
+	if prev != h.tail || n != h.n {
+		return fmt.Errorf("tail %d and count %d, walk ends at %d after %d", h.tail, h.n, prev, n)
 	}
 	return nil
 }

@@ -141,8 +141,8 @@ func (st *findMinState) recWords(l int, cand uint64, sCur int64) {
 
 // wordWalk enumerates the cliques of one loaded candidate set of an
 // adjacency view: forEachRec on the word-packed kernel, with the same
-// emission order, so candidate ids and swap tie-breaks downstream do not
-// depend on which path ran.
+// emission order, so candidate list orders and swap tie-breaks downstream
+// do not depend on which path ran.
 type wordWalk struct {
 	v     graph.View
 	idOrd bool

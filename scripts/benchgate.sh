@@ -10,7 +10,9 @@
 # GC pause) from failing or passing the gate on its own. UNIT picks
 # another metric of the same rows, e.g. B/op from a -benchmem run;
 # custom b.ReportMetric units work too — the write-path gate compares
-# BenchmarkCheckpointStall's stall-ns/ckpt between base and PR.
+# BenchmarkCheckpointStall's stall-ns/ckpt between base and PR. A base
+# median of 0 (allocs/op of an allocation-free path) passes only a PR
+# median of 0, since no percentage of it exists.
 #
 # --speedup gates a ratio within ONE bench output instead: the median of
 # SLOW_BENCH divided by the median of FAST_BENCH must be at least
@@ -92,6 +94,10 @@ if [ "${1:-}" = "--overhead" ]; then
     [ "$loaded_ns" != "NA" ] || die "no $loaded $unit samples in $file — wrong -bench filter or the bench run failed"
     echo "benchgate: median $unit: $base=$base_ns $loaded=$loaded_ns (limit +$max_pct%)"
     awk -v b="$base_ns" -v l="$loaded_ns" -v m="$max_pct" 'BEGIN {
+        if (b == 0) {
+            printf "benchgate: base is 0, loaded %s\n", l
+            exit (l > 0) ? 1 : 0
+        }
         delta = (l - b) / b * 100
         printf "benchgate: overhead %+.1f%%\n", delta
         exit (delta > m) ? 1 : 0
@@ -119,7 +125,13 @@ pr_v=$(median "$pr_file" "$bench" "$unit")
 [ "$pr_v" != "NA" ] || die "no $bench $unit samples in $pr_file — wrong -bench filter or the PR bench run failed"
 
 echo "benchgate: $bench median $unit: base=$base_v pr=$pr_v (limit +$max_pct%)"
+# A zero base (allocs/op of an allocation-free path) admits no relative
+# delta: the PR passes only at zero too.
 awk -v b="$base_v" -v p="$pr_v" -v m="$max_pct" 'BEGIN {
+    if (b == 0) {
+        printf "benchgate: base is 0, pr %s\n", p
+        exit (p > 0) ? 1 : 0
+    }
     delta = (p - b) / b * 100
     printf "benchgate: delta %+.1f%%\n", delta
     exit (delta > m) ? 1 : 0
