@@ -4,12 +4,12 @@ import (
 	"io"
 
 	"repro/internal/dynamic"
-	"repro/internal/workload"
+	"repro/internal/graph"
 )
 
 // Update is a single edge update for ApplyBatch: an insertion when Insert
 // is set, a deletion otherwise.
-type Update = workload.Op
+type Update = graph.Op
 
 // Dynamic maintains a near-optimal maximal disjoint k-clique set while the
 // graph receives edge insertions and deletions (the paper's Section V). It
@@ -104,13 +104,15 @@ func (d *Dynamic) Stats() DynamicStats { return d.e.Stats() }
 // mutated topology.
 func (d *Dynamic) Snapshot() *Graph { return &Graph{g: d.e.Graph().Snapshot()} }
 
-// Save writes a binary snapshot (graph topology + result set) for warm
-// restarts. The candidate index is rebuilt on load.
-func (d *Dynamic) Save(w io.Writer) error { return d.e.Save(w) }
+// Save writes the maintainer's checkpoint image, the one format a
+// durable Service also stores: the graph, the result set with its clique
+// ids, and the snapshot version. The candidate index is rebuilt on load.
+func (d *Dynamic) Save(w io.Writer) error { return d.e.WriteCheckpoint(w) }
 
-// LoadDynamic restores a maintainer from a Save snapshot.
+// LoadDynamic restores a maintainer from a Save image. Result keeps its
+// clique ids and order, and the first snapshot carries the saved version.
 func LoadDynamic(r io.Reader) (*Dynamic, error) {
-	e, err := dynamic.Load(r)
+	e, err := dynamic.LoadCheckpoint(r, 0)
 	if err != nil {
 		return nil, err
 	}

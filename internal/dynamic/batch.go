@@ -3,7 +3,7 @@ package dynamic
 import (
 	"slices"
 
-	"repro/internal/workload"
+	"repro/internal/graph"
 )
 
 // Maintenance units. Every mutation of S runs as one unit: InsertEdge and
@@ -69,7 +69,7 @@ func (e *Engine) begin() {
 }
 
 // applyOne applies one op as a unit of its own, settled inline.
-func (e *Engine) applyOne(op workload.Op) bool {
+func (e *Engine) applyOne(op graph.Op) bool {
 	e.begin()
 	if !e.update(op) {
 		return false
@@ -92,7 +92,7 @@ func (e *Engine) applyOne(op workload.Op) bool {
 // through once, not twenty times. Swaps run once, after the whole batch,
 // so the set can differ from applying the same ops one by one; it is
 // maximal either way, and identical for every worker count.
-func (e *Engine) ApplyBatch(ops []workload.Op) int {
+func (e *Engine) ApplyBatch(ops []graph.Op) int {
 	if len(ops) == 0 {
 		return 0
 	}

@@ -10,23 +10,24 @@ import (
 	"repro/internal/graph"
 )
 
-// Engine checkpoints. A checkpoint is the durable half of the serving
-// layer's WAL + checkpoint protocol: it captures everything recovery needs
-// to rebuild a byte-identical engine — the graph topology, the result set
-// S *with its internal clique ids*, the id allocator position, and the
-// published snapshot version — and deliberately omits everything that is a
-// pure function of that state (the candidate index, rebuilt by Algorithm 5
-// on load) or that is activity accounting (Stats).
+// Engine checkpoints. A checkpoint is the engine's one image format: the
+// durable half of the serving layer's WAL + checkpoint protocol, the
+// install a follower loads, and the save file of the public Dynamic. It
+// captures everything recovery needs to rebuild a byte-identical engine —
+// the graph topology, the result set S *with its internal clique ids*,
+// the id allocator position, and the published snapshot version — and
+// deliberately omits everything that is a pure function of that state
+// (the candidate index, rebuilt by Algorithm 5 on load) or that is
+// activity accounting (Stats).
 //
-// Unlike Save/Load (persist.go), which renumber cliques on load and are
-// fine for warm restarts, WriteCheckpoint/LoadCheckpoint preserve identity:
-// replaying the same update stream against a loaded checkpoint reproduces
-// the exact clique ids, snapshot versions, and swap decisions of the
-// original engine — provided the original canonicalized its candidate
-// index at the checkpoint boundary (CanonicalizeIndex), because swap
-// tie-breaking follows each owner's candidate list order and loading
-// builds those lists in the deterministic Algorithm-5 order, not the
-// historical insertion order.
+// WriteCheckpoint/LoadCheckpoint preserve identity: replaying the same
+// update stream against a loaded checkpoint reproduces the exact clique
+// ids, snapshot versions, and swap decisions of the original engine —
+// provided the original canonicalized its candidate index at the
+// checkpoint boundary (CanonicalizeIndex), because swap tie-breaking
+// follows each owner's candidate list order and loading builds those
+// lists in the deterministic Algorithm-5 order, not the historical
+// insertion order.
 var checkpointMagic = [8]byte{'D', 'K', 'C', 'Q', 'C', 'K', 'P', '1'}
 
 // graphBinarySize returns the exact byte length of graph.WriteBinary's
@@ -121,6 +122,11 @@ func LoadCheckpoint(r io.Reader, workers int) (*Engine, error) {
 	// ns*k could wrap, so compare ns with N/k instead.
 	if n := int64(g.N()); k > n || ns > n/k {
 		return nil, fmt.Errorf("dynamic: checkpoint holds %d cliques of size %d over %d nodes", ns, k, g.N())
+	}
+	// Completing a non-maximal S below installs up to N/k cliques, and
+	// their ids must not wrap past the int32 range.
+	if nextClique > math.MaxInt32-int64(g.N())/k {
+		return nil, fmt.Errorf("dynamic: checkpoint's next clique id %d leaves no room for %d nodes", nextClique, g.N())
 	}
 	e := newEngineShell(graph.DynamicFrom(g), int(k), workers)
 	prev := int32(-1)

@@ -3,25 +3,25 @@ package dynamic
 import (
 	"slices"
 
-	"repro/internal/workload"
+	"repro/internal/graph"
 )
 
 // InsertEdge applies Algorithm 6 (incremental update) as a unit of one
 // op. It reports whether the edge was new; inserting an existing edge or
 // a self-loop is a no-op.
 func (e *Engine) InsertEdge(u, v int32) bool {
-	return e.applyOne(workload.Op{Insert: true, U: u, V: v})
+	return e.applyOne(graph.Op{Insert: true, U: u, V: v})
 }
 
 // DeleteEdge applies Algorithm 7 (decremental update) as a unit of one
 // op. It reports whether the edge existed.
 func (e *Engine) DeleteEdge(u, v int32) bool {
-	return e.applyOne(workload.Op{U: u, V: v})
+	return e.applyOne(graph.Op{U: u, V: v})
 }
 
 // update applies the structural part of one op to the open unit and
 // reports whether it changed the graph.
-func (e *Engine) update(op workload.Op) bool {
+func (e *Engine) update(op graph.Op) bool {
 	if op.Insert {
 		return e.insertEdge(op.U, op.V)
 	}

@@ -438,7 +438,8 @@ func (s *Server) respond(bw *bufio.Writer, f *wire.Frame, scratch []byte) []byte
 	case wire.FrameReqCliques:
 		scratch = s.batched(scratch[:0], snap, f.Queried)
 	case wire.FrameReqStats:
-		scratch = s.statsFrame(scratch[:0], snap, svc)
+		st := respcache.Stats(snap, svc.Stats())
+		scratch = wire.AppendStatsFrame(scratch[:0], snap.Version(), &st)
 	}
 	bw.Write(scratch)
 	return scratch
@@ -482,29 +483,6 @@ func (s *Server) batched(b []byte, snap *dynamic.Snapshot, queried []int32) []by
 		lookups = append(lookups, wire.Lookup{Node: u, Clique: idx})
 	}
 	return wire.AppendCliquesFrame(b, snap.Version(), snap.K(), cliques, lookups)
-}
-
-// statsFrame encodes the service + engine counters, mirroring the HTTP
-// /stats handler.
-func (s *Server) statsFrame(b []byte, snap *dynamic.Snapshot, svc Service) []byte {
-	st := svc.Stats()
-	es := snap.Stats()
-	ws := wire.Stats{
-		Size: uint64(snap.Size()), Nodes: uint64(snap.N()), Edges: uint64(snap.M()),
-		Enqueued: st.Enqueued, Applied: st.Applied, Changed: st.Changed,
-		Batches: st.Batches, Flushes: st.Flushes,
-		Recovered: st.Recovered, Checkpoints: st.Checkpoints,
-		WALBatches: st.WALBatches, WALBytes: st.WALBytes,
-		Insertions: uint64(es.Insertions), Deletions: uint64(es.Deletions),
-		Swaps:             uint64(es.Swaps),
-		IndexBuildUS:      uint64(es.IndexBuild.Microseconds()),
-		QueueDepth:        st.QueueDepth,
-		SnapshotAge:       st.SnapshotAge,
-		WALSyncs:          st.WALSyncs,
-		GroupCommitOps:    st.GroupCommitOps,
-		CheckpointStallNs: st.CheckpointStallNs,
-	}
-	return wire.AppendStatsFrame(b, snap.Version(), &ws)
 }
 
 // streamDeltas is the push mode a subscribe request switches the

@@ -75,8 +75,30 @@ func writeInt32s(bw *bufio.Writer, vs []int32) error {
 	return nil
 }
 
+// readBlock is the most ReadBinary allocates before the bytes to fill it
+// have arrived.
+const readBlock = 64 << 10
+
+// readBlocks reads size bytes from r in blocks of at most readBlock bytes,
+// so what a stream costs grows with the bytes that actually arrive, not
+// with the sizes its header claims.
+func readBlocks(r io.Reader, size int64) ([][]byte, error) {
+	var blocks [][]byte
+	for size > 0 {
+		b := make([]byte, min(size, readBlock))
+		if _, err := io.ReadFull(r, b); err != nil {
+			return nil, err
+		}
+		blocks = append(blocks, b)
+		size -= int64(len(b))
+	}
+	return blocks, nil
+}
+
 // ReadBinary parses a WriteBinary stream and validates its invariants
-// (monotone offsets, sorted symmetric adjacency ranges).
+// (monotone offsets, sorted symmetric adjacency ranges). Each array is
+// allocated once all its bytes have arrived, so a stream whose header
+// claims more than it holds fails at the cost of what it holds.
 func ReadBinary(r io.Reader) (*Graph, error) {
 	br := bufio.NewReader(r)
 	var magic [8]byte
@@ -93,9 +115,15 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 	if n < 0 || n > 1<<31 {
 		return nil, fmt.Errorf("graph: implausible node count %d", n)
 	}
-	offsets := make([]int64, n+1)
-	if err := binary.Read(br, binary.LittleEndian, offsets); err != nil {
+	blocks, err := readBlocks(br, 8*(n+1))
+	if err != nil {
 		return nil, fmt.Errorf("graph: binary offsets: %w", err)
+	}
+	offsets := make([]int64, 0, n+1)
+	for _, b := range blocks {
+		for i := 0; i < len(b); i += 8 {
+			offsets = append(offsets, int64(binary.LittleEndian.Uint64(b[i:])))
+		}
 	}
 	if offsets[0] != 0 {
 		return nil, fmt.Errorf("graph: offsets must start at 0")
@@ -109,9 +137,15 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 	if total < 0 || total%2 != 0 || total > 1<<34 {
 		return nil, fmt.Errorf("graph: implausible adjacency length %d", total)
 	}
-	adj := make([]int32, total)
-	if err := binary.Read(br, binary.LittleEndian, adj); err != nil {
+	blocks, err = readBlocks(br, 4*total)
+	if err != nil {
 		return nil, fmt.Errorf("graph: binary adjacency: %w", err)
+	}
+	adj := make([]int32, 0, total)
+	for _, b := range blocks {
+		for i := 0; i < len(b); i += 4 {
+			adj = append(adj, int32(binary.LittleEndian.Uint32(b[i:])))
+		}
 	}
 	g := &Graph{offsets: offsets, adj: adj}
 	// Validate: sorted, in-range, no self-loops, symmetric.

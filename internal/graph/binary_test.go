@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"io"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -123,5 +124,22 @@ func TestBinaryRejectsCorruption(t *testing.T) {
 	// Truncation must fail.
 	if _, err := ReadBinary(bytes.NewReader(raw[:len(raw)/2])); err == nil {
 		t.Fatal("truncated stream accepted")
+	}
+}
+
+// TestBinaryShortStreamAllocatesLittle: a header is only a claim. A
+// 16-byte stream claiming 2^24 nodes must fail at the cost of what it
+// holds, not allocate the 128 MB of offsets it claims.
+func TestBinaryShortStreamAllocatesLittle(t *testing.T) {
+	hdr := binary.LittleEndian.AppendUint64(bytes.Clone(binaryMagic[:]), 1<<24)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadBinary(bytes.NewReader(hdr))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("header without a body accepted")
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 1<<20 {
+		t.Fatalf("a 16-byte stream allocated %d bytes", alloc)
 	}
 }

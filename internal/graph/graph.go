@@ -2,8 +2,9 @@
 // repository: a compact immutable CSR representation for the static
 // algorithms, a mutable flat-row representation (per-node sorted neighbour
 // slices plus an epoch-stamped mark array) for the dynamic engine, node
-// orderings (degree, degeneracy, score), DAG orientation, and edge-list
-// text I/O.
+// orderings (degree, degeneracy, score), DAG orientation, edge-list text
+// and binary I/O, and the edge update every layer above carries (Op, with
+// its one list codec and validity rule).
 //
 // Node identifiers are dense int32 values in [0, N). All adjacency lists —
 // static CSR rows and dynamic flat rows alike — are sorted ascending, which

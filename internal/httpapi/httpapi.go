@@ -25,11 +25,11 @@ import (
 	"strings"
 
 	"repro/internal/dynamic"
+	"repro/internal/graph"
 	"repro/internal/manager"
 	"repro/internal/respcache"
 	"repro/internal/serve"
 	"repro/internal/wire"
-	"repro/internal/workload"
 )
 
 // Service is the serving surface the API runs over. Both
@@ -42,7 +42,7 @@ type Service interface {
 	// K returns the clique size.
 	K() int
 	// Enqueue queues edge updates for the single writer.
-	Enqueue(ctx context.Context, ops ...workload.Op) error
+	Enqueue(ctx context.Context, ops ...graph.Op) error
 	// Flush blocks until everything enqueued before it has been applied.
 	Flush(ctx context.Context) error
 }
@@ -363,35 +363,19 @@ func (h *handler) getCliques(w http.ResponseWriter, r *http.Request) {
 // publication, so version-keyed memoization would serve stale numbers.
 func (h *handler) getStats(w http.ResponseWriter, r *http.Request) {
 	snap := h.svc.Snapshot()
-	st := h.svc.Stats()
-	es := snap.Stats()
+	st := respcache.Stats(snap, h.svc.Stats())
 	if wantBinary(r) {
-		ws := wire.Stats{
-			Size: uint64(snap.Size()), Nodes: uint64(snap.N()), Edges: uint64(snap.M()),
-			Enqueued: st.Enqueued, Applied: st.Applied, Changed: st.Changed,
-			Batches: st.Batches, Flushes: st.Flushes,
-			Recovered: st.Recovered, Checkpoints: st.Checkpoints,
-			WALBatches: st.WALBatches, WALBytes: st.WALBytes,
-			Insertions: uint64(es.Insertions), Deletions: uint64(es.Deletions),
-			Swaps:             uint64(es.Swaps),
-			IndexBuildUS:      uint64(es.IndexBuild.Microseconds()),
-			QueueDepth:        st.QueueDepth,
-			SnapshotAge:       st.SnapshotAge,
-			WALSyncs:          st.WALSyncs,
-			GroupCommitOps:    st.GroupCommitOps,
-			CheckpointStallNs: st.CheckpointStallNs,
-		}
 		buf := getBuf()
 		defer putBuf(buf)
-		*buf = wire.AppendStatsFrame((*buf)[:0], snap.Version(), &ws)
+		*buf = wire.AppendStatsFrame((*buf)[:0], snap.Version(), &st)
 		writeBody(w, http.StatusOK, wire.ContentType, *buf)
 		return
 	}
 	writeJSON(w, http.StatusOK, StatsResponse{
 		Version:    snap.Version(),
-		Size:       snap.Size(),
-		Nodes:      snap.N(),
-		Edges:      snap.M(),
+		Size:       int(st.Size),
+		Nodes:      int(st.Nodes),
+		Edges:      int(st.Edges),
 		Enqueued:   st.Enqueued,
 		Applied:    st.Applied,
 		Changed:    st.Changed,
@@ -401,10 +385,10 @@ func (h *handler) getStats(w http.ResponseWriter, r *http.Request) {
 		Ckpts:      st.Checkpoints,
 		WALBatches: st.WALBatches,
 		WALBytes:   st.WALBytes,
-		Insertions: es.Insertions,
-		Deletions:  es.Deletions,
-		Swaps:      es.Swaps,
-		IndexMS:    float64(es.IndexBuild.Microseconds()) / 1000,
+		Insertions: int(st.Insertions),
+		Deletions:  int(st.Deletions),
+		Swaps:      int(st.Swaps),
+		IndexMS:    float64(st.IndexBuildUS) / 1000,
 		QueueDepth: st.QueueDepth,
 		SnapAge:    st.SnapshotAge,
 		WALSyncs:   st.WALSyncs,
@@ -466,14 +450,14 @@ func (h *handler) postUpdate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	n := h.svc.Snapshot().N()
-	ops := make([]workload.Op, len(req.Ops))
+	ops := make([]graph.Op, len(req.Ops))
 	for i, op := range req.Ops {
-		if op.U < 0 || int(op.U) >= n || op.V < 0 || int(op.V) >= n || op.U == op.V {
+		ops[i] = graph.Op(op)
+		if !ops[i].Valid(n) {
 			writeError(w, r, http.StatusBadRequest,
 				fmt.Sprintf("op %d: invalid edge (%d,%d) for %d nodes", i, op.U, op.V, n))
 			return
 		}
-		ops[i] = workload.Op{Insert: op.Insert, U: op.U, V: op.V}
 	}
 	if err := h.svc.Enqueue(r.Context(), ops...); err != nil {
 		// A follower refusing writes is a routing mistake by the client,

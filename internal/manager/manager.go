@@ -44,7 +44,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/respcache"
 	"repro/internal/serve"
-	"repro/internal/workload"
 )
 
 // DefaultTenant is the tenant name the root-level (un-prefixed) routes
@@ -592,7 +591,7 @@ func (h *Handle) Service() *serve.Service { return h.svc }
 // op quota: an update that would push the tenant's backlog past
 // Options.MaxQueuedOps fails fast with ErrQuota instead of blocking the
 // transport goroutine behind a saturated queue.
-func (h *Handle) Enqueue(ctx context.Context, ops ...workload.Op) error {
+func (h *Handle) Enqueue(ctx context.Context, ops ...graph.Op) error {
 	if q := h.t.mgr.opt.MaxQueuedOps; q > 0 {
 		if depth := h.svc.Stats().QueueDepth; depth+uint64(len(ops)) > uint64(q) {
 			return fmt.Errorf("%w: tenant %s has %d queued ops (limit %d)", ErrQuota, h.t.name, depth, q)

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/dynamic"
+	"repro/internal/graph"
 	"repro/internal/serve"
 	"repro/internal/wal"
 	"repro/internal/wire"
@@ -363,11 +364,7 @@ func (f *Follower) applyFrame(ctx context.Context, fr *wire.Frame) error {
 		if svc == nil {
 			return errors.New("repl: batch before any checkpoint install")
 		}
-		ops := make([]workload.Op, len(fr.ReplOps))
-		for i, op := range fr.ReplOps {
-			ops[i] = workload.Op{Insert: op.Insert, U: op.U, V: op.V}
-		}
-		ver, err := svc.Replicate(ctx, ops)
+		ver, err := svc.Replicate(ctx, fr.ReplOps)
 		if err != nil {
 			return fmt.Errorf("apply batch @%d: %w", fr.Version, err)
 		}
@@ -549,7 +546,7 @@ func (fr *Front) K() int { return fr.f.svc.Load().K() }
 func (fr *Front) Published() <-chan struct{} { return fr.f.svc.Load().Published() }
 
 // Enqueue refuses local writes with serve.ErrNotPrimary.
-func (fr *Front) Enqueue(ctx context.Context, ops ...workload.Op) error {
+func (fr *Front) Enqueue(ctx context.Context, ops ...graph.Op) error {
 	return fr.f.svc.Load().Enqueue(ctx, ops...)
 }
 

@@ -34,12 +34,13 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"slices"
 	"sync"
 	"time"
 
+	"repro/internal/graph"
 	"repro/internal/serve"
 	"repro/internal/wire"
-	"repro/internal/workload"
 )
 
 // PrimaryOptions tunes a Primary. It has no fields: the history a
@@ -51,7 +52,7 @@ type PrimaryOptions struct{}
 type entry struct {
 	canon   bool
 	version uint64
-	ops     []wire.EdgeOp // nil for canon entries; immutable once stored
+	ops     []graph.Op // nil for canon entries; immutable once stored
 }
 
 // capture is a checkpoint image the primary installs fresh or lagging
@@ -121,14 +122,11 @@ func (p *Primary) wake() {
 }
 
 // ReplBatch implements serve.ReplSink: record one applied batch.
-func (p *Primary) ReplBatch(ops []workload.Op, version uint64) {
+func (p *Primary) ReplBatch(ops []graph.Op, version uint64) {
 	// Copy: ops aliases the writer's reusable buffer.
-	eops := make([]wire.EdgeOp, len(ops))
-	for i, op := range ops {
-		eops[i] = wire.EdgeOp{Insert: op.Insert, U: op.U, V: op.V}
-	}
+	ops = slices.Clone(ops)
 	p.mu.Lock()
-	p.history = append(p.history, entry{version: version, ops: eops})
+	p.history = append(p.history, entry{version: version, ops: ops})
 	p.wake()
 	p.mu.Unlock()
 }

@@ -338,7 +338,7 @@ func TestEpochFenceFollowerRefuses(t *testing.T) {
 	// second without touching state.
 	addr, served := fakePrimary(t, func(*wire.Frame) []byte {
 		out := wire.AppendReplCheckpointFrame(nil, 2, iver, img)
-		return wire.AppendReplBatchFrame(out, 1, iver+1, []wire.EdgeOp{{Insert: true, U: 0, V: 1}})
+		return wire.AppendReplBatchFrame(out, 1, iver+1, []graph.Op{{Insert: true, U: 0, V: 1}})
 	})
 
 	f := newTestFollower(t, addr, nil)

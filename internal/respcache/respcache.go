@@ -12,13 +12,16 @@
 // Snapshot cache, so an HTTP reader and a TCP reader of the same
 // snapshot version are answered from the same pre-encoded bytes — the
 // encode cost is paid once per (version, representation) no matter how
-// many transports or requests fan out of it.
+// many transports or requests fan out of it. For the same reason it
+// holds the one builder of the stats counter block both transports
+// answer /stats with.
 package respcache
 
 import (
 	"sync/atomic"
 
 	"repro/internal/dynamic"
+	"repro/internal/serve"
 	"repro/internal/wire"
 )
 
@@ -89,4 +92,29 @@ func (c *Snapshot) Binary(snap *dynamic.Snapshot, lean bool) []byte {
 		return wire.AppendSnapshotFrame(nil, snap.Version(), snap.K(), snap.N(), snap.M(),
 			snap.Size(), cliques, !lean)
 	})
+}
+
+// Stats builds the counter block of a stats response from a service's
+// counters and the snapshot they are served with. Both transports encode
+// their stats frames from it, and the JSON /stats body reads the same
+// block, so the mapping of serve.Stats onto the response lives here
+// once. Counters move without a version bump, so the block is built per
+// request, never cached.
+func Stats(snap *dynamic.Snapshot, st serve.Stats) wire.Stats {
+	es := snap.Stats()
+	return wire.Stats{
+		Size: uint64(snap.Size()), Nodes: uint64(snap.N()), Edges: uint64(snap.M()),
+		Enqueued: st.Enqueued, Applied: st.Applied, Changed: st.Changed,
+		Batches: st.Batches, Flushes: st.Flushes,
+		Recovered: st.Recovered, Checkpoints: st.Checkpoints,
+		WALBatches: st.WALBatches, WALBytes: st.WALBytes,
+		Insertions: uint64(es.Insertions), Deletions: uint64(es.Deletions),
+		Swaps:             uint64(es.Swaps),
+		IndexBuildUS:      uint64(es.IndexBuild.Microseconds()),
+		QueueDepth:        st.QueueDepth,
+		SnapshotAge:       st.SnapshotAge,
+		WALSyncs:          st.WALSyncs,
+		GroupCommitOps:    st.GroupCommitOps,
+		CheckpointStallNs: st.CheckpointStallNs,
+	}
 }

@@ -13,8 +13,8 @@ import (
 	"syscall"
 
 	"repro/internal/dynamic"
+	"repro/internal/graph"
 	"repro/internal/wal"
-	"repro/internal/workload"
 )
 
 // Durable store. When Options.Dir is set, the service fronts its
@@ -76,7 +76,7 @@ type durable struct {
 	gen  int64
 
 	// chunks is the writer's scratch for vectored group appends.
-	chunks [][]workload.Op
+	chunks [][]graph.Op
 	// ckptBuf is the reusable checkpoint capture buffer (store header +
 	// engine image). It is handed to the installer by reference — both
 	// sides only read it — and reused by the next capture after the
@@ -302,9 +302,9 @@ func open(dir string, opt Options, follower bool) (*Service, error) {
 	}
 	n := eng.Graph().N()
 	recovered := uint64(0)
-	replay := func(ops []workload.Op) error {
+	replay := func(ops []graph.Op) error {
 		for _, op := range ops {
-			if int(op.U) >= n || int(op.V) >= n {
+			if !op.Valid(n) {
 				return fmt.Errorf("serve: wal op (%d,%d) out of range for %d nodes", op.U, op.V, n)
 			}
 		}
@@ -384,7 +384,7 @@ func removeStaleWALs(dir string, lo, hi int64) {
 // appendWAL logs one about-to-be-applied batch (the follower replication
 // path applies exactly one record per stream item; the local writer uses
 // appendWALGroup). Called by the writer goroutine only.
-func (s *Service) appendWAL(ops []workload.Op) error {
+func (s *Service) appendWAL(ops []graph.Op) error {
 	nb, err := s.dur.log.Append(ops)
 	if err != nil {
 		return err
@@ -398,7 +398,7 @@ func (s *Service) appendWAL(ops []workload.Op) error {
 // appendWALGroup logs a whole drain cycle ahead of application: one
 // record per maxBatch chunk — mirroring the ApplyBatch chunking — framed
 // into a single vectored write. Called by the writer goroutine only.
-func (s *Service) appendWALGroup(buf []workload.Op, maxBatch int) error {
+func (s *Service) appendWALGroup(buf []graph.Op, maxBatch int) error {
 	d := s.dur
 	chunks := d.chunks[:0]
 	for off := 0; off < len(buf); off += maxBatch {

@@ -10,7 +10,7 @@ import (
 	"time"
 
 	"repro/internal/dynamic"
-	"repro/internal/workload"
+	"repro/internal/graph"
 )
 
 // Replication support. A primary Service exposes a ReplSink hook the
@@ -39,7 +39,7 @@ type ReplSink interface {
 	// the engine to version (versions of successive calls are exactly
 	// consecutive). ops aliases the writer's reusable buffer: copy it
 	// before retaining.
-	ReplBatch(ops []workload.Op, version uint64)
+	ReplBatch(ops []graph.Op, version uint64)
 	// ReplCanon reports a checkpoint: the engine canonicalized its
 	// candidate index with the snapshot at version — a boundary every
 	// replica must reproduce — and image is the dynamic.WriteCheckpoint
@@ -199,12 +199,12 @@ func (s *Service) Barrier(ctx context.Context, fn func() error) error {
 // is durable, never coalesced or split — and returns the engine version
 // it produced (the caller checks it against the version the stream
 // promised). Returns ErrNotPrimary on a non-follower service.
-func (s *Service) Replicate(ctx context.Context, ops []workload.Op) (uint64, error) {
+func (s *Service) Replicate(ctx context.Context, ops []graph.Op) (uint64, error) {
 	if !s.follower {
 		return 0, errors.New("serve: Replicate on a primary service")
 	}
 	for _, op := range ops {
-		if op.U < 0 || op.V < 0 || int(op.U) >= s.n || int(op.V) >= s.n || op.U == op.V {
+		if !op.Valid(s.n) {
 			return 0, fmt.Errorf("serve: invalid replicated op (%d,%d) for %d nodes", op.U, op.V, s.n)
 		}
 	}
@@ -257,7 +257,7 @@ func (s *Service) sendRepl(ctx context.Context, req *replReq) (uint64, error) {
 // replReq is a follower-side replication work item: one exact batch to
 // apply, or a canonicalization boundary.
 type replReq struct {
-	ops   []workload.Op
+	ops   []graph.Op
 	canon bool
 	done  chan replResult // buffered; the writer never blocks on it
 }

@@ -34,7 +34,6 @@ import (
 	"repro/internal/dynamic"
 	"repro/internal/graph"
 	"repro/internal/wal"
-	"repro/internal/workload"
 )
 
 // ErrClosed is returned by Enqueue and Flush after Close.
@@ -166,7 +165,7 @@ type Stats struct {
 // repl and barrier are replication specials (see repl.go); they run on
 // the writer after the batch group they arrived in has been applied.
 type item struct {
-	ops     []workload.Op
+	ops     []graph.Op
 	flush   chan struct{}
 	repl    *replReq
 	barrier *barrierReq
@@ -336,7 +335,7 @@ func (s *Service) finalPublish() {
 func (s *Service) run(maxBatch int) {
 	defer close(s.done)
 	defer s.finalPublish()
-	buf := make([]workload.Op, 0, maxBatch)
+	buf := make([]graph.Op, 0, maxBatch)
 	var pendingFlush []chan struct{}
 	var specials []item
 	var waiterBuf []syncWaiter
@@ -459,7 +458,7 @@ func (s *Service) run(maxBatch int) {
 
 // applyChunk runs one ApplyBatch call under the cross-service apply
 // gate, if one was configured. Writer goroutine only.
-func (s *Service) applyChunk(chunk []workload.Op) int {
+func (s *Service) applyChunk(chunk []graph.Op) int {
 	if s.gate != nil {
 		s.gate.Acquire()
 		defer s.gate.Release()
@@ -478,12 +477,12 @@ func (s *Service) applyChunk(chunk []workload.Op) int {
 // panics on out-of-range ids by design, and the WAL only persists
 // well-formed edge ops — an invalid op that slipped into the log would
 // read back as corruption and truncate acked records behind it.)
-func (s *Service) Enqueue(ctx context.Context, ops ...workload.Op) error {
+func (s *Service) Enqueue(ctx context.Context, ops ...graph.Op) error {
 	if len(ops) == 0 {
 		return nil
 	}
 	for _, op := range ops {
-		if op.U < 0 || op.V < 0 || int(op.U) >= s.n || int(op.V) >= s.n || op.U == op.V {
+		if !op.Valid(s.n) {
 			return fmt.Errorf("serve: invalid edge op (%d,%d) for %d nodes", op.U, op.V, s.n)
 		}
 	}
@@ -499,7 +498,7 @@ func (s *Service) Enqueue(ctx context.Context, ops ...workload.Op) error {
 	// Copy before queueing: Enqueue returns on acceptance, before the
 	// writer reads the ops, so retaining the caller's slice would race
 	// with callers that reuse their buffer.
-	ops = append([]workload.Op(nil), ops...)
+	ops = append([]graph.Op(nil), ops...)
 	// The writer drains the queue once more after Close; a send that beats
 	// that final drain is still applied, later ones are dropped (see doc).
 	select {

@@ -6,7 +6,7 @@ import (
 	"hash/crc32"
 	"testing"
 
-	"repro/internal/workload"
+	"repro/internal/graph"
 )
 
 // FuzzWALDecode hardens the replay decoder: arbitrary bytes must never
@@ -29,9 +29,9 @@ func FuzzWALDecode(f *testing.F) {
 	f.Add(append(seed[:len(seed)-3:len(seed)-3], 0xff, 0x01, 0x02))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var batches [][]workload.Op
-		valid, err := decode(data, func(ops []workload.Op) error {
-			batches = append(batches, append([]workload.Op(nil), ops...))
+		var batches [][]graph.Op
+		valid, err := decode(data, func(ops []graph.Op) error {
+			batches = append(batches, append([]graph.Op(nil), ops...))
 			return nil
 		})
 		if err != nil {

@@ -10,7 +10,8 @@
 //	then records, back to back:
 //	[4]  payload length L (little-endian uint32)
 //	[4]  CRC-32 (IEEE) of the payload
-//	[L]  payload: [4] op count C, then C × ([1] insert flag, [4] u, [4] v)
+//	[L]  payload: [4] op count C, then C × ([1] insert flag, [4] u, [4] v),
+//	     the op list of graph.AppendOps
 //
 // Replay tolerates a truncated or corrupted tail — the expected shape of
 // a crash mid-append: decoding stops at the first record whose header is
@@ -31,7 +32,7 @@ import (
 	"os"
 	"sync/atomic"
 
-	"repro/internal/workload"
+	"repro/internal/graph"
 )
 
 // magic identifies a WAL file; the trailing digit is the format version.
@@ -42,7 +43,6 @@ const (
 	// has no intact prefix and must be recreated rather than resumed.
 	HeaderSize = 8
 	recHdrSize = 8 // payload length + CRC
-	opSize     = 9 // insert flag + two int32 endpoints
 
 	// maxRecordPayload bounds a single record so a corrupted length prefix
 	// cannot demand an absurd allocation or swallow the rest of the file.
@@ -177,20 +177,11 @@ func (l *Log) grow(need int) {
 // encode frames one batch as a record appended to the log's reusable
 // scratch buffer, header and payload contiguous, and returns the
 // extended buffer.
-func (l *Log) encode(b []byte, ops []workload.Op) []byte {
+func (l *Log) encode(b []byte, ops []graph.Op) []byte {
 	mark := len(b)
-	b = binary.LittleEndian.AppendUint32(b, uint32(4+opSize*len(ops)))
+	b = binary.LittleEndian.AppendUint32(b, uint32(graph.OpsSize(len(ops))))
 	b = append(b, 0, 0, 0, 0) // CRC placeholder
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(ops)))
-	for _, op := range ops {
-		flag := byte(0)
-		if op.Insert {
-			flag = 1
-		}
-		b = append(b, flag)
-		b = binary.LittleEndian.AppendUint32(b, uint32(op.U))
-		b = binary.LittleEndian.AppendUint32(b, uint32(op.V))
-	}
+	b = graph.AppendOps(b, ops)
 	binary.LittleEndian.PutUint32(b[mark+4:mark+8], crc32.ChecksumIEEE(b[mark+recHdrSize:]))
 	return b
 }
@@ -199,8 +190,8 @@ func (l *Log) encode(b []byte, ops []workload.Op) []byte {
 // returns the number of bytes appended. An error leaves the log unusable
 // for further appends (the file may hold a torn record, which replay
 // tolerates); callers should fail-stop.
-func (l *Log) Append(ops []workload.Op) (int, error) {
-	payload := 4 + opSize*len(ops)
+func (l *Log) Append(ops []graph.Op) (int, error) {
+	payload := graph.OpsSize(len(ops))
 	if payload > maxRecordPayload {
 		return 0, fmt.Errorf("wal: batch of %d ops exceeds the record bound", len(ops))
 	}
@@ -215,10 +206,10 @@ func (l *Log) Append(ops []workload.Op) (int, error) {
 // of one per chunk. Under SyncEveryBatch the group is synced once, which
 // is the degenerate (inline) form of group commit. An error means none
 // of the group's batches may be applied; callers should fail-stop.
-func (l *Log) AppendGroup(batches [][]workload.Op) (int, error) {
+func (l *Log) AppendGroup(batches [][]graph.Op) (int, error) {
 	need := 0
 	for _, ops := range batches {
-		payload := 4 + opSize*len(ops)
+		payload := graph.OpsSize(len(ops))
 		if payload > maxRecordPayload {
 			return 0, fmt.Errorf("wal: batch of %d ops exceeds the record bound", len(ops))
 		}
@@ -299,7 +290,7 @@ func (l *Log) Syncs() uint64 { return l.syncs.Load() }
 // so the returned offset is what Resume should truncate to. A missing
 // file surfaces as an fs.ErrNotExist error; an error from fn aborts the
 // replay and is returned as is.
-func Replay(path string, fn func(ops []workload.Op) error) (int64, error) {
+func Replay(path string, fn func(ops []graph.Op) error) (int64, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return 0, err
@@ -309,51 +300,33 @@ func Replay(path string, fn func(ops []workload.Op) error) (int64, error) {
 
 // decode is the pure replay core over an in-memory image (exercised
 // directly by FuzzWALDecode). It returns the length of the intact prefix.
-func decode(data []byte, fn func(ops []workload.Op) error) (int64, error) {
+func decode(data []byte, fn func(ops []graph.Op) error) (int64, error) {
 	if len(data) < HeaderSize || [8]byte(data[:HeaderSize]) != magic {
 		return 0, nil
 	}
 	off := int64(HeaderSize)
-	var ops []workload.Op
+	var ops []graph.Op
 	for {
 		rest := data[off:]
 		if len(rest) < recHdrSize {
 			return off, nil
 		}
 		payload := int64(binary.LittleEndian.Uint32(rest[0:4]))
-		if payload > maxRecordPayload || payload < 4 || int64(len(rest)) < recHdrSize+payload {
+		if payload > maxRecordPayload || int64(len(rest)) < recHdrSize+payload {
 			return off, nil
 		}
 		body := rest[recHdrSize : recHdrSize+payload]
 		if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(rest[4:8]) {
 			return off, nil
 		}
-		count := int64(binary.LittleEndian.Uint32(body[0:4]))
-		if 4+count*opSize != payload {
+		// The writer only logs validated edge ops; a payload that does not
+		// decode as such is corruption that happened to pass the CRC. Treat
+		// it like a torn tail rather than handing garbage to the engine.
+		var err error
+		if ops, err = graph.DecodeOps(ops[:0], body); err != nil {
 			return off, nil
 		}
-		ops = ops[:0]
-		ok := true
-		for i := int64(0); i < count; i++ {
-			rec := body[4+i*opSize:]
-			op := workload.Op{
-				Insert: rec[0] == 1,
-				U:      int32(binary.LittleEndian.Uint32(rec[1:5])),
-				V:      int32(binary.LittleEndian.Uint32(rec[5:9])),
-			}
-			// The writer only logs validated edge ops; anything else here
-			// is corruption that happened to pass the CRC. Treat it like a
-			// torn tail rather than handing garbage to the engine.
-			if rec[0] > 1 || op.U < 0 || op.V < 0 || op.U == op.V {
-				ok = false
-				break
-			}
-			ops = append(ops, op)
-		}
-		if !ok {
-			return off, nil
-		}
-		if err := fn(ops); err != nil {
+		if err = fn(ops); err != nil {
 			return off, err
 		}
 		off += recHdrSize + payload

@@ -7,27 +7,27 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/workload"
+	"repro/internal/graph"
 )
 
-func randOps(rng *rand.Rand, n int) []workload.Op {
-	ops := make([]workload.Op, n)
+func randOps(rng *rand.Rand, n int) []graph.Op {
+	ops := make([]graph.Op, n)
 	for i := range ops {
 		u := int32(rng.Intn(1000))
 		v := int32(rng.Intn(1000))
 		if u == v {
 			v = (v + 1) % 1000
 		}
-		ops[i] = workload.Op{Insert: rng.Intn(2) == 0, U: u, V: v}
+		ops[i] = graph.Op{Insert: rng.Intn(2) == 0, U: u, V: v}
 	}
 	return ops
 }
 
-func replayAll(t *testing.T, path string) ([][]workload.Op, int64) {
+func replayAll(t *testing.T, path string) ([][]graph.Op, int64) {
 	t.Helper()
-	var got [][]workload.Op
-	valid, err := Replay(path, func(ops []workload.Op) error {
-		got = append(got, append([]workload.Op(nil), ops...))
+	var got [][]graph.Op
+	valid, err := Replay(path, func(ops []graph.Op) error {
+		got = append(got, append([]graph.Op(nil), ops...))
 		return nil
 	})
 	if err != nil {
@@ -44,7 +44,7 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		rng := rand.New(rand.NewSource(int64(policy) + 1))
-		var want [][]workload.Op
+		var want [][]graph.Op
 		for i := 0; i < 20; i++ {
 			ops := randOps(rng, 1+rng.Intn(50))
 			if _, err := l.Append(ops); err != nil {
@@ -93,7 +93,7 @@ func TestTruncatedTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(7))
-	var want [][]workload.Op
+	var want [][]graph.Op
 	var bounds []int64 // cumulative intact sizes after each record
 	size := int64(HeaderSize)
 	for i := 0; i < 8; i++ {
@@ -205,7 +205,7 @@ func TestResumeAfterTear(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, _ := replayAll(t, path)
-	want := [][]workload.Op{a, c}
+	want := [][]graph.Op{a, c}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("resume mismatch: got %v want %v", got, want)
 	}
@@ -217,7 +217,7 @@ func TestResumeHeaderlessFile(t *testing.T) {
 	if err := os.WriteFile(path, []byte("junk"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	valid, err := Replay(path, func([]workload.Op) error { return nil })
+	valid, err := Replay(path, func([]graph.Op) error { return nil })
 	if err != nil || valid != 0 {
 		t.Fatalf("junk replay = %d, %v", valid, err)
 	}
@@ -225,7 +225,7 @@ func TestResumeHeaderlessFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ops := []workload.Op{{Insert: true, U: 1, V: 2}}
+	ops := []graph.Op{{Insert: true, U: 1, V: 2}}
 	if _, err := l.Append(ops); err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func TestResumeHeaderlessFile(t *testing.T) {
 }
 
 func TestReplayMissingFile(t *testing.T) {
-	_, err := Replay(filepath.Join(t.TempDir(), "absent.log"), func([]workload.Op) error { return nil })
+	_, err := Replay(filepath.Join(t.TempDir(), "absent.log"), func([]graph.Op) error { return nil })
 	if !os.IsNotExist(err) {
 		t.Fatalf("want fs.ErrNotExist, got %v", err)
 	}
@@ -258,7 +258,7 @@ func TestAppendZeroAlloc(t *testing.T) {
 	defer l.Close()
 	rng := rand.New(rand.NewSource(7))
 	ops := randOps(rng, 256)
-	group := [][]workload.Op{ops[:100], ops[100:200], ops[200:]}
+	group := [][]graph.Op{ops[:100], ops[100:200], ops[200:]}
 	// Warm: grow the scratch to its steady-state size.
 	if _, err := l.Append(ops); err != nil {
 		t.Fatal(err)

@@ -3,6 +3,8 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
+
+	"repro/internal/graph"
 )
 
 // Replication frames: the log-shipping protocol of internal/repl rides
@@ -21,10 +23,11 @@ import (
 //	              follower rebuilds its engine from them and is then
 //	              positioned exactly at version
 //	replbatch:    [8] epoch, [8] version (the version applying the batch
-//	              produces), [4] op count C, C × ([1] insert flag, [4] u,
-//	              [4] v) — the exact op sequence of one primary
-//	              ApplyBatch call; the follower must apply it as one
-//	              batch, not coalesce or split it
+//	              produces), then the op list of graph.AppendOps, [4] op
+//	              count C, C × ([1] insert flag, [4] u, [4] v) — the
+//	              exact op sequence of one primary ApplyBatch call; the
+//	              follower must apply it as one batch, not coalesce or
+//	              split it
 //	replcanon:    [8] epoch, [8] version — the primary canonicalized its
 //	              candidate index at version (a checkpoint boundary);
 //	              the follower must canonicalize there too or the two
@@ -44,21 +47,6 @@ const (
 	FrameReqReplicate FrameType = 21
 )
 
-// EdgeOp is one edge update of a shipped batch. It mirrors workload.Op
-// structurally; wire cannot import workload (workload imports wire), so
-// the conversion happens at the repl layer.
-type EdgeOp struct {
-	Insert bool
-	U, V   int32
-}
-
-// replBatchFixed is the fixed part of a batch payload (epoch, version,
-// op count); each op adds edgeOpSize bytes.
-const (
-	replBatchFixed = 20
-	edgeOpSize     = 9
-)
-
 // AppendReplCheckpointFrame appends a checkpoint-install frame. data is
 // the opaque engine checkpoint the follower loads; version is the
 // snapshot version the checkpoint is at.
@@ -72,20 +60,11 @@ func AppendReplCheckpointFrame(b []byte, epoch, version uint64, data []byte) []b
 
 // AppendReplBatchFrame appends one shipped batch; version is the
 // snapshot version the primary's engine reached by applying it.
-func AppendReplBatchFrame(b []byte, epoch, version uint64, ops []EdgeOp) []byte {
+func AppendReplBatchFrame(b []byte, epoch, version uint64, ops []graph.Op) []byte {
 	b, mark := beginFrame(b, FrameReplBatch)
 	b = binary.LittleEndian.AppendUint64(b, epoch)
 	b = binary.LittleEndian.AppendUint64(b, version)
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(ops)))
-	for _, op := range ops {
-		flag := byte(0)
-		if op.Insert {
-			flag = 1
-		}
-		b = append(b, flag)
-		b = binary.LittleEndian.AppendUint32(b, uint32(op.U))
-		b = binary.LittleEndian.AppendUint32(b, uint32(op.V))
-	}
+	b = graph.AppendOps(b, ops)
 	return endFrame(b, mark)
 }
 
@@ -127,35 +106,19 @@ func (f *Frame) decodeReplCheckpoint(p []byte) error {
 }
 
 func (f *Frame) decodeReplBatch(p []byte) error {
-	if len(p) < replBatchFixed {
+	if len(p) < 16 {
 		return fmt.Errorf("wire: repl batch payload of %d bytes below the fixed part", len(p))
 	}
 	f.Epoch = binary.LittleEndian.Uint64(p[0:8])
 	f.Version = binary.LittleEndian.Uint64(p[8:16])
-	count := int(int32(binary.LittleEndian.Uint32(p[16:20])))
-	if count < 0 {
-		return fmt.Errorf("wire: negative repl batch op count")
+	// The primary only ships validated edge ops; DecodeOps holds shipped
+	// batches to the WAL replay discipline, so corruption cannot reach an
+	// engine (which panics on out-of-range ids by design).
+	ops, err := graph.DecodeOps(nil, p[16:])
+	if err != nil {
+		return fmt.Errorf("wire: repl batch: %w", err)
 	}
-	rest := p[replBatchFixed:]
-	if int64(len(rest)) != edgeOpSize*int64(count) {
-		return fmt.Errorf("wire: %d op bytes for a repl batch of %d", len(rest), count)
-	}
-	f.ReplOps = make([]EdgeOp, count)
-	for i := range f.ReplOps {
-		rec := rest[i*edgeOpSize:]
-		op := EdgeOp{
-			Insert: rec[0] == 1,
-			U:      int32(binary.LittleEndian.Uint32(rec[1:5])),
-			V:      int32(binary.LittleEndian.Uint32(rec[5:9])),
-		}
-		// The primary only ships validated edge ops; hold shipped batches
-		// to the WAL replay discipline so corruption cannot reach an
-		// engine (which panics on out-of-range ids by design).
-		if rec[0] > 1 || op.U < 0 || op.V < 0 || op.U == op.V {
-			return fmt.Errorf("wire: repl batch op %d is not a valid edge op", i)
-		}
-		f.ReplOps[i] = op
-	}
+	f.ReplOps = ops
 	return nil
 }
 

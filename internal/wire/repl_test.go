@@ -5,10 +5,12 @@ import (
 	"errors"
 	"reflect"
 	"testing"
+
+	"repro/internal/graph"
 )
 
 func TestReplFrameRoundTrip(t *testing.T) {
-	ops := []EdgeOp{
+	ops := []graph.Op{
 		{Insert: true, U: 0, V: 1},
 		{Insert: false, U: 7, V: 3},
 		{Insert: true, U: 100000, V: 2},
@@ -110,7 +112,7 @@ func TestReplicateRequestRoundTrip(t *testing.T) {
 }
 
 func TestReplBatchDecodeRejectsInvalidOps(t *testing.T) {
-	bad := [][]EdgeOp{
+	bad := [][]graph.Op{
 		{{Insert: true, U: 3, V: 3}},  // self-loop
 		{{Insert: true, U: -1, V: 2}}, // negative id
 		{{Insert: true, U: 2, V: -5}},
@@ -123,9 +125,9 @@ func TestReplBatchDecodeRejectsInvalidOps(t *testing.T) {
 	}
 	// A flag byte other than 0/1 must be rejected too; corrupt the first
 	// op's flag in a valid frame and fix up the CRC by re-framing.
-	buf := AppendReplBatchFrame(nil, 1, 1, []EdgeOp{{Insert: true, U: 1, V: 2}})
+	buf := AppendReplBatchFrame(nil, 1, 1, []graph.Op{{Insert: true, U: 1, V: 2}})
 	payload := append([]byte(nil), buf[HeaderSize:]...)
-	payload[replBatchFixed] = 2
+	payload[20] = 2 // after the epoch, the version and the op count
 	reframed, mark := beginFrame(nil, FrameReplBatch)
 	reframed = append(reframed, payload...)
 	reframed = endFrame(reframed, mark)
@@ -145,7 +147,7 @@ func FuzzReplDecode(f *testing.F) {
 	f.Add(magic[:])
 	f.Add(AppendReplCheckpointFrame(nil, 1, 7, []byte("ckpt")))
 	f.Add(AppendReplCheckpointFrame(nil, 2, 0, nil))
-	f.Add(AppendReplBatchFrame(nil, 1, 8, []EdgeOp{{Insert: true, U: 0, V: 1}, {U: 2, V: 3}}))
+	f.Add(AppendReplBatchFrame(nil, 1, 8, []graph.Op{{Insert: true, U: 0, V: 1}, {U: 2, V: 3}}))
 	f.Add(AppendReplBatchFrame(nil, 1, 9, nil))
 	f.Add(AppendReplCanonFrame(nil, 1, 10))
 	f.Add(AppendReplicateRequest(nil, 1, 11, true))

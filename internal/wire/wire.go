@@ -28,7 +28,7 @@
 //	cliques:  [8] version, [4] k, [4] ncliques, [4] nlookups,
 //	          ncliques × k × [4] members,
 //	          nlookups × ([4] node, [4] clique index or -1)
-//	stats:    [8] version, 18 × [8] counters (see Stats)
+//	stats:    [8] version, 21 × [8] counters (see Stats.counters)
 //	error:    [4] HTTP status, then the UTF-8 message
 //	delta:    [8] fromVersion, [8] toVersion, [4] k, [4] nodes, [4] edges,
 //	          [4] size, [4] nRemoved, [4] nAdded,
@@ -51,6 +51,8 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+
+	"repro/internal/graph"
 )
 
 // magic identifies a wire frame; the trailing digit is the protocol
@@ -136,6 +138,23 @@ type Stats struct {
 // after the version.
 const statsFields = 21
 
+// counters lists st's counters in frame order, the one list both the
+// stats encoder and its decoder walk.
+func (st *Stats) counters() [statsFields]*uint64 {
+	return [statsFields]*uint64{
+		&st.Size, &st.Nodes, &st.Edges,
+		&st.Enqueued, &st.Applied, &st.Changed,
+		&st.Batches, &st.Flushes,
+		&st.Recovered, &st.Checkpoints,
+		&st.WALBatches, &st.WALBytes,
+		&st.Insertions, &st.Deletions, &st.Swaps,
+		&st.IndexBuildUS,
+		&st.QueueDepth, &st.SnapshotAge,
+		&st.WALSyncs, &st.GroupCommitOps,
+		&st.CheckpointStallNs,
+	}
+}
+
 // Frame is one decoded frame. Only the fields of the decoded Type are
 // meaningful; slices alias the input buffer's decoded copies and belong
 // to the caller.
@@ -191,7 +210,7 @@ type Frame struct {
 	// flag of a replicate request.
 	Epoch      uint64
 	Checkpoint []byte
-	ReplOps    []EdgeOp
+	ReplOps    []graph.Op
 	HaveState  bool
 }
 
@@ -295,19 +314,8 @@ func AppendCliquesFrame(b []byte, version uint64, k int, cliques [][]int32, look
 func AppendStatsFrame(b []byte, version uint64, st *Stats) []byte {
 	b, mark := beginFrame(b, FrameStats)
 	b = binary.LittleEndian.AppendUint64(b, version)
-	for _, v := range [statsFields]uint64{
-		st.Size, st.Nodes, st.Edges,
-		st.Enqueued, st.Applied, st.Changed,
-		st.Batches, st.Flushes,
-		st.Recovered, st.Checkpoints,
-		st.WALBatches, st.WALBytes,
-		st.Insertions, st.Deletions, st.Swaps,
-		st.IndexBuildUS,
-		st.QueueDepth, st.SnapshotAge,
-		st.WALSyncs, st.GroupCommitOps,
-		st.CheckpointStallNs,
-	} {
-		b = binary.LittleEndian.AppendUint64(b, v)
+	for _, v := range st.counters() {
+		b = binary.LittleEndian.AppendUint64(b, *v)
 	}
 	return endFrame(b, mark)
 }
@@ -521,21 +529,9 @@ func (f *Frame) decodeStats(p []byte) error {
 		return fmt.Errorf("wire: stats payload of %d bytes, want %d", len(p), 8+8*statsFields)
 	}
 	f.Version = binary.LittleEndian.Uint64(p[0:8])
-	var v [statsFields]uint64
-	for i := range v {
-		v[i] = binary.LittleEndian.Uint64(p[8+8*i:])
-	}
-	f.Stats = &Stats{
-		Size: v[0], Nodes: v[1], Edges: v[2],
-		Enqueued: v[3], Applied: v[4], Changed: v[5],
-		Batches: v[6], Flushes: v[7],
-		Recovered: v[8], Checkpoints: v[9],
-		WALBatches: v[10], WALBytes: v[11],
-		Insertions: v[12], Deletions: v[13], Swaps: v[14],
-		IndexBuildUS: v[15],
-		QueueDepth:   v[16], SnapshotAge: v[17],
-		WALSyncs: v[18], GroupCommitOps: v[19],
-		CheckpointStallNs: v[20],
+	f.Stats = new(Stats)
+	for i, v := range f.Stats.counters() {
+		*v = binary.LittleEndian.Uint64(p[8+8*i:])
 	}
 	return nil
 }

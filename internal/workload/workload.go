@@ -12,12 +12,8 @@ import (
 	"repro/internal/graph"
 )
 
-// Op is a single graph update.
-type Op struct {
-	// Insert selects insertion (true) or deletion (false).
-	Insert bool
-	U, V   int32
-}
+// Op is a single graph update; the type lives with the graph it edits.
+type Op = graph.Op
 
 // Deletions samples count distinct edges of g uniformly; applying them in
 // order is the paper's deletion workload. count is capped at M.
