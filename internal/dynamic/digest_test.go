@@ -93,24 +93,24 @@ func TestMaintenanceDigests(t *testing.T) {
 		ops     digestStats // op by op
 		batches digestStats // 256-op batches
 	}{
-		{3, 5, "d5d918e190d9978ea93444d1", "1ba05f82903cde6bce975ab0",
-			digestStats{458, 2037, 3082, 0, 0, 1082},
-			digestStats{383, 2037, 3082, 24, 6144, 1107}},
-		{3, 81, "59d70325155068a74417e3da", "d883ffa28f89f545656211f5",
-			digestStats{448, 2042, 3078, 0, 0, 1078},
-			digestStats{378, 2042, 3078, 24, 6144, 1163}},
-		{4, 5, "535a52d2eac273931858ba71", "456515d8919aa875ff9ea2f3",
-			digestStats{446, 2037, 3082, 0, 0, 1933},
-			digestStats{417, 2037, 3082, 24, 6144, 1959}},
-		{4, 81, "e66e4f2cad8a3d4ca3c386ef", "beee32d4dd28f8e65fbbe491",
-			digestStats{474, 2042, 3078, 0, 0, 1933},
-			digestStats{415, 2042, 3078, 24, 6144, 1945}},
-		{5, 5, "3c41d7e7fe9e7f3b5b8bc59b", "e66ef29ee9a6502adc5e8353",
-			digestStats{380, 2037, 3082, 0, 0, 2063},
-			digestStats{367, 2037, 3082, 24, 6144, 2063}},
-		{5, 81, "285e28cbc2fea899b4a1c153", "a6236463b8c7351e602e837d",
+		{3, 5, "3f587a3da589e98601dc9736", "ea9cd03330908bc27e94d0b4",
+			digestStats{458, 2037, 3082, 0, 0, 1074},
+			digestStats{380, 2037, 3082, 24, 6144, 1100}},
+		{3, 81, "6e32a97de9eae88d2e29546a", "85b345120053b5f8c27fb622",
+			digestStats{445, 2042, 3078, 0, 0, 1114},
+			digestStats{378, 2042, 3078, 24, 6144, 1150}},
+		{4, 5, "5e7ef9a7e00986b6dee5a2b3", "72b81bb7db7a9da378a7cfa2",
+			digestStats{440, 2037, 3082, 0, 0, 1954},
+			digestStats{414, 2037, 3082, 24, 6144, 1949}},
+		{4, 81, "a441c10a9f026f76b9ef02cd", "79a2c7e1fba465f93cb5d88a",
+			digestStats{462, 2042, 3078, 0, 0, 1935},
+			digestStats{414, 2042, 3078, 24, 6144, 1931}},
+		{5, 5, "0eeb8d11e7b58a9325b22539", "b20b8263bb50c4c80257a6a8",
+			digestStats{381, 2037, 3082, 0, 0, 2063},
+			digestStats{369, 2037, 3082, 24, 6144, 2063}},
+		{5, 81, "74c55e0df9bb74f097324d5b", "c65d216ca5714d33ba3d6efc",
 			digestStats{394, 2042, 3078, 0, 0, 1927},
-			digestStats{373, 2042, 3078, 24, 6144, 1927}},
+			digestStats{375, 2042, 3078, 24, 6144, 1927}},
 	}
 	for _, w := range want {
 		g := gen.CommunitySocial(3000, 10, 0.25, 15000, w.seed)

@@ -19,7 +19,9 @@ type gdEntry struct {
 // ascending clique-score order — Algorithm 2 applied to a candidate set
 // (Algorithm 4 line 4). Node scores are computed locally over the set
 // (the number of given cliques containing each node), which preserves the
-// minimum-conflict-first heuristic without a global recount. The returned
+// minimum-conflict-first heuristic without a global recount. Score ties
+// break by member list, so the selection depends only on the set of
+// cliques, never on their order in the input. The returned
 // cliques alias the input slices and the returned slice itself lives in
 // sc; callers copy what they retain (installClique already does) and must
 // consume the result before the next greedyDisjoint call on the same
@@ -61,7 +63,7 @@ func greedyDisjoint(sc *enumScratch, cliques [][]int32) [][]int32 {
 		if c := cmp.Compare(a.score, b.score); c != 0 {
 			return c
 		}
-		return cmp.Compare(a.idx, b.idx)
+		return slices.Compare(cliques[a.idx], cliques[b.idx])
 	})
 	used := all[:0]
 	out := sc.gdOut[:0]
