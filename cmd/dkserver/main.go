@@ -368,8 +368,8 @@ func main() {
 		}
 		// Close drains the update queue into the engine and, with -data,
 		// writes the final checkpoint — nothing accepted is lost. (On a
-		// follower the stream already stopped with the signal context;
-		// its applied state is durable up to the last canon boundary.)
+		// follower the stream already stopped with the signal context,
+		// and Close checkpoints everything it applied the same way.)
 		if err := closeBackend(); err != nil {
 			fatal(fmt.Errorf("service close: %w", err))
 		}

@@ -23,8 +23,9 @@ import (
 // The runs install in (owner, sorted members) order (collectRuns), the
 // order in which the id-ordered enumeration emits a whole owner's
 // cliques, so each owner's candidates keep the relative id order a
-// whole-owner rebuild would give them. That order is all swap tie-breaks
-// read, so S does not depend on which refresh ran or on the worker count.
+// whole-owner rebuild would give them, and the index does not depend on
+// which refresh ran or on the worker count. S would not either way: swap
+// ties break by member list.
 
 // nodeBits is a set of node ids, one bit each. It is kept apart from
 // kclique.Scratch's mark, which the enumeration kernel re-stamps for

@@ -85,10 +85,9 @@ func TestApplyBatchInvariants(t *testing.T) {
 
 // TestApplyBatchWorkerInvariance: the tentpole determinism guarantee for
 // the dynamic layer — identical results byte-for-byte regardless of the
-// worker count used for construction and batch updates. Swaps break ties
-// by each owner's candidate list order, so the whole candidate index
-// (every owner's member lists, in order) must match too, not just its
-// size: a worker-dependent permutation would make engines drift later.
+// worker count used for construction and batch updates. The whole
+// candidate index (every owner's member lists) must match too, not just
+// its size.
 func TestApplyBatchWorkerInvariance(t *testing.T) {
 	for _, k := range []int{3, 4} {
 		start, stream := batchTestSetupK(t, k, 600, 200, 9)
@@ -165,8 +164,7 @@ func TestApplyBatchEmptyAndNoop(t *testing.T) {
 }
 
 // TestNewWorkersDeterminism: index construction is identical for every
-// worker count (list orders included, since installation is serial in
-// ascending clique order).
+// worker count.
 func TestNewWorkersDeterminism(t *testing.T) {
 	start, _ := batchTestSetup(t, 700, 10, 31)
 	base := start(1)

@@ -16,10 +16,10 @@ import "slices"
 // Each owner's candidates form a doubly linked list through the slots, and
 // each node's a doubly linked list through the (slot, member position)
 // entries: entry s*k+i stands for members[s*k+i]. An add appends at the
-// tails, so every list holds its candidates in insertion order. An owner's
-// order is the one swap tie-breaks read (greedyDisjoint breaks score ties
-// by position in ownedMembers); Algorithm 5 rebuilds it as (sorted members)
-// order, which is what CanonicalizeIndex and LoadCheckpoint start from.
+// tails, so every list holds its candidates in insertion order. No
+// decision reads that order (greedyDisjoint breaks score ties by member
+// list), so an index rebuilt by Algorithm 5, as LoadCheckpoint does, and
+// one grown by updates lead to the same swaps.
 //
 // A digest table maps member lists to slots: an open-addressed hash of the
 // live slots keyed by the members' digest, verified against the members.

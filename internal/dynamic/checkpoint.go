@@ -22,12 +22,10 @@ import (
 //
 // WriteCheckpoint/LoadCheckpoint preserve identity: replaying the same
 // update stream against a loaded checkpoint reproduces the exact clique
-// ids, snapshot versions, and swap decisions of the original engine —
-// provided the original canonicalized its candidate index at the
-// checkpoint boundary (CanonicalizeIndex), because swap tie-breaking
-// follows each owner's candidate list order and loading builds those
-// lists in the deterministic Algorithm-5 order, not the historical
-// insertion order.
+// ids, snapshot versions, and swap decisions of the original engine. The
+// loaded index holds the same candidates in a different list order, and
+// no decision reads that order: swap ties break by member list (see
+// greedyDisjoint).
 var checkpointMagic = [8]byte{'D', 'K', 'C', 'Q', 'C', 'K', 'P', '1'}
 
 // graphBinarySize returns the exact byte length of graph.WriteBinary's
@@ -177,17 +175,13 @@ func LoadCheckpoint(r io.Reader, workers int) (*Engine, error) {
 
 // CanonicalizeIndex rebuilds the candidate index from scratch, keeping
 // the capacity of its arrays, so each owner's candidates take the
-// deterministic Algorithm-5 order, (owner, sorted members), that
-// LoadCheckpoint produces. The indexed candidate *set* is unchanged (the
-// index is a pure function of graph and S) — only the list order moves.
+// Algorithm-5 order, (owner, sorted members), that LoadCheckpoint
+// produces. The indexed candidate *set* is unchanged (the index is a
+// pure function of graph and S) — only the list order moves, and no
+// decision reads it. Stats are preserved; nothing is published.
 //
-// The serving layer calls this immediately after writing a checkpoint:
-// swap operations break ties by each owner's list order, so without the
-// rebuild a live engine (historical insertion order) and a recovery from
-// the checkpoint (fresh Algorithm-5 order) could drift apart on the same
-// subsequent updates. With it, checkpoint + WAL replay is byte-identical
-// to the engine that never crashed. Stats are preserved; nothing is
-// published (S and the graph are untouched).
+// Nothing in the serving stack calls it: the benchmark's dynamic.canon_ms
+// row still times it, and the next change to the benchmark retires both.
 func (e *Engine) CanonicalizeIndex() {
 	st := e.stats
 	e.index.reset()

@@ -10,6 +10,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/workload"
@@ -136,9 +137,8 @@ func sameEngineState(t *testing.T, a, b *Engine) {
 }
 
 // sameCandidateIndex requires identical candidate indexes: the same
-// candidates, and each owner's in the same list order, the order swap
-// tie-breaks read. That is the property CanonicalizeIndex buys at each
-// checkpoint boundary.
+// candidates under the same owners. List order is not compared, since no
+// decision reads it.
 func sameCandidateIndex(t *testing.T, a, b *Engine) {
 	t.Helper()
 	if a.NumCandidates() != b.NumCandidates() {
@@ -155,13 +155,14 @@ func sameCandidateIndex(t *testing.T, a, b *Engine) {
 	}
 }
 
-// ownerLists copies out every owner's candidate member lists in list order.
+// ownerLists copies out every owner's candidate member lists, sorted.
 func ownerLists(e *Engine) map[int32][][]int32 {
 	m := make(map[int32][][]int32)
 	for owner := range e.index.byOwner {
 		for _, c := range e.ownedMembers(owner) {
 			m[owner] = append(m[owner], slices.Clone(c))
 		}
+		slices.SortFunc(m[owner], slices.Compare)
 	}
 	return m
 }
@@ -185,10 +186,6 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if err := e.WriteCheckpoint(&buf); err != nil {
 		t.Fatal(err)
 	}
-	e.CanonicalizeIndex()
-	if err := e.Verify(); err != nil {
-		t.Fatalf("canonicalized engine: %v", err)
-	}
 	r, err := LoadCheckpoint(&buf, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -198,12 +195,18 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 	sameEngineState(t, e, r)
 	sameCandidateIndex(t, e, r)
+	e.CanonicalizeIndex()
+	if err := e.Verify(); err != nil {
+		t.Fatalf("rebuilt engine: %v", err)
+	}
+	sameCandidateIndex(t, e, r)
 }
 
 // TestCheckpointReplayDeterminism is the guarantee recovery rests on:
-// after checkpoint + canonicalize, the live engine and an engine loaded
-// from the checkpoint stay byte-identical under the same update stream,
-// batch for batch.
+// the live engine, whose index grew under updates, and an engine loaded
+// from its checkpoint, whose index was rebuilt, stay byte-identical under
+// the same update stream, batch for batch. No rebuild runs on the live
+// engine at the checkpoint.
 func TestCheckpointReplayDeterminism(t *testing.T) {
 	for seed := int64(0); seed < 3; seed++ {
 		e := newCheckpointEngine(t, 11+seed)
@@ -214,7 +217,6 @@ func TestCheckpointReplayDeterminism(t *testing.T) {
 		if err := e.WriteCheckpoint(&buf); err != nil {
 			t.Fatal(err)
 		}
-		e.CanonicalizeIndex()
 		r, err := LoadCheckpoint(&buf, 2)
 		if err != nil {
 			t.Fatal(err)
@@ -231,6 +233,65 @@ func TestCheckpointReplayDeterminism(t *testing.T) {
 			t.Fatal(err)
 		}
 		sameCandidateIndex(t, e, r)
+	}
+
+	// The churn of TestMaintenanceDigests ties many swaps. Checkpoint
+	// halfway, then apply the second half to the live engine and to the
+	// loaded one, op by op and in 64-op batches.
+	g := gen.CommunitySocial(3000, 10, 0.25, 15000, 5)
+	ops := digestOps(g, 8*256, 2*256, 5)
+	first, second := ops[:len(ops)/2], ops[len(ops)/2:]
+	for _, k := range []int{3, 4} {
+		res, err := core.Find(g, core.Options{K: k, Algorithm: core.LP, Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, batch := range []int{0, 64} {
+			e, err := NewWorkers(g, k, res.Cliques, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			replayOps(e, first, batch)
+			var buf bytes.Buffer
+			if err := e.WriteCheckpoint(&buf); err != nil {
+				t.Fatal(err)
+			}
+			r, err := LoadCheckpoint(&buf, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			replayOps(e, second, batch)
+			replayOps(r, second, batch)
+			var live, loaded bytes.Buffer
+			if err := e.WriteCheckpoint(&live); err != nil {
+				t.Fatal(err)
+			}
+			if err := r.WriteCheckpoint(&loaded); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(live.Bytes(), loaded.Bytes()) {
+				t.Errorf("k=%d batch %d: live and loaded engines' checkpoints differ after the second half", k, batch)
+			}
+		}
+	}
+}
+
+// replayOps applies ops to e one by one through InsertEdge / DeleteEdge
+// when batch is 0, and through ApplyBatch in batches of that size
+// otherwise.
+func replayOps(e *Engine, ops []workload.Op, batch int) {
+	if batch == 0 {
+		for _, op := range ops {
+			if op.Insert {
+				e.InsertEdge(op.U, op.V)
+			} else {
+				e.DeleteEdge(op.U, op.V)
+			}
+		}
+		return
+	}
+	for i := 0; i < len(ops); i += batch {
+		e.ApplyBatch(ops[i:min(i+batch, len(ops))])
 	}
 }
 

@@ -34,9 +34,11 @@ type FollowerOptions struct {
 	// Workers bounds the follower engine's parallelism (serve.Options).
 	Workers int
 	// Fsync is the follower store's WAL sync policy. The default,
-	// SyncNone, defers syncs to the shipped canon boundaries (each is a
-	// full checkpoint); a crash can then lose the tail past the last
-	// boundary, which the stream simply re-ships on reconnect.
+	// SyncEveryBatch, syncs every shipped batch. SyncNone defers syncs
+	// to the follower's own checkpoints, taken on the
+	// serve.Options.CheckpointEvery schedule; a crash can then lose the
+	// tail past the last one, which the primary re-ships, or replaces
+	// with an install, on reconnect.
 	Fsync wal.SyncPolicy
 	// Dial connects to the primary; nil uses a TCP dial bounded by
 	// workload.DialTimeout. Fault-injection tests wrap it.
@@ -320,12 +322,12 @@ func (f *Follower) stream1(ctx context.Context) (applied bool, err error) {
 	}
 }
 
-// applyFrame applies one stream frame: fence first, then install/batch/
-// canon. Any error tears the connection down; divergence additionally
+// applyFrame applies one stream frame: fence first, then install or
+// batch. Any error tears the connection down; divergence additionally
 // marks the state bad so the next handshake asks for an install.
 func (f *Follower) applyFrame(ctx context.Context, fr *wire.Frame) error {
 	switch fr.Type {
-	case wire.FrameReplCheckpoint, wire.FrameReplBatch, wire.FrameReplCanon:
+	case wire.FrameReplCheckpoint, wire.FrameReplBatch:
 	default:
 		return fmt.Errorf("repl: unexpected frame type %d on replication stream", fr.Type)
 	}
@@ -356,41 +358,25 @@ func (f *Follower) applyFrame(ctx context.Context, fr *wire.Frame) error {
 	f.stream = fr.Version
 	f.mu.Unlock()
 
-	switch fr.Type {
-	case wire.FrameReplCheckpoint:
+	if fr.Type == wire.FrameReplCheckpoint {
 		return f.install(fr)
-	case wire.FrameReplBatch:
-		svc := f.svc.Load()
-		if svc == nil {
-			return errors.New("repl: batch before any checkpoint install")
-		}
-		ver, err := svc.Replicate(ctx, fr.ReplOps)
-		if err != nil {
-			return fmt.Errorf("apply batch @%d: %w", fr.Version, err)
-		}
-		if ver != fr.Version {
-			f.markBad()
-			return fmt.Errorf("repl: divergence: batch promised version %d, engine produced %d", fr.Version, ver)
-		}
-		f.mu.Lock()
-		f.version = ver
-		f.mu.Unlock()
-		return nil
-	default: // FrameReplCanon
-		svc := f.svc.Load()
-		if svc == nil {
-			return errors.New("repl: canon before any checkpoint install")
-		}
-		ver, err := svc.Canonicalize(ctx)
-		if err != nil {
-			return fmt.Errorf("apply canon @%d: %w", fr.Version, err)
-		}
-		if ver != fr.Version {
-			f.markBad()
-			return fmt.Errorf("repl: divergence: canon at version %d, engine at %d", fr.Version, ver)
-		}
-		return nil
 	}
+	svc := f.svc.Load()
+	if svc == nil {
+		return errors.New("repl: batch before any checkpoint install")
+	}
+	ver, err := svc.Replicate(ctx, fr.ReplOps)
+	if err != nil {
+		return fmt.Errorf("apply batch @%d: %w", fr.Version, err)
+	}
+	if ver != fr.Version {
+		f.markBad()
+		return fmt.Errorf("repl: divergence: batch promised version %d, engine produced %d", fr.Version, ver)
+	}
+	f.mu.Lock()
+	f.version = ver
+	f.mu.Unlock()
+	return nil
 }
 
 func (f *Follower) markBad() {

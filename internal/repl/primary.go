@@ -1,10 +1,9 @@
 // Package repl replicates a serving-layer Service over the wire frame
 // transport: a Primary hooks the writer goroutine of internal/serve and
-// streams every S-changing batch (the WAL's exact ApplyBatch units) and
-// every canonicalization boundary to any number of followers; a
-// Follower applies that stream through the same deterministic engine,
-// so its MVCC snapshots are byte-identical to the primary's at every
-// shipped version.
+// streams every S-changing batch (the WAL's exact ApplyBatch units) to
+// any number of followers; a Follower applies that stream through the
+// same deterministic engine, so its MVCC snapshots are byte-identical to
+// the primary's at every shipped version.
 //
 // Catch-up protocol: a follower opens a stream with its last accepted
 // epoch and applied version. If the primary still holds the history
@@ -47,12 +46,11 @@ import (
 // primary keeps is bounded by the service's checkpoint schedule.
 type PrimaryOptions struct{}
 
-// entry is one unit of the replicated history: a shipped batch or a
-// canonicalization marker.
+// entry is one unit of the replicated history: a shipped batch and the
+// version applying it produced.
 type entry struct {
-	canon   bool
 	version uint64
-	ops     []graph.Op // nil for canon entries; immutable once stored
+	ops     []graph.Op // immutable once stored
 }
 
 // capture is a checkpoint image the primary installs fresh or lagging
@@ -131,37 +129,20 @@ func (p *Primary) ReplBatch(ops []graph.Op, version uint64) {
 	p.mu.Unlock()
 }
 
-// ReplCanon implements serve.ReplSink: record a checkpoint's
-// canonicalization boundary, make its image the install base, and trim
-// the history the base covers.
-func (p *Primary) ReplCanon(version uint64, image []byte) {
+// ReplCheckpoint implements serve.ReplSink: make a checkpoint's image
+// the install base and trim the history the base covers.
+func (p *Primary) ReplCheckpoint(version uint64, image []byte) {
 	p.mu.Lock()
-	if n := len(p.history); n == 0 || !p.history[n-1].canon || p.history[n-1].version != version {
-		p.history = append(p.history, entry{canon: true, version: version})
-		p.wake()
-	}
 	p.base = &capture{version: version, data: image}
 	p.trimLocked()
 	p.mu.Unlock()
 }
 
-// trimLocked drops every history entry the base capture covers: batches
-// at or below the base version (an installed follower already has their
-// effect) and canon markers strictly below it (the install itself is
-// canonical at the base version; the marker AT it is kept for resuming
-// followers that crashed between the batch and the boundary).
+// trimLocked drops every batch the base capture covers: those at or
+// below the base version, whose effect an installed follower already
+// has.
 func (p *Primary) trimLocked() {
-	drop := 0
-	for _, e := range p.history {
-		if e.canon {
-			if e.version >= p.base.version {
-				break
-			}
-		} else if e.version > p.base.version {
-			break
-		}
-		drop++
-	}
+	drop := p.seekLocked(p.base.version) - p.firstSeq
 	if drop > 0 {
 		p.history = append([]entry(nil), p.history[drop:]...)
 		p.firstSeq += uint64(drop)
@@ -171,16 +152,11 @@ func (p *Primary) trimLocked() {
 	}
 }
 
-// seekLocked returns the sequence number of the first entry a follower
-// positioned at version still needs: batches past it, canon markers at
-// or past it.
+// seekLocked returns the sequence number of the first batch a follower
+// positioned at version still needs: the first past it.
 func (p *Primary) seekLocked(version uint64) uint64 {
 	for i, e := range p.history {
-		if e.canon {
-			if e.version >= version {
-				return p.firstSeq + uint64(i)
-			}
-		} else if e.version > version {
+		if e.version > version {
 			return p.firstSeq + uint64(i)
 		}
 	}
@@ -190,8 +166,8 @@ func (p *Primary) seekLocked(version uint64) uint64 {
 // ensureBase makes sure an install base exists. Every checkpoint the
 // service takes sets one, so only before the first checkpoint after
 // attach does it ask the service for one. p.mu must not be held: the
-// capture re-enters ReplCanon. Once set, the base is replaced but never
-// cleared.
+// capture re-enters ReplCheckpoint. Once set, the base is replaced but
+// never cleared.
 func (p *Primary) ensureBase(ctx context.Context) error {
 	p.mu.Lock()
 	has := p.base != nil
@@ -313,11 +289,7 @@ func (p *Primary) ServeReplication(conn net.Conn, bw *bufio.Writer, req *wire.Fr
 		if len(pending) > 0 {
 			scratch = scratch[:0]
 			for _, e := range pending {
-				if e.canon {
-					scratch = wire.AppendReplCanonFrame(scratch, p.epoch, e.version)
-				} else {
-					scratch = wire.AppendReplBatchFrame(scratch, p.epoch, e.version, e.ops)
-				}
+				scratch = wire.AppendReplBatchFrame(scratch, p.epoch, e.version, e.ops)
 			}
 			if _, err := bw.Write(scratch); err != nil {
 				return

@@ -31,21 +31,20 @@ import (
 //     is checkpointed: the checkpoint is written to a temp file, fsynced,
 //     atomically renamed over checkpoint.dkc, the directory synced, and a
 //     fresh WAL generation started; superseded generations' logs are then
-//     deleted. The engine canonicalizes its candidate index at the same
-//     boundary, which is what makes recovery byte-identical (see
-//     Service.checkpoint). The writer captures the image in memory and
-//     the installer writes it in the background, so the writer only
-//     stalls for the capture; the WAL generation still rolls at the
-//     capture point, which is what lets recovery find the boundary. The
-//     same in-memory image goes to an attached replication sink, which
-//     installs followers from it. Close's final checkpoint streams
-//     straight to the file instead and starts no new generation.
+//     deleted. The writer captures the image in memory and the installer
+//     writes it in the background, so the writer only stalls for the
+//     capture; the WAL generation still rolls at the capture point, which
+//     is what lets recovery find the boundary. The same in-memory image
+//     goes to an attached replication sink, which installs followers
+//     from it. Close's final checkpoint streams straight to the file
+//     instead and starts no new generation.
 //   - Open loads the checkpoint, replays the matching WAL generation's
 //     intact record prefix through ApplyBatch (a torn tail from a crash
 //     mid-append is truncated away), then walks any newer generations a
-//     crashed-in-flight install left behind — canonicalizing between
-//     generations exactly as the live engine did — and resumes appending
-//     to the newest one.
+//     crashed-in-flight install left behind and resumes appending to the
+//     newest one. Replay is byte-identical to the live engine because
+//     the engine's decisions depend only on its graph and S (see
+//     Service.checkpoint).
 //
 // Store layout inside Dir:
 //
@@ -322,17 +321,14 @@ func open(dir string, opt Options, follower bool) (*Service, error) {
 	// service rolls to WAL generation g+1 at the in-memory capture and
 	// installs checkpoint g+1 in the background, so a crash inside that
 	// window leaves checkpoint.dkc one (or, across repeated crashes,
-	// several) generations behind the newest log. Each generation switch
-	// was a canonicalization boundary on the live engine; reproducing it
-	// between the replays is what keeps the recovered lineage — and any
-	// follower fed from it — byte-identical (see Service.checkpoint).
-	// The newest generation takes over as the append target.
+	// several) generations behind the newest log. The generations replay
+	// back to back, as the live engine applied them, and the newest takes
+	// over as the append target.
 	for {
 		nwp := walPath(dir, gen+1)
 		if _, serr := os.Stat(nwp); serr != nil {
 			break
 		}
-		eng.CanonicalizeIndex()
 		gen++
 		wp = nwp
 		valid, err = wal.Replay(wp, replay)
@@ -422,7 +418,7 @@ func (s *Service) appendWALGroup(buf []graph.Op, maxBatch int) error {
 // the captured engine image (the capture minus its store header); keep
 // marks an image a sink or a caller takes, so the next capture
 // serializes into a fresh buffer. Called from Service.checkpoint only,
-// which canonicalizes right after and accounts the writer's stall.
+// which accounts the writer's stall.
 func (s *Service) storeCheckpoint(keep bool) ([]byte, error) {
 	d := s.dur
 	// Exactly one install in flight: absorb the previous one first (a
@@ -432,8 +428,8 @@ func (s *Service) storeCheckpoint(keep bool) ([]byte, error) {
 		return nil, err
 	}
 	// The old generation must be complete and durable before the switch:
-	// recovery treats the generation boundary as the canonicalization
-	// point, so no record may migrate across it afterwards.
+	// setLog below retargets the syncer, so no commit covering the old
+	// generation may still be pending then.
 	if err := d.sync.drain(); err != nil {
 		return nil, err
 	}
@@ -495,10 +491,9 @@ func (s *Service) installCheckpoint(req installReq) error {
 
 // finalCheckpoint writes Close's checkpoint straight to the store and
 // closes and deletes the log it supersedes. It starts no new WAL
-// generation and skips the index canonicalization: the checkpoint alone
-// carries the whole state, so recovery replays nothing and the dying
-// engine needs no further determinism upkeep. Called from Close with the
-// writer exited and the pipeline drained and stopped.
+// generation: the checkpoint alone carries the whole state, so recovery
+// replays nothing. Called from Close with the writer exited and the
+// pipeline drained and stopped.
 func (s *Service) finalCheckpoint() error {
 	gen := s.dur.gen + 1
 	if err := writeCheckpointFile(s.dur.dir, gen, s.eng); err != nil {

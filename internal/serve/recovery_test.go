@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"math/rand"
 	"os"
@@ -366,5 +367,76 @@ func TestDurableStats(t *testing.T) {
 	}
 	if st := s.Stats(); st.GroupCommitOps != st.Applied {
 		t.Fatalf("GroupCommitOps %d, want Applied %d (%d fsyncs)", st.GroupCommitOps, st.Applied, st.WALSyncs)
+	}
+}
+
+// TestFollowerCheckpointSchedule: a durable follower checkpoints on its
+// own CheckpointEvery schedule, not at versions the primary picks, and
+// still holds exactly the state of an engine fed the same batches with
+// no checkpoint at all; its closed store reopens to the same image.
+func TestFollowerCheckpointSchedule(t *testing.T) {
+	ctx := context.Background()
+	g := gen.CommunitySocial(300, 8, 0.3, 800, 101)
+	res, err := core.Find(g, core.Options{K: 3, Algorithm: core.LP})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := dynamic.New(g, 3, res.Cliques)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var img bytes.Buffer
+	if err := ref.WriteCheckpoint(&img); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	opt := Options{Dir: dir, CheckpointEvery: 64}
+	f, err := NewFollowerFromCheckpoint(bytes.NewReader(img.Bytes()), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := f.Stats().Checkpoints
+	rng := rand.New(rand.NewSource(103))
+	for i := 0; i < 40; i++ {
+		ops := randomOps(g, rng, 8)
+		ref.ApplyBatch(ops)
+		ver, err := f.Replicate(ctx, ops)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := ref.Snapshot().Version(); ver != want {
+			t.Fatalf("batch %d: follower at version %d, reference at %d", i, ver, want)
+		}
+	}
+	if after := f.Stats().Checkpoints; after < before+3 {
+		t.Fatalf("checkpoints %d -> %d over 320 replicated ops at CheckpointEvery 64, want at least 3 more", before, after)
+	}
+	ver, want, err := f.Checkpoint(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	img.Reset()
+	if err := ref.WriteCheckpoint(&img); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(want, img.Bytes()) {
+		t.Fatal("follower image differs from a reference engine fed the same batches")
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	r, err := OpenFollower(dir, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	rver, got, err := r.Checkpoint(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rver != ver || !bytes.Equal(got, want) {
+		t.Fatalf("reopened follower image (version %d, %d bytes) != closed one (version %d, %d bytes)",
+			rver, len(got), ver, len(want))
 	}
 }

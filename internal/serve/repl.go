@@ -16,15 +16,13 @@ import (
 // Replication support. A primary Service exposes a ReplSink hook the
 // log-shipping layer (internal/repl) attaches to: the writer goroutine
 // reports every S-changing batch right after it is applied (and WAL-
-// logged), and every checkpoint it takes, which is also a
-// candidate-index canonicalization boundary, together with the image it
+// logged), and every checkpoint it takes together with the image it
 // captured. A follower Service is the receiving side: local writes are
-// refused with ErrNotPrimary and state advances only through
-// Replicate/Canonicalize, which apply the primary's exact batch sequence
-// through the same single-writer loop — so MVCC snapshots are
-// byte-identical to the primary's at every shipped version.
-// Canonicalization boundaries are part of the stream; Service.checkpoint
-// states why.
+// refused with ErrNotPrimary and state advances only through Replicate,
+// which applies the primary's exact batch sequence through the same
+// single-writer loop — so MVCC snapshots are byte-identical to the
+// primary's at every shipped version. Service.checkpoint states why
+// checkpoints need no place in the stream.
 
 // ErrNotPrimary is returned by Enqueue on a follower-mode service:
 // followers take writes only from the replication stream.
@@ -40,12 +38,11 @@ type ReplSink interface {
 	// consecutive). ops aliases the writer's reusable buffer: copy it
 	// before retaining.
 	ReplBatch(ops []graph.Op, version uint64)
-	// ReplCanon reports a checkpoint: the engine canonicalized its
-	// candidate index with the snapshot at version — a boundary every
-	// replica must reproduce — and image is the dynamic.WriteCheckpoint
-	// capture taken there. The sink may keep image; the service never
-	// writes into it again.
-	ReplCanon(version uint64, image []byte)
+	// ReplCheckpoint reports a checkpoint: image is the
+	// dynamic.WriteCheckpoint capture of the engine with its snapshot at
+	// version. The sink may keep image; the service never writes into it
+	// again.
+	ReplCheckpoint(version uint64, image []byte)
 }
 
 // SetReplSink attaches (or, with nil, detaches) the replication sink.
@@ -70,23 +67,19 @@ func (s *Service) replSink() ReplSink {
 
 // checkpoint is the service's one capture routine: it takes a
 // dynamic.WriteCheckpoint image of the engine at the current batch
-// boundary, canonicalizes the candidate index there, and hands the image
-// with its canon marker to the replication sink. A durable service
+// boundary and hands it to the replication sink. A durable service
 // captures through a real store checkpoint; an in-memory one serializes
-// the image only when a sink or the caller (keep) takes it, and otherwise
-// just canonicalizes. It returns the image, nil when nobody took one.
-// Writer goroutine only, with the writer quiescent. A failure
-// fail-stops the service.
+// the image only when a sink or the caller (keep) takes it. It returns
+// the image, nil when nobody took one. Writer goroutine only, with the
+// writer quiescent. A failure fail-stops the service.
 //
-// Determinism contract: dynamic.LoadCheckpoint rebuilds the candidate
-// index in canonical order, and swap tie-breaking follows candidate
-// order, so two engines stay byte-identical only if they canonicalize at
-// the same versions. Every capture is therefore a boundary on the live
-// engine too, and every boundary goes into the replicated history. A
-// follower canonicalizes exactly at the shipped markers, never on its
-// own schedule (its durable checkpoints ride the same markers, keeping a
-// crash-recovered follower on the primary's lineage). Recovery
-// reproduces a boundary at each WAL generation switch (see open).
+// Determinism contract: the engine's decisions depend only on its graph
+// and S, never on the history of its candidate index (swap ties break
+// by member list), and a checkpoint holds the graph and S. So an engine
+// loaded from any capture and fed the same batches stays byte-identical
+// to the live one, whatever versions either side checkpoints at: a
+// follower checkpoints on its own schedule, and recovery replays WAL
+// generations back to back.
 func (s *Service) checkpoint(keep bool) ([]byte, error) {
 	if s.dur != nil {
 		defer func(start time.Time) { s.ckptStallNs.Add(uint64(time.Since(start))) }(time.Now())
@@ -107,17 +100,16 @@ func (s *Service) checkpoint(keep bool) ([]byte, error) {
 		return nil, err
 	}
 	s.sinceCkpt = 0
-	s.eng.CanonicalizeIndex()
 	if sink != nil {
-		sink.ReplCanon(s.eng.Snapshot().Version(), img)
+		sink.ReplCheckpoint(s.eng.Snapshot().Version(), img)
 	}
 	return img, nil
 }
 
 // maybeCheckpoint runs the checkpoint schedule: every CheckpointEvery
 // applied ops, a service that is durable or has a replication sink takes
-// a checkpoint. Called by the writer goroutine after each local
-// ApplyBatch call.
+// a checkpoint. Called by the writer goroutine after each ApplyBatch
+// call, local or replicated.
 func (s *Service) maybeCheckpoint(applied int) error {
 	if s.dur == nil && s.replSink() == nil {
 		return nil
@@ -132,9 +124,8 @@ func (s *Service) maybeCheckpoint(applied int) error {
 
 // Checkpoint takes a checkpoint at a writer barrier and returns the
 // version and the dynamic.WriteCheckpoint image it captured; the image is
-// the caller's to keep. Like every checkpoint it is a canonicalization
-// boundary, a store checkpoint on a durable service, and reaches the
-// replication sink.
+// the caller's to keep. Like every checkpoint it is a store checkpoint
+// on a durable service and reaches the replication sink.
 func (s *Service) Checkpoint(ctx context.Context) (uint64, []byte, error) {
 	type capture struct {
 		version uint64
@@ -198,7 +189,7 @@ func (s *Service) Barrier(ctx context.Context, fn func() error) error {
 // exact ApplyBatch unit, logged to the follower's own WAL first when it
 // is durable, never coalesced or split — and returns the engine version
 // it produced (the caller checks it against the version the stream
-// promised). Returns ErrNotPrimary on a non-follower service.
+// promised). It refuses to run on a primary.
 func (s *Service) Replicate(ctx context.Context, ops []graph.Op) (uint64, error) {
 	if !s.follower {
 		return 0, errors.New("serve: Replicate on a primary service")
@@ -208,30 +199,13 @@ func (s *Service) Replicate(ctx context.Context, ops []graph.Op) (uint64, error)
 			return 0, fmt.Errorf("serve: invalid replicated op (%d,%d) for %d nodes", op.U, op.V, s.n)
 		}
 	}
-	return s.sendRepl(ctx, &replReq{ops: ops, done: make(chan replResult, 1)})
-}
-
-// Canonicalize reproduces a shipped canonicalization boundary on a
-// follower: a durable follower writes a real store checkpoint there
-// (its only checkpoints — keeping crash recovery on the primary's
-// lineage), an in-memory one canonicalizes the index directly.
-func (s *Service) Canonicalize(ctx context.Context) (uint64, error) {
-	if !s.follower {
-		return 0, errors.New("serve: Canonicalize on a primary service")
-	}
-	return s.sendRepl(ctx, &replReq{canon: true, done: make(chan replResult, 1)})
-}
-
-// Follower reports whether the service is in follower mode.
-func (s *Service) Follower() bool { return s.follower }
-
-func (s *Service) sendRepl(ctx context.Context, req *replReq) (uint64, error) {
 	if s.closed.Load() {
 		return 0, ErrClosed
 	}
 	if err := s.Err(); err != nil {
 		return 0, err
 	}
+	req := &replReq{ops: ops, done: make(chan replResult, 1)}
 	select {
 	case s.in <- item{repl: req}:
 	case <-ctx.Done():
@@ -254,12 +228,14 @@ func (s *Service) sendRepl(ctx context.Context, req *replReq) (uint64, error) {
 	}
 }
 
+// Follower reports whether the service is in follower mode.
+func (s *Service) Follower() bool { return s.follower }
+
 // replReq is a follower-side replication work item: one exact batch to
-// apply, or a canonicalization boundary.
+// apply.
 type replReq struct {
-	ops   []graph.Op
-	canon bool
-	done  chan replResult // buffered; the writer never blocks on it
+	ops  []graph.Op
+	done chan replResult // buffered; the writer never blocks on it
 }
 
 type replResult struct {
@@ -277,11 +253,6 @@ type barrierReq struct {
 func (s *Service) applyRepl(req *replReq) {
 	if err := s.Err(); err != nil {
 		req.done <- replResult{err: err}
-		return
-	}
-	if req.canon {
-		_, err := s.checkpoint(false)
-		req.done <- replResult{version: s.eng.Snapshot().Version(), err: err}
 		return
 	}
 	if s.dur != nil {
@@ -306,8 +277,9 @@ func (s *Service) applyRepl(req *replReq) {
 			sink.ReplBatch(req.ops, ver)
 		}
 	}
+	err := s.maybeCheckpoint(len(req.ops))
 	s.notifyPublished()
-	req.done <- replResult{version: ver}
+	req.done <- replResult{version: ver, err: err}
 }
 
 // runBarrier executes a Barrier closure on the writer goroutine.
@@ -324,8 +296,7 @@ func (s *Service) runBarrier(fn func() error) error {
 // initialised from the same image, so it can crash-recover and resume
 // the stream from its last applied version; the directory must not
 // already hold a store (reinstalls clear it first). Local writes are
-// refused with ErrNotPrimary; state advances through Replicate and
-// Canonicalize only.
+// refused with ErrNotPrimary; state advances through Replicate only.
 func NewFollowerFromCheckpoint(r io.Reader, opt Options) (*Service, error) {
 	opt = opt.withDefaults()
 	eng, err := dynamic.LoadCheckpoint(bufio.NewReader(r), opt.Workers)
@@ -350,10 +321,9 @@ func NewFollowerFromCheckpoint(r io.Reader, opt Options) (*Service, error) {
 // OpenFollower resumes a durable follower store (created by
 // NewFollowerFromCheckpoint with a Dir) exactly as Open resumes a
 // primary's: checkpoint load plus WAL-suffix replay. Because the
-// follower's WAL holds the primary's exact shipped batches and its
-// checkpoints sit on shipped canon boundaries, the recovered engine is
-// byte-identical to the pre-crash one and the stream can resume from
-// its version.
+// follower's WAL holds the primary's exact shipped batches, the
+// recovered engine is byte-identical to the pre-crash one and the stream
+// can resume from its version.
 func OpenFollower(dir string, opt Options) (*Service, error) {
 	return open(dir, opt, true)
 }

@@ -195,8 +195,8 @@ type Service struct {
 	pubCh chan struct{}
 
 	// follower marks a replica service: Enqueue refuses local writes
-	// with ErrNotPrimary and state advances through Replicate/
-	// Canonicalize (repl.go). Set before the writer starts, never after.
+	// with ErrNotPrimary and state advances through Replicate (repl.go).
+	// Set before the writer starts, never after.
 	follower bool
 
 	// sink is the attached replication sink, stored as a pointer to the
@@ -366,9 +366,10 @@ func (s *Service) run(maxBatch int) {
 			s.batches.Add(1)
 			if changed > 0 {
 				// Ship S-changing batches (the only ones that bump the
-				// version) before maybeCheckpoint so a canon boundary lands
-				// after its batch in the stream. chunk aliases buf — the
-				// sink copies what it retains.
+				// version) before maybeCheckpoint, so the sink sees them in
+				// version order and a checkpoint's image covers every batch
+				// shipped before it. chunk aliases buf — the sink copies
+				// what it retains.
 				if sink := s.replSink(); sink != nil {
 					sink.ReplBatch(chunk, s.eng.Snapshot().Version())
 				}

@@ -61,8 +61,6 @@ func FuzzWireDecode(f *testing.F) {
 			re = AppendReplCheckpointFrame(nil, fr.Epoch, fr.Version, fr.Checkpoint)
 		case FrameReplBatch:
 			re = AppendReplBatchFrame(nil, fr.Epoch, fr.Version, fr.ReplOps)
-		case FrameReplCanon:
-			re = AppendReplCanonFrame(nil, fr.Epoch, fr.Version)
 		default:
 			t.Fatalf("decoded unknown frame type %d", fr.Type)
 		}

@@ -11,8 +11,8 @@ import (
 // the same frame transport as the read protocol. A follower opens a
 // connection with one FrameReqReplicate request (carrying the epoch and
 // version it last applied); the primary answers with an optional
-// checkpoint install followed by a continuous stream of batch and canon
-// frames. Every primary→follower frame carries the primary's epoch so a
+// checkpoint install followed by a continuous stream of batch frames.
+// Every primary→follower frame carries the primary's epoch so a
 // follower can fence off a deposed primary on any frame, not just the
 // handshake.
 //
@@ -28,10 +28,6 @@ import (
 //	              exact op sequence of one primary ApplyBatch call; the
 //	              follower must apply it as one batch, not coalesce or
 //	              split it
-//	replcanon:    [8] epoch, [8] version — the primary canonicalized its
-//	              candidate index at version (a checkpoint boundary);
-//	              the follower must canonicalize there too or the two
-//	              engines' swap tie-breaking drifts apart
 //	reqreplicate: [8] last epoch, [8] last applied version,
 //	              [1] haveState flag (0 = fresh follower wanting a full
 //	              install, 1 = resume from version if the primary still
@@ -41,8 +37,8 @@ const (
 	FrameReplCheckpoint FrameType = 7
 	// FrameReplBatch carries one shipped WAL batch.
 	FrameReplBatch FrameType = 8
-	// FrameReplCanon marks a canonicalization (checkpoint) boundary.
-	FrameReplCanon FrameType = 9
+	// Type 9 stays unassigned: older primaries sent checkpoint markers
+	// with it, and Decode must reject those as an unknown type.
 	// FrameReqReplicate opens a replication stream (request direction).
 	FrameReqReplicate FrameType = 21
 )
@@ -65,15 +61,6 @@ func AppendReplBatchFrame(b []byte, epoch, version uint64, ops []graph.Op) []byt
 	b = binary.LittleEndian.AppendUint64(b, epoch)
 	b = binary.LittleEndian.AppendUint64(b, version)
 	b = graph.AppendOps(b, ops)
-	return endFrame(b, mark)
-}
-
-// AppendReplCanonFrame appends a canonicalization marker: the primary
-// canonicalized its candidate index with its engine at version.
-func AppendReplCanonFrame(b []byte, epoch, version uint64) []byte {
-	b, mark := beginFrame(b, FrameReplCanon)
-	b = binary.LittleEndian.AppendUint64(b, epoch)
-	b = binary.LittleEndian.AppendUint64(b, version)
 	return endFrame(b, mark)
 }
 
@@ -119,15 +106,6 @@ func (f *Frame) decodeReplBatch(p []byte) error {
 		return fmt.Errorf("wire: repl batch: %w", err)
 	}
 	f.ReplOps = ops
-	return nil
-}
-
-func (f *Frame) decodeReplCanon(p []byte) error {
-	if len(p) != 16 {
-		return fmt.Errorf("wire: repl canon payload of %d bytes, want 16", len(p))
-	}
-	f.Epoch = binary.LittleEndian.Uint64(p[0:8])
-	f.Version = binary.LittleEndian.Uint64(p[8:16])
 	return nil
 }
 

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"reflect"
 	"testing"
@@ -17,10 +18,18 @@ func TestReplFrameRoundTrip(t *testing.T) {
 	}
 	ckpt := []byte("opaque checkpoint bytes")
 
+	// A well-formed frame of the retired type 9, with the 16-byte payload
+	// its checkpoint markers had.
+	type9, mark := beginFrame(nil, 9)
+	type9 = binary.LittleEndian.AppendUint64(type9, 5)
+	type9 = binary.LittleEndian.AppendUint64(type9, 99)
+	type9 = endFrame(type9, mark)
+
 	cases := []struct {
-		name  string
-		buf   []byte
-		check func(t *testing.T, f *Frame)
+		name    string
+		buf     []byte
+		check   func(t *testing.T, f *Frame)
+		wantErr string // non-empty: Decode must fail with this message
 	}{
 		{
 			name: "checkpoint",
@@ -65,18 +74,20 @@ func TestReplFrameRoundTrip(t *testing.T) {
 			},
 		},
 		{
-			name: "canon",
-			buf:  AppendReplCanonFrame(nil, 5, 99),
-			check: func(t *testing.T, f *Frame) {
-				if f.Type != FrameReplCanon || f.Epoch != 5 || f.Version != 99 {
-					t.Fatalf("decoded = %+v", f)
-				}
-			},
+			name:    "canon",
+			buf:     type9,
+			wantErr: "wire: unknown frame type 9",
 		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			f, n, err := Decode(tc.buf)
+			if tc.wantErr != "" {
+				if err == nil || err.Error() != tc.wantErr {
+					t.Fatalf("Decode = %+v, %v; want error %q", f, err, tc.wantErr)
+				}
+				return
+			}
 			if err != nil {
 				t.Fatalf("Decode: %v", err)
 			}
@@ -149,11 +160,11 @@ func FuzzReplDecode(f *testing.F) {
 	f.Add(AppendReplCheckpointFrame(nil, 2, 0, nil))
 	f.Add(AppendReplBatchFrame(nil, 1, 8, []graph.Op{{Insert: true, U: 0, V: 1}, {U: 2, V: 3}}))
 	f.Add(AppendReplBatchFrame(nil, 1, 9, nil))
-	f.Add(AppendReplCanonFrame(nil, 1, 10))
+	f.Add(AppendReplBatchFrame(nil, 1, 10, []graph.Op{{U: 4, V: 5}}))
 	f.Add(AppendReplicateRequest(nil, 1, 11, true))
 	f.Add(AppendReplicateRequest(nil, 0, 0, false))
 	// A repl stream frame followed by garbage: consumed must isolate it.
-	f.Add(append(AppendReplCanonFrame(nil, 3, 4), 0xde, 0xad, 0xbe, 0xef))
+	f.Add(append(AppendReplBatchFrame(nil, 3, 4, []graph.Op{{Insert: true, U: 6, V: 7}}), 0xde, 0xad, 0xbe, 0xef))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr, n, err := Decode(data)
@@ -172,8 +183,6 @@ func FuzzReplDecode(f *testing.F) {
 						t.Fatalf("decoded batch leaked invalid op %+v", op)
 					}
 				}
-			case FrameReplCanon:
-				re = AppendReplCanonFrame(nil, fr.Epoch, fr.Version)
 			}
 			if re != nil && !bytes.Equal(re, data[:n]) {
 				t.Fatalf("re-encoded repl frame differs from input (%d vs %d bytes)", len(re), n)

@@ -391,8 +391,6 @@ func Decode(data []byte) (*Frame, int, error) {
 		err = f.decodeReplCheckpoint(payload)
 	case FrameReplBatch:
 		err = f.decodeReplBatch(payload)
-	case FrameReplCanon:
-		err = f.decodeReplCanon(payload)
 	default:
 		err = fmt.Errorf("wire: unknown frame type %d", typ)
 	}

@@ -275,7 +275,7 @@ func (c *FrameClient) Subscribe() error {
 
 // SendReplicate switches the connection into a replication stream (see
 // internal/repl): the server answers with an optional checkpoint
-// install followed by batch/canon frames, which Recv yields until the
+// install followed by batch frames, which Recv yields until the
 // connection closes. Like Subscribe, it must be the last request on the
 // connection, and the stream blocks on reads indefinitely — leave the
 // I/O timeout unset or the watchdog disconnects an idle primary.

@@ -14,7 +14,7 @@ import (
 type ReplPrimaryOptions = repl.PrimaryOptions
 
 // ReplPrimary is the log-shipping side of replication: attached to a
-// Service it records every applied batch and canonicalization boundary,
+// Service it records every applied batch and the latest checkpoint,
 // and serves catch-up streams (checkpoint install + WAL suffix) to
 // followers over the frame transport. It implements the frame server's
 // ReplHandler, so wiring replication into a serving process is
