@@ -1,8 +1,9 @@
 // Command dkserver serves a continuously updated disjoint k-clique set
 // over HTTP: it loads (or generates) a graph, solves it with a static
-// algorithm, then keeps the result fresh behind a dkclique.Service — a
-// single writer draining queued updates into batched engine calls while
-// read requests answer from immutable snapshots, lock-free.
+// algorithm, then keeps the result fresh behind a serving-layer service
+// (internal/serve) — a single writer draining queued updates into
+// batched engine calls while read requests answer from immutable
+// snapshots, lock-free.
 //
 // Usage:
 //
@@ -27,15 +28,17 @@
 //	GET  /snapshot            point-in-time result set; ?cliques=0 omits members
 //	GET  /clique/{node}       the clique covering a node, if any
 //	GET  /cliques?nodes=1,2,3 batched lookup against one snapshot, deduplicated
-//	GET  /stats               service + engine counters
+//	GET  /stats               "version" plus every service and engine counter
 //	POST /update              {"ops":[{"insert":true,"u":1,"v":2},...],"flush":true}
 //
 // With -tcp ADDR a second, wire-native transport listens alongside HTTP:
 // persistent connections speaking internal/wire request/response frames
 // with pipelining, plus a subscribe mode that pushes snapshot deltas
 // (see internal/framesrv and workload.FrameClient). Both transports
-// serve snapshot bodies from one shared version-keyed cache, and a
-// graceful shutdown drains both listeners before the final checkpoint.
+// answer every read through internal/respcache — one snapshot-body
+// cache, one lookup resolver, one table of stats counters — so a binary
+// body is the same bytes on either, and a graceful shutdown drains both
+// listeners before the final checkpoint.
 //
 // Replication: with -tcp set, the process also serves replication
 // streams to followers under the fencing epoch given by -epoch
@@ -84,9 +87,9 @@ import (
 	"syscall"
 	"time"
 
-	dkclique "repro"
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/dynamic"
 	"repro/internal/framesrv"
 	"repro/internal/gen"
 	"repro/internal/graph"
@@ -94,6 +97,8 @@ import (
 	"repro/internal/manager"
 	"repro/internal/repl"
 	"repro/internal/respcache"
+	"repro/internal/serve"
+	"repro/internal/wal"
 )
 
 func main() {
@@ -134,16 +139,16 @@ func main() {
 		}
 	}
 
-	var policy dkclique.FsyncPolicy
+	var policy wal.SyncPolicy
 	switch *fsyncMode {
 	case "batch":
-		policy = dkclique.FsyncEveryBatch
+		policy = wal.SyncEveryBatch
 	case "none":
-		policy = dkclique.FsyncNone
+		policy = wal.SyncNone
 	default:
 		fatal(fmt.Errorf(`-fsync wants "batch" or "none", got %q`, *fsyncMode))
 	}
-	opts := dkclique.ServiceOptions{
+	opts := serve.Options{
 		Workers:         *workers,
 		QueueCapacity:   *queueCap,
 		MaxBatch:        *maxBatch,
@@ -156,12 +161,12 @@ func main() {
 	defer stop()
 
 	var (
-		svc       *dkclique.Service      // single-tenant primary mode only
-		follower  *dkclique.ReplFollower // follower mode only
-		mgr       *manager.Manager       // -root mode only
-		defHandle *manager.Handle        // -root mode: the pinned default tenant
-		front     server                 // what both transports serve
-		ready     func() error           // the /readyz probe
+		svc       *serve.Service   // the service replication ships, unless a follower
+		follower  *repl.Follower   // follower mode only
+		mgr       *manager.Manager // -root mode only
+		defHandle *manager.Handle  // -root mode: the pinned default tenant
+		front     server           // what both transports serve
+		ready     func() error     // the /readyz probe
 	)
 	switch {
 	case *rootDir != "":
@@ -187,13 +192,13 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		defHandle = h
-		front, ready = h, h.Service().Err
+		defHandle, svc = h, h.Service()
+		front, ready = h, svc.Err
 		snap := h.Snapshot()
 		log.Printf("manager: %d tenants under %s (default pinned: n=%d m=%d |S|=%d version=%d)",
 			len(m.List()), *rootDir, snap.N(), snap.M(), snap.Size(), snap.Version())
 	case *follow != "":
-		f, err := dkclique.NewReplFollower(dkclique.ReplFollowerOptions{
+		f, err := repl.NewFollower(repl.FollowerOptions{
 			Addr: *follow, Dir: *dataDir, Workers: *workers, Fsync: policy,
 			LagBound: *readyLag, Logf: log.Printf,
 		})
@@ -210,45 +215,38 @@ func main() {
 		log.Printf("follower: serving at version %d (epoch %d, %d install) after %s",
 			st.Version, st.Epoch, st.Installs, time.Since(start).Round(time.Millisecond))
 		follower, front, ready = f, f.Front(), f.Ready
-	case *dataDir != "" && dkclique.StoreExists(*dataDir):
+	case *dataDir != "" && serve.StoreExists(*dataDir):
 		log.Printf("resuming store in %s", *dataDir)
 		start := time.Now()
-		s, err := dkclique.OpenService(*dataDir, opts)
+		s, err := serve.Open(*dataDir, opts)
 		if err != nil {
 			fatal(err)
 		}
-		svc = s
+		svc, front, ready = s, s, s.Err
 		snap := svc.Snapshot()
-		st := svc.Stats()
 		log.Printf("recovered: n=%d m=%d |S|=%d version=%d (replayed %d ops) in %s",
-			snap.N(), snap.M(), snap.Size(), snap.Version(), st.Recovered,
+			snap.N(), snap.M(), snap.Size(), snap.Version(), svc.Stats().Recovered,
 			time.Since(start).Round(time.Millisecond))
 	default:
 		g, err := loadGraph(*inputPath, *dsName, *genSpec)
 		if err != nil {
 			fatal(err)
 		}
-		log.Printf("graph: n=%d m=%d", g.N(), g.M())
-		alg, err := dkclique.ParseAlgorithm(*algName)
+		if g == nil {
+			fatal(errors.New("need -input FILE, -dataset NAME or -gen NODES,EDGES,SEED"))
+		}
+		res, err := solve(g, *algName, *k, *workers)
 		if err != nil {
 			fatal(err)
 		}
-		start := time.Now()
-		res, err := dkclique.Find(g, dkclique.Options{K: *k, Algorithm: alg, Workers: *workers})
+		s, err := serve.New(g, *k, res.Cliques, opts)
 		if err != nil {
 			fatal(err)
 		}
-		log.Printf("initial solve: |S|=%d in %s", res.Size(), time.Since(start).Round(time.Millisecond))
-		svc, err = dkclique.NewService(g, *k, res.Cliques, opts)
-		if err != nil {
-			fatal(err)
-		}
+		svc, front, ready = s, s, s.Err
 		if *dataDir != "" {
 			log.Printf("durable store initialised in %s (fsync=%s)", *dataDir, *fsyncMode)
 		}
-	}
-	if svc != nil {
-		front, ready = svc, svc.Err
 	}
 	closeBackend := func() error {
 		switch {
@@ -267,15 +265,9 @@ func main() {
 	// service outlives the attachment. (A follower never serves streams:
 	// cascading replication is not supported, and its frame server
 	// carries no replication handler.)
-	var prim *dkclique.ReplPrimary
-	if *tcpAddr != "" && (svc != nil || mgr != nil) {
-		var p *dkclique.ReplPrimary
-		var err error
-		if mgr != nil {
-			p, err = repl.NewPrimary(ctx, defHandle.Service(), *epoch, repl.PrimaryOptions{})
-		} else {
-			p, err = svc.AttachPrimary(ctx, *epoch, dkclique.ReplPrimaryOptions{})
-		}
+	var prim *repl.Primary
+	if *tcpAddr != "" && follower == nil {
+		p, err := repl.NewPrimary(ctx, svc, *epoch, repl.PrimaryOptions{})
 		if err != nil {
 			closeBackend()
 			fatal(err)
@@ -377,36 +369,16 @@ func main() {
 	}
 }
 
-// server is the serving surface both transports need; *dkclique.Service
-// (primary) and a follower's Front both satisfy it.
+// server is the serving surface both transports need; a primary's
+// *serve.Service, the default tenant's *manager.Handle and a follower's
+// Front all satisfy it.
 type server interface {
-	Snapshot() *dkclique.ResultSnapshot
-	Stats() dkclique.ServiceStats
+	Snapshot() *dynamic.Snapshot
+	Stats() serve.Stats
 	K() int
 	Published() <-chan struct{}
-	Enqueue(ctx context.Context, ops ...dkclique.Update) error
+	Enqueue(ctx context.Context, ops ...graph.Op) error
 	Flush(ctx context.Context) error
-}
-
-func loadGraph(path, ds, gen string) (*dkclique.Graph, error) {
-	switch {
-	case ds != "":
-		return dkclique.LoadDataset(ds)
-	case path != "":
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return dkclique.Read(f)
-	case gen != "":
-		nodes, edges, seed, err := parseGen(gen)
-		if err != nil {
-			return nil, err
-		}
-		return dkclique.Generate(dkclique.CommunitySocial(nodes, 10, 0.2, edges, seed))
-	}
-	return nil, fmt.Errorf("need -input FILE, -dataset NAME or -gen NODES,EDGES,SEED")
 }
 
 func parseGen(spec string) (nodes, edges int, seed int64, err error) {
@@ -423,11 +395,11 @@ func parseGen(spec string) (nodes, edges int, seed int64, err error) {
 	return 0, 0, 0, fmt.Errorf("-gen wants NODES,EDGES,SEED, got %q", spec)
 }
 
-// loadTenantGraph mirrors loadGraph over the internal graph type the
-// manager consumes. No graph flags at all means (nil, nil): the caller
-// seeds an empty default tenant instead of failing, because a manager
-// host is useful with runtime-created tenants alone.
-func loadTenantGraph(path, ds, genSpec string) (*graph.Graph, error) {
+// loadGraph loads the graph the -input, -dataset or -gen flag names.
+// No graph flags at all means (nil, nil): -root mode seeds an empty
+// default tenant then, because a manager host is useful with
+// runtime-created tenants alone; a single store needs a graph.
+func loadGraph(path, ds, genSpec string) (*graph.Graph, error) {
 	switch {
 	case ds != "":
 		return dataset.Load(ds)
@@ -462,25 +434,35 @@ func seedDefaultTenant(m *manager.Manager, path, ds, genSpec, algName string, k,
 			return nil
 		}
 	}
-	g, err := loadTenantGraph(path, ds, genSpec)
+	g, err := loadGraph(path, ds, genSpec)
 	if err != nil {
 		return err
 	}
 	if g == nil {
 		return m.Create(manager.DefaultTenant, manager.TenantConfig{K: k})
 	}
-	alg, err := core.ParseAlgorithm(algName)
+	res, err := solve(g, algName, k, workers)
 	if err != nil {
 		return err
+	}
+	return m.CreateFromGraph(manager.DefaultTenant, g, k, res.Cliques)
+}
+
+// solve computes the initial clique set of g with the static algorithm
+// named algName.
+func solve(g *graph.Graph, algName string, k, workers int) (*core.Result, error) {
+	alg, err := core.ParseAlgorithm(algName)
+	if err != nil {
+		return nil, err
 	}
 	start := time.Now()
 	res, err := core.Find(g, core.Options{K: k, Algorithm: alg, Workers: workers})
 	if err != nil {
-		return err
+		return nil, err
 	}
-	log.Printf("tenant %s: n=%d m=%d |S|=%d solved in %s",
-		manager.DefaultTenant, g.N(), g.M(), res.Size(), time.Since(start).Round(time.Millisecond))
-	return m.CreateFromGraph(manager.DefaultTenant, g, k, res.Cliques)
+	log.Printf("initial solve: n=%d m=%d |S|=%d in %s",
+		g.N(), g.M(), res.Size(), time.Since(start).Round(time.Millisecond))
+	return res, nil
 }
 
 // bootstrapTenants creates the -tenants entries that do not exist yet;

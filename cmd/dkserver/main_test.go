@@ -132,12 +132,12 @@ func TestEndpoints(t *testing.T) {
 		t.Fatalf("version did not advance: %d -> %d", snap.Version, out.Version)
 	}
 
-	var stats httpapi.StatsResponse
+	var stats map[string]uint64
 	if code := getJSON(t, srv, "/stats", &stats); code != http.StatusOK {
 		t.Fatalf("/stats status %d", code)
 	}
-	if stats.Applied != 1 || stats.Deletions != 1 {
-		t.Fatalf("stats = %+v", stats)
+	if stats["applied"] != 1 || stats["deletions"] != 1 {
+		t.Fatalf("stats = %v", stats)
 	}
 
 	// Invalid updates are rejected before they can reach the engine.

@@ -276,11 +276,12 @@ func (s *Server) serveConn(conn net.Conn) {
 	bw := bufio.NewWriterSize(conn, connBuf)
 	chunk := make([]byte, connBuf)
 	// The largest legitimate request payload is a maximal batched lookup
-	// (count + MaxOps node ids); a header claiming more is hostile or
-	// corrupt, and rejecting it before the payload is buffered caps what
-	// a drip-feeding client can make this connection hold (the wire-level
-	// MaxPayload bound is 256MB — far too lax for the request direction).
-	maxReqPayload := 4 + 4*s.opt.MaxOps
+	// (count + MaxOps node ids + the longest tenant suffix); a header
+	// claiming more is hostile or corrupt, and rejecting it before the
+	// payload is buffered caps what a drip-feeding client can make this
+	// connection hold (the wire-level MaxPayload bound is 256MB — far too
+	// lax for the request direction).
+	maxReqPayload := 4 + 4*s.opt.MaxOps + 1 + wire.MaxTenantLen
 	var (
 		buf     []byte // unconsumed request bytes
 		scratch []byte // encode scratch for uncached response bodies
@@ -428,27 +429,23 @@ func (s *Server) respond(bw *bufio.Writer, f *wire.Frame, scratch []byte) []byte
 		bw.Write(cache.Binary(snap, !f.HasCliques))
 		return scratch
 	case wire.FrameReqClique:
-		u := f.Node
-		if u < 0 || int(u) >= snap.N() {
-			scratch = wire.AppendErrorFrame(scratch[:0], http.StatusBadRequest,
-				fmt.Sprintf("node %d out of range for %d nodes", u, snap.N()))
+		if c, err := respcache.Clique(snap, f.Node); err != nil {
+			scratch = wire.AppendErrorFrame(scratch[:0], http.StatusBadRequest, err.Error())
 		} else {
-			scratch = wire.AppendCliqueFrame(scratch[:0], snap.Version(), u, snap.K(), snap.CliqueOf(u))
+			scratch = wire.AppendCliqueFrame(scratch[:0], snap.Version(), f.Node, snap.K(), c)
 		}
 	case wire.FrameReqCliques:
 		scratch = s.batched(scratch[:0], snap, f.Queried)
 	case wire.FrameReqStats:
-		st := respcache.Stats(snap, svc.Stats())
-		scratch = wire.AppendStatsFrame(scratch[:0], snap.Version(), &st)
+		scratch = respcache.AppendStatsFrame(scratch[:0], snap, svc.Stats())
 	}
 	bw.Write(scratch)
 	return scratch
 }
 
-// batched resolves a batched lookup against one snapshot, mirroring the
-// HTTP /cliques handler: shared cliques deduplicated (disjointness makes
-// a clique's smallest member a unique key), per-node results pointing
-// into the clique list by index, -1 for uncovered.
+// batched answers a batched lookup: the batch bounds here, the
+// resolution in respcache.Cliques, which the HTTP /cliques handler
+// shares.
 func (s *Server) batched(b []byte, snap *dynamic.Snapshot, queried []int32) []byte {
 	if len(queried) == 0 {
 		return wire.AppendErrorFrame(b, http.StatusBadRequest, "empty batch")
@@ -457,30 +454,9 @@ func (s *Server) batched(b []byte, snap *dynamic.Snapshot, queried []int32) []by
 		return wire.AppendErrorFrame(b, http.StatusBadRequest,
 			fmt.Sprintf("more than %d nodes in one batch", s.opt.MaxOps))
 	}
-	n := snap.N()
-	var (
-		cliques [][]int32
-		lookups []wire.Lookup
-		seen    map[int32]int32
-	)
-	for _, u := range queried {
-		if u < 0 || int(u) >= n {
-			return wire.AppendErrorFrame(b, http.StatusBadRequest,
-				fmt.Sprintf("node %d out of range for %d nodes", u, n))
-		}
-		idx := int32(-1)
-		if c := snap.CliqueOf(u); c != nil {
-			if seen == nil {
-				seen = make(map[int32]int32)
-			}
-			var ok bool
-			if idx, ok = seen[c[0]]; !ok {
-				idx = int32(len(cliques))
-				cliques = append(cliques, c)
-				seen[c[0]] = idx
-			}
-		}
-		lookups = append(lookups, wire.Lookup{Node: u, Clique: idx})
+	cliques, lookups, err := respcache.Cliques(snap, queried)
+	if err != nil {
+		return wire.AppendErrorFrame(b, http.StatusBadRequest, err.Error())
 	}
 	return wire.AppendCliquesFrame(b, snap.Version(), snap.K(), cliques, lookups)
 }

@@ -199,8 +199,10 @@ func TestRequests(t *testing.T) {
 		if f.Type != wire.FrameStats || f.Stats == nil {
 			t.Fatalf("type %d stats %v", f.Type, f.Stats)
 		}
-		if f.Stats.Size != uint64(snap.Size()) || f.Stats.Nodes != uint64(snap.N()) {
-			t.Fatalf("stats size %d nodes %d", f.Stats.Size, f.Stats.Nodes)
+		size, _ := f.Stats.Get("size")
+		nodes, _ := f.Stats.Get("nodes")
+		if size != uint64(snap.Size()) || nodes != uint64(snap.N()) {
+			t.Fatalf("stats size %d nodes %d", size, nodes)
 		}
 	})
 

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/manager"
+	"repro/internal/wire"
 	"repro/internal/workload"
 )
 
@@ -116,8 +117,36 @@ func TestTenantFrameRouting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if int(fa.Stats.Nodes) != alphaN || int(fd.Stats.Nodes) != defN {
-		t.Fatalf("pipelined stats frames (n=%d, n=%d), want (%d, %d)", fa.Stats.Nodes, fd.Stats.Nodes, alphaN, defN)
+	na, _ := fa.Stats.Get("nodes")
+	nd, _ := fd.Stats.Get("nodes")
+	if int(na) != alphaN || int(nd) != defN {
+		t.Fatalf("pipelined stats frames (n=%d, n=%d), want (%d, %d)", na, nd, alphaN, defN)
+	}
+}
+
+// TestTenantMaxBatch: a tenant-routed batched lookup of MaxOps nodes is
+// within the request bound. At the default MaxOps its frame is larger
+// than one connection read, so the server checks the bound on a half-read
+// request, which must count the tenant suffix.
+func TestTenantMaxBatch(t *testing.T) {
+	addr, m := newTenantServer(t)
+	_, alphaN := tenantShape(t, m, "alpha")
+	nodes := make([]int32, Options{}.withDefaults().MaxOps)
+	for i := range nodes {
+		nodes[i] = int32(i % alphaN)
+	}
+	c := dial(t, addr)
+	c.SetTenant("alpha")
+	c.SendCliques(nodes)
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	f, err := c.Recv()
+	if err != nil {
+		t.Fatalf("batched lookup of %d nodes for tenant alpha: %v", len(nodes), err)
+	}
+	if f.Type != wire.FrameCliques || len(f.Lookups) != len(nodes) {
+		t.Fatalf("type %d with %d lookups, want a cliques frame with %d", f.Type, len(f.Lookups), len(nodes))
 	}
 }
 

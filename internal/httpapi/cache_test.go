@@ -31,6 +31,11 @@ func TestReadHandlerAllocs(t *testing.T) {
 	s := newTestService(t, g)
 	h := New(s, Options{})
 	covered := s.Snapshot().Cliques()[0][0]
+	batch := make([]int32, 16)
+	for i := range batch {
+		batch[i] = int32(i * 37 % g.N())
+	}
+	batch16 := joinNodes(batch)
 
 	rows := []struct {
 		name   string
@@ -45,6 +50,13 @@ func TestReadHandlerAllocs(t *testing.T) {
 		{"snapshot-bin-cached", "/snapshot", true, 8},
 		{"clique-json", fmt.Sprintf("/clique/%d", covered), false, 16},
 		{"clique-bin", fmt.Sprintf("/clique/%d", covered), true, 12},
+		// The limits are the counts these handlers made before the
+		// lookup resolver and the counter table moved into respcache,
+		// which must not make a read allocate more.
+		{"cliques16-json", "/cliques?nodes=" + batch16, false, 24},
+		{"cliques16-bin", "/cliques?nodes=" + batch16, true, 22},
+		{"stats-json", "/stats", false, 5},
+		{"stats-bin", "/stats", true, 4},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {

@@ -252,9 +252,7 @@ func encodeSnapshotJSON(snap *dynamic.Snapshot, lean bool) []byte {
 }
 
 // getClique serves one point lookup. Out-of-range ids are a client
-// error, mirroring the up-front validation of /update — before this
-// check a node id of 10^9 flowed into CliqueOf and came back as a
-// misleading "covered": false.
+// error, as in /update: respcache.Clique rejects them.
 func (h *handler) getClique(w http.ResponseWriter, r *http.Request) {
 	u, err := strconv.ParseInt(r.PathValue("node"), 10, 32)
 	if err != nil {
@@ -262,12 +260,11 @@ func (h *handler) getClique(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	snap := h.svc.Snapshot()
-	if u < 0 || u >= int64(snap.N()) {
-		writeError(w, r, http.StatusBadRequest,
-			fmt.Sprintf("node %d out of range for %d nodes", u, snap.N()))
+	c, err := respcache.Clique(snap, int32(u))
+	if err != nil {
+		writeError(w, r, http.StatusBadRequest, err.Error())
 		return
 	}
-	c := snap.CliqueOf(int32(u))
 	if wantBinary(r) {
 		buf := getBuf()
 		defer putBuf(buf)
@@ -284,9 +281,9 @@ func (h *handler) getClique(w http.ResponseWriter, r *http.Request) {
 }
 
 // getCliques resolves a batched lookup — GET /cliques?nodes=1,2,3 —
-// against one snapshot: one round trip, one consistent version, shared
-// cliques deduplicated in the response (each distinct clique appears
-// once; per-node results point into the clique list by index, -1 for
+// against one snapshot through respcache.Cliques: one round trip, one
+// consistent version, each distinct clique once in the response, and
+// per-node results pointing into the clique list by index (-1 for
 // uncovered nodes).
 func (h *handler) getCliques(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query().Get("nodes")
@@ -294,17 +291,11 @@ func (h *handler) getCliques(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, http.StatusBadRequest, "nodes parameter required (nodes=1,2,3)")
 		return
 	}
-	snap := h.svc.Snapshot()
-	n := snap.N()
-	var (
-		cliques [][]int32
-		lookups []wire.Lookup
-		// Disjointness makes a clique's smallest member a unique key, so
-		// dedup needs no digesting — first member -> index in cliques.
-		seen map[int32]int32
-	)
-	for count := 0; len(q) > 0; count++ {
-		if count == h.opt.MaxOps {
+	// Parsed into a stack array: a typical batch never reaches the heap.
+	var stack [64]int32
+	nodes := stack[:0]
+	for len(q) > 0 {
+		if len(nodes) == h.opt.MaxOps {
 			writeError(w, r, http.StatusBadRequest,
 				fmt.Sprintf("more than %d nodes in one batch", h.opt.MaxOps))
 			return
@@ -320,24 +311,13 @@ func (h *handler) getCliques(w http.ResponseWriter, r *http.Request) {
 			writeError(w, r, http.StatusBadRequest, "bad node id "+strconv.Quote(tok))
 			return
 		}
-		if u < 0 || u >= int64(n) {
-			writeError(w, r, http.StatusBadRequest,
-				fmt.Sprintf("node %d out of range for %d nodes", u, n))
-			return
-		}
-		idx := int32(-1)
-		if c := snap.CliqueOf(int32(u)); c != nil {
-			if seen == nil {
-				seen = make(map[int32]int32)
-			}
-			var ok bool
-			if idx, ok = seen[c[0]]; !ok {
-				idx = int32(len(cliques))
-				cliques = append(cliques, c)
-				seen[c[0]] = idx
-			}
-		}
-		lookups = append(lookups, wire.Lookup{Node: int32(u), Clique: idx})
+		nodes = append(nodes, int32(u))
+	}
+	snap := h.svc.Snapshot()
+	cliques, lookups, err := respcache.Cliques(snap, nodes)
+	if err != nil {
+		writeError(w, r, http.StatusBadRequest, err.Error())
+		return
 	}
 	if wantBinary(r) {
 		buf := getBuf()
@@ -346,55 +326,30 @@ func (h *handler) getCliques(w http.ResponseWriter, r *http.Request) {
 		writeBody(w, http.StatusOK, wire.ContentType, *buf)
 		return
 	}
-	results := make([]LookupResult, len(lookups))
-	for i, l := range lookups {
-		results[i] = LookupResult{Node: l.Node, Clique: l.Clique}
-	}
 	writeJSON(w, http.StatusOK, CliquesResponse{
 		Version: snap.Version(),
 		K:       snap.K(),
 		Cliques: cliques,
-		Results: results,
+		Results: lookups,
 	})
 }
 
-// getStats serves the service + engine counters. Deliberately uncached:
-// several counters (Enqueued, Flushes) move without a snapshot
-// publication, so version-keyed memoization would serve stale numbers.
+// getStats serves the counters of respcache's table, as a stats frame
+// or a JSON object. Deliberately uncached: several counters (Enqueued,
+// Flushes) move without a snapshot publication, so version-keyed
+// memoization would serve stale numbers.
 func (h *handler) getStats(w http.ResponseWriter, r *http.Request) {
 	snap := h.svc.Snapshot()
-	st := respcache.Stats(snap, h.svc.Stats())
-	if wantBinary(r) {
-		buf := getBuf()
-		defer putBuf(buf)
-		*buf = wire.AppendStatsFrame((*buf)[:0], snap.Version(), &st)
-		writeBody(w, http.StatusOK, wire.ContentType, *buf)
-		return
+	st := h.svc.Stats()
+	buf := getBuf()
+	defer putBuf(buf)
+	bin := wantBinary(r)
+	if bin {
+		*buf = respcache.AppendStatsFrame((*buf)[:0], snap, st)
+	} else {
+		*buf = respcache.AppendStatsJSON((*buf)[:0], snap, st)
 	}
-	writeJSON(w, http.StatusOK, StatsResponse{
-		Version:    snap.Version(),
-		Size:       int(st.Size),
-		Nodes:      int(st.Nodes),
-		Edges:      int(st.Edges),
-		Enqueued:   st.Enqueued,
-		Applied:    st.Applied,
-		Changed:    st.Changed,
-		Batches:    st.Batches,
-		Flushes:    st.Flushes,
-		Recovered:  st.Recovered,
-		Ckpts:      st.Checkpoints,
-		WALBatches: st.WALBatches,
-		WALBytes:   st.WALBytes,
-		Insertions: int(st.Insertions),
-		Deletions:  int(st.Deletions),
-		Swaps:      int(st.Swaps),
-		IndexMS:    float64(st.IndexBuildUS) / 1000,
-		QueueDepth: st.QueueDepth,
-		SnapAge:    st.SnapshotAge,
-		WALSyncs:   st.WALSyncs,
-		GroupOps:   st.GroupCommitOps,
-		CkptStall:  st.CheckpointStallNs,
-	})
+	writeBody(w, http.StatusOK, contentType(bin), *buf)
 }
 
 // getHealthz is the liveness probe: the process is serving HTTP. It
@@ -514,46 +469,10 @@ type CliqueResponse struct {
 // the deduplicated cliques the queried nodes belong to, plus one result
 // per queried node pointing into Cliques by index (-1 = uncovered).
 type CliquesResponse struct {
-	Version uint64         `json:"version"`
-	K       int            `json:"k"`
-	Cliques [][]int32      `json:"cliques"`
-	Results []LookupResult `json:"results"`
-}
-
-// LookupResult resolves one queried node of a batched lookup.
-type LookupResult struct {
-	Node   int32 `json:"node"`
-	Clique int32 `json:"clique"`
-}
-
-// StatsResponse is the JSON body of GET /stats.
-type StatsResponse struct {
-	Version    uint64  `json:"version"`
-	Size       int     `json:"size"`
-	Nodes      int     `json:"nodes"`
-	Edges      int     `json:"edges"`
-	Enqueued   uint64  `json:"enqueued"`
-	Applied    uint64  `json:"applied"`
-	Changed    uint64  `json:"changed"`
-	Batches    uint64  `json:"batches"`
-	Flushes    uint64  `json:"flushes"`
-	Recovered  uint64  `json:"recovered,omitempty"`
-	Ckpts      uint64  `json:"checkpoints,omitempty"`
-	WALBatches uint64  `json:"wal_batches,omitempty"`
-	WALBytes   uint64  `json:"wal_bytes,omitempty"`
-	Insertions int     `json:"insertions"`
-	Deletions  int     `json:"deletions"`
-	Swaps      int     `json:"swaps"`
-	IndexMS    float64 `json:"index_build_ms"`
-	QueueDepth uint64  `json:"queue_depth"`
-	SnapAge    uint64  `json:"snapshot_age"`
-	// Write-path pipeline counters (zero for in-memory services):
-	// completed WAL fsyncs, ops those fsyncs made durable (ratio =
-	// group-commit coalescing factor), and cumulative writer stall on
-	// checkpoint rollovers in nanoseconds.
-	WALSyncs  uint64 `json:"wal_syncs,omitempty"`
-	GroupOps  uint64 `json:"group_commit_ops,omitempty"`
-	CkptStall uint64 `json:"checkpoint_stall_ns,omitempty"`
+	Version uint64        `json:"version"`
+	K       int           `json:"k"`
+	Cliques [][]int32     `json:"cliques"`
+	Results []wire.Lookup `json:"results"`
 }
 
 // UpdateRequest is the JSON body of POST /update.

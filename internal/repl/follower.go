@@ -401,7 +401,7 @@ func (f *Follower) install(fr *wire.Frame) error {
 	}
 	opt := serve.Options{Workers: f.opt.Workers, Fsync: f.opt.Fsync}
 	if f.opt.Dir != "" {
-		if err := clearStore(f.opt.Dir); err != nil {
+		if err := serve.ClearStore(f.opt.Dir); err != nil {
 			return fmt.Errorf("clear store for install: %w", err)
 		}
 		opt.Dir = f.opt.Dir
@@ -424,36 +424,6 @@ func (f *Follower) install(fr *wire.Frame) error {
 	return nil
 }
 
-// clearStore removes a follower store's checkpoint and WALs (the
-// service holding them must be closed) so a fresh install can
-// re-initialise the directory. The EPOCH file survives — the fence
-// outlives any one lineage.
-func clearStore(dir string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	if err := removeIfExists(filepath.Join(dir, "checkpoint.dkc")); err != nil {
-		return err
-	}
-	matches, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
-	if err != nil {
-		return err
-	}
-	for _, m := range matches {
-		if err := removeIfExists(m); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func removeIfExists(path string) error {
-	if err := os.Remove(path); err != nil && !errors.Is(err, os.ErrNotExist) {
-		return err
-	}
-	return nil
-}
-
 // readEpoch loads the persisted fencing epoch; a missing file is epoch
 // 0 (accept anything).
 func readEpoch(dir string) (uint64, error) {
@@ -470,42 +440,13 @@ func readEpoch(dir string) (uint64, error) {
 	return binary.LittleEndian.Uint64(b), nil
 }
 
-// writeEpoch durably persists the fencing epoch (temp file, fsync,
-// rename, directory sync — same discipline as the store checkpoint).
+// writeEpoch durably persists the fencing epoch, installed atomically
+// the way the store's checkpoints are.
 func writeEpoch(dir string, epoch uint64) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	tmp := filepath.Join(dir, epochName+".tmp")
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], epoch)
-	fd, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	_, werr := fd.Write(buf[:])
-	if werr == nil {
-		werr = fd.Sync()
-	}
-	if cerr := fd.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		os.Remove(tmp)
-		return werr
-	}
-	if err := os.Rename(tmp, filepath.Join(dir, epochName)); err != nil {
-		return err
-	}
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	serr := d.Sync()
-	if cerr := d.Close(); serr == nil {
-		serr = cerr
-	}
-	return serr
+	return serve.InstallFile(dir, epochName, binary.LittleEndian.AppendUint64(nil, epoch))
 }
 
 // Front is a stable serving surface over a follower: it satisfies both

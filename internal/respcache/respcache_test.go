@@ -3,10 +3,13 @@ package respcache
 import (
 	"bytes"
 	"fmt"
+	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/dynamic"
 	"repro/internal/graph"
+	"repro/internal/serve"
 	"repro/internal/wire"
 )
 
@@ -65,15 +68,7 @@ func TestBodyZeroAlloc(t *testing.T) {
 // wire encode — and that the cached bytes are version-keyed, so two
 // transports mounting one Snapshot cache answer byte-identically.
 func TestSnapshotBinary(t *testing.T) {
-	g, err := graph.FromEdges(9, [][2]int32{{0, 1}, {0, 2}, {1, 2}, {3, 4}, {3, 5}, {4, 5}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := dynamic.New(g, 3, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap := eng.Snapshot()
+	snap := testSnapshot(t)
 
 	var c Snapshot
 	full := c.Binary(snap, false)
@@ -91,5 +86,90 @@ func TestSnapshotBinary(t *testing.T) {
 	// Second read of the same version shares the cached bytes.
 	if again := c.Binary(snap, false); &again[0] != &full[0] {
 		t.Fatal("second read did not share the cached bytes")
+	}
+}
+
+// testSnapshot is a 9-node graph with two triangles and three free
+// nodes, solved for k=3.
+func testSnapshot(t *testing.T) *dynamic.Snapshot {
+	t.Helper()
+	g, err := graph.FromEdges(9, [][2]int32{{0, 1}, {0, 2}, {1, 2}, {3, 4}, {3, 5}, {4, 5}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := dynamic.New(g, 3, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng.Snapshot()
+}
+
+// TestCliques pins the shared lookup resolution: a clique referenced by
+// several nodes is listed once, free nodes resolve to -1, and a node
+// outside the graph fails the whole batch with the point lookup's error.
+func TestCliques(t *testing.T) {
+	snap := testSnapshot(t)
+	cliques, lookups, err := Cliques(snap, []int32{4, 0, 7, 3, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantCliques := [][]int32{snap.CliqueOf(4), snap.CliqueOf(0)}
+	wantLookups := []wire.Lookup{{Node: 4, Clique: 0}, {Node: 0, Clique: 1}, {Node: 7, Clique: -1},
+		{Node: 3, Clique: 0}, {Node: 1, Clique: 1}}
+	if !reflect.DeepEqual(cliques, wantCliques) || !reflect.DeepEqual(lookups, wantLookups) {
+		t.Fatalf("resolved %v / %v, want %v / %v", cliques, lookups, wantCliques, wantLookups)
+	}
+	if cliques, _, err := Cliques(snap, []int32{6, 7}); cliques != nil || err != nil {
+		t.Fatalf("all-free batch: cliques %v, %v", cliques, err)
+	}
+
+	if _, _, err := Cliques(snap, []int32{0, 9}); err == nil || err.Error() != "node 9 out of range for 9 nodes" {
+		t.Fatalf("out-of-range batch: %v", err)
+	}
+	if _, err := Clique(snap, -1); err == nil || err.Error() != "node -1 out of range for 9 nodes" {
+		t.Fatalf("out-of-range point lookup: %v", err)
+	}
+	if c, err := Clique(snap, 8); c != nil || err != nil {
+		t.Fatalf("free node: %v, %v", c, err)
+	}
+}
+
+// TestCounterTable pins the stats schema: the counter names in order,
+// and a table row for every serve.Stats field. Each field gets a
+// distinct value by reflection, and each value must reach the built
+// block, so a service counter added without a row fails here.
+func TestCounterTable(t *testing.T) {
+	want := []string{
+		"size", "nodes", "edges",
+		"enqueued", "applied", "changed", "batches", "flushes",
+		"recovered", "checkpoints", "wal_batches", "wal_bytes",
+		"insertions", "deletions", "swaps", "index_build_us",
+		"queue_depth", "snapshot_age",
+		"wal_syncs", "group_commit_ops", "checkpoint_stall_ns",
+	}
+	snap := testSnapshot(t)
+	var st serve.Stats
+	fields := reflect.ValueOf(&st).Elem()
+	for i := 0; i < fields.NumField(); i++ {
+		fields.Field(i).SetUint(1<<40 + uint64(i))
+	}
+	arr := statsBlock(snap, st)
+	block := wire.Stats(arr[:])
+	var names []string
+	values := make(map[uint64]bool)
+	for _, c := range block {
+		names = append(names, c.Name)
+		values[c.Value] = true
+	}
+	if !slices.Equal(names, want) {
+		t.Fatalf("counter names\n got %q\nwant %q", names, want)
+	}
+	for i := 0; i < fields.NumField(); i++ {
+		if !values[1<<40+uint64(i)] {
+			t.Errorf("serve.Stats.%s has no row in the counter table", fields.Type().Field(i).Name)
+		}
+	}
+	if v, _ := block.Get("nodes"); v != uint64(snap.N()) {
+		t.Fatalf("nodes = %d, want %d", v, snap.N())
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"strings"
 	"syscall"
 
 	"repro/internal/dynamic"
@@ -164,10 +165,11 @@ func storeHeader(gen int64) [storeHdrSize]byte {
 	return hdr
 }
 
-// installFile atomically installs checkpoint content produced by fill:
-// temp file, fsync, rename over checkpoint.dkc, directory sync.
-func installFile(dir string, fill func(f *os.File) error) error {
-	tmp := filepath.Join(dir, "checkpoint.tmp")
+// installFile atomically installs the content fill writes as dir/name:
+// a temp file (name with its extension replaced by .tmp), fsync, rename
+// over dir/name, directory sync.
+func installFile(dir, name string, fill func(f *os.File) error) error {
+	tmp := filepath.Join(dir, strings.TrimSuffix(name, filepath.Ext(name))+".tmp")
 	f, err := os.Create(tmp)
 	if err != nil {
 		return err
@@ -183,19 +185,47 @@ func installFile(dir string, fill func(f *os.File) error) error {
 		os.Remove(tmp)
 		return err
 	}
-	if err := os.Rename(tmp, filepath.Join(dir, checkpointName)); err != nil {
+	if err := os.Rename(tmp, filepath.Join(dir, name)); err != nil {
 		return err
 	}
 	return syncDir(dir)
 }
 
+// InstallFile atomically installs data as dir/name, the way every
+// checkpoint is installed: after a crash dir/name holds either its old
+// content or data. The replication follower persists its fencing epoch
+// with it.
+func InstallFile(dir, name string, data []byte) error {
+	return installFile(dir, name, func(f *os.File) error {
+		_, err := f.Write(data)
+		return err
+	})
+}
+
+// ClearStore removes the store in dir, its checkpoint first and then its
+// WALs, so a new store can be initialised there. The service that held
+// it must be closed. Files outside the store layout, such as a
+// follower's fencing epoch, survive.
+func ClearStore(dir string) error {
+	wals, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
+	if err != nil {
+		return err
+	}
+	for _, path := range append([]string{filepath.Join(dir, checkpointName)}, wals...) {
+		if err := os.Remove(path); err != nil && !errors.Is(err, fs.ErrNotExist) {
+			return err
+		}
+	}
+	return nil
+}
+
 // writeCheckpointFile atomically installs a checkpoint of eng, tagged
 // with the WAL generation that will cover updates applied after it,
 // streaming the image straight to the file. Used by initStore and
-// finalCheckpoint; periodic checkpoints go through installImage with an
+// finalCheckpoint; periodic checkpoints go through InstallFile with an
 // already-captured buffer.
 func writeCheckpointFile(dir string, gen int64, eng *dynamic.Engine) error {
-	return installFile(dir, func(f *os.File) error {
+	return installFile(dir, checkpointName, func(f *os.File) error {
 		// No buffering layer here: WriteCheckpoint buffers internally, and
 		// the header write below is one-off.
 		hdr := storeHeader(gen)
@@ -203,15 +233,6 @@ func writeCheckpointFile(dir string, gen int64, eng *dynamic.Engine) error {
 			return err
 		}
 		return eng.WriteCheckpoint(f)
-	})
-}
-
-// installImage atomically installs an already-serialized checkpoint file
-// image (header included). The background installer's half of a capture.
-func installImage(dir string, data []byte) error {
-	return installFile(dir, func(f *os.File) error {
-		_, err := f.Write(data)
-		return err
 	})
 }
 
@@ -482,7 +503,7 @@ func (s *Service) installCheckpoint(req installReq) error {
 	if testSkipInstall.Load() {
 		return nil
 	}
-	if err := installImage(s.dur.dir, req.data); err != nil {
+	if err := InstallFile(s.dur.dir, checkpointName, req.data); err != nil {
 		return err
 	}
 	removeStaleWALs(s.dur.dir, req.gen, req.gen)

@@ -20,7 +20,8 @@ func FuzzWireDecode(f *testing.F) {
 	f.Add(AppendCliqueFrame(nil, 8, 6, 4, nil))
 	f.Add(AppendCliquesFrame(nil, 9, 3, [][]int32{{1, 2, 3}},
 		[]Lookup{{Node: 1, Clique: 0}, {Node: 7, Clique: -1}}))
-	f.Add(AppendStatsFrame(nil, 10, &Stats{Size: 1, Applied: 2, IndexBuildUS: 3, QueueDepth: 4}))
+	f.Add(AppendStatsFrame(nil, 10, Stats{{Name: "size", Value: 1}, {Name: "applied", Value: 2},
+		{Name: "index_build_us", Value: 3}, {Name: "queue_depth", Value: 4}}))
 	f.Add(AppendErrorFrame(nil, 400, "bad node id"))
 	f.Add(AppendDeltaFrame(nil, 4, 7, 3, 10, 20, 2,
 		[]int32{5}, []int32{8, 9}, [][]int32{{0, 1, 2}, {3, 4, 5}}))

@@ -28,7 +28,8 @@
 //	cliques:  [8] version, [4] k, [4] ncliques, [4] nlookups,
 //	          ncliques × k × [4] members,
 //	          nlookups × ([4] node, [4] clique index or -1)
-//	stats:    [8] version, 21 × [8] counters (see Stats.counters)
+//	stats:    [8] version, [2] count C,
+//	          C × ([1] name length 1–64, name bytes, [8] value)
 //	error:    [4] HTTP status, then the UTF-8 message
 //	delta:    [8] fromVersion, [8] toVersion, [4] k, [4] nodes, [4] edges,
 //	          [4] size, [4] nRemoved, [4] nAdded,
@@ -109,50 +110,34 @@ var (
 // the index of its clique in the frame's deduplicated clique list, or -1
 // when the node is uncovered.
 type Lookup struct {
-	Node   int32
-	Clique int32
+	Node   int32 `json:"node"`
+	Clique int32 `json:"clique"`
 }
 
-// Stats is the counter block of a stats frame. IndexBuildUS is the
-// engine's cumulative index-build time in microseconds; QueueDepth and
-// SnapshotAge are instantaneous gauges (ops accepted but not yet applied,
-// and versions published since S last changed); everything else mirrors
-// the JSON /stats fields.
-type Stats struct {
-	Size, Nodes, Edges           uint64
-	Enqueued, Applied, Changed   uint64
-	Batches, Flushes             uint64
-	Recovered, Checkpoints       uint64
-	WALBatches, WALBytes         uint64
-	Insertions, Deletions, Swaps uint64
-	IndexBuildUS                 uint64
-	QueueDepth, SnapshotAge      uint64
-	// Write-path pipeline counters: completed WAL fsyncs, the ops those
-	// fsyncs made durable (their ratio is the group-commit coalescing
-	// factor), and cumulative writer stall on checkpoint rollovers.
-	WALSyncs, GroupCommitOps uint64
-	CheckpointStallNs        uint64
+// MaxCounterName bounds the name of a stats counter.
+const MaxCounterName = 64
+
+// Counter is one named value of a stats frame.
+type Counter struct {
+	Name  string
+	Value uint64
 }
 
-// statsFields is the number of 8-byte counters a stats payload carries
-// after the version.
-const statsFields = 21
+// Stats is the counter block of a stats frame, in the order the server
+// lists its counters (internal/respcache holds that list). Each counter
+// travels with its name, so a server that adds one changes no layout
+// and a reader looks counters up by name.
+type Stats []Counter
 
-// counters lists st's counters in frame order, the one list both the
-// stats encoder and its decoder walk.
-func (st *Stats) counters() [statsFields]*uint64 {
-	return [statsFields]*uint64{
-		&st.Size, &st.Nodes, &st.Edges,
-		&st.Enqueued, &st.Applied, &st.Changed,
-		&st.Batches, &st.Flushes,
-		&st.Recovered, &st.Checkpoints,
-		&st.WALBatches, &st.WALBytes,
-		&st.Insertions, &st.Deletions, &st.Swaps,
-		&st.IndexBuildUS,
-		&st.QueueDepth, &st.SnapshotAge,
-		&st.WALSyncs, &st.GroupCommitOps,
-		&st.CheckpointStallNs,
+// Get returns the value of the counter named name and whether the
+// block carries it.
+func (s Stats) Get(name string) (uint64, bool) {
+	for _, c := range s {
+		if c.Name == name {
+			return c.Value, true
+		}
 	}
+	return 0, false
 }
 
 // Frame is one decoded frame. Only the fields of the decoded Type are
@@ -198,7 +183,7 @@ type Frame struct {
 	Queried []int32
 
 	// Stats frame counters.
-	Stats *Stats
+	Stats Stats
 
 	// Error frame fields.
 	Status  int
@@ -310,12 +295,16 @@ func AppendCliquesFrame(b []byte, version uint64, k int, cliques [][]int32, look
 	return endFrame(b, mark)
 }
 
-// AppendStatsFrame appends a stats frame.
-func AppendStatsFrame(b []byte, version uint64, st *Stats) []byte {
+// AppendStatsFrame appends a stats frame. st holds at most 65,535
+// counters, each named by 1 to MaxCounterName bytes.
+func AppendStatsFrame(b []byte, version uint64, st Stats) []byte {
 	b, mark := beginFrame(b, FrameStats)
 	b = binary.LittleEndian.AppendUint64(b, version)
-	for _, v := range st.counters() {
-		b = binary.LittleEndian.AppendUint64(b, *v)
+	b = binary.LittleEndian.AppendUint16(b, uint16(len(st)))
+	for _, c := range st {
+		b = append(b, byte(len(c.Name)))
+		b = append(b, c.Name...)
+		b = binary.LittleEndian.AppendUint64(b, c.Value)
 	}
 	return endFrame(b, mark)
 }
@@ -523,14 +512,32 @@ func (f *Frame) decodeCliques(p []byte) error {
 }
 
 func (f *Frame) decodeStats(p []byte) error {
-	if len(p) != 8+8*statsFields {
-		return fmt.Errorf("wire: stats payload of %d bytes, want %d", len(p), 8+8*statsFields)
+	if len(p) < 10 {
+		return fmt.Errorf("wire: stats payload of %d bytes below the fixed part", len(p))
 	}
 	f.Version = binary.LittleEndian.Uint64(p[0:8])
-	f.Stats = new(Stats)
-	for i, v := range f.Stats.counters() {
-		*v = binary.LittleEndian.Uint64(p[8+8*i:])
+	n := int(binary.LittleEndian.Uint16(p[8:10]))
+	rest := p[10:]
+	// A counter takes at least 10 bytes, so the payload bounds the block.
+	st := make(Stats, 0, min(n, len(rest)/10))
+	for i := 0; i < n; i++ {
+		if len(rest) == 0 {
+			return fmt.Errorf("wire: stats payload ends before counter %d of %d", i, n)
+		}
+		l := int(rest[0])
+		if l == 0 || l > MaxCounterName {
+			return fmt.Errorf("wire: counter %d name length %d out of range [1,%d]", i, l, MaxCounterName)
+		}
+		if len(rest) < 1+l+8 {
+			return fmt.Errorf("wire: stats payload ends inside counter %d", i)
+		}
+		st = append(st, Counter{Name: string(rest[1 : 1+l]), Value: binary.LittleEndian.Uint64(rest[1+l:])})
+		rest = rest[1+l+8:]
 	}
+	if len(rest) != 0 {
+		return fmt.Errorf("wire: %d trailing bytes after %d counters", len(rest), n)
+	}
+	f.Stats = st
 	return nil
 }
 

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"hash/crc32"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -80,13 +81,8 @@ func TestCliquesRoundTrip(t *testing.T) {
 }
 
 func TestStatsRoundTrip(t *testing.T) {
-	st := &Stats{
-		Size: 1, Nodes: 2, Edges: 3, Enqueued: 4, Applied: 5, Changed: 6,
-		Batches: 7, Flushes: 8, Recovered: 9, Checkpoints: 10,
-		WALBatches: 11, WALBytes: 12, Insertions: 13, Deletions: 14,
-		Swaps: 15, IndexBuildUS: 16, QueueDepth: 17, SnapshotAge: 18,
-		WALSyncs: 19, GroupCommitOps: 20, CheckpointStallNs: 21,
-	}
+	st := Stats{{Name: "size", Value: 1}, {Name: "queue_depth", Value: 0},
+		{Name: "checkpoint_stall_ns", Value: 1<<63 + 5}, {Name: strings.Repeat("n", MaxCounterName), Value: 7}}
 	b := AppendStatsFrame(nil, 123, st)
 	f, _, err := Decode(b)
 	if err != nil {
@@ -94,6 +90,47 @@ func TestStatsRoundTrip(t *testing.T) {
 	}
 	if f.Type != FrameStats || f.Version != 123 || !reflect.DeepEqual(f.Stats, st) {
 		t.Fatalf("frame = %+v, stats = %+v", f, f.Stats)
+	}
+	if v, ok := f.Stats.Get("checkpoint_stall_ns"); !ok || v != 1<<63+5 {
+		t.Fatalf("Get(checkpoint_stall_ns) = %d, %v", v, ok)
+	}
+	if _, ok := f.Stats.Get("absent"); ok {
+		t.Fatal("Get found a counter the block does not carry")
+	}
+}
+
+// TestStatsDecodeRejects drives the stats decoder through each
+// malformed payload: shorter than its fixed part, a name of length 0 or
+// past MaxCounterName, a value cut short, and bytes after the last
+// counter.
+func TestStatsDecodeRejects(t *testing.T) {
+	// frame wraps a hand-built payload in a valid header.
+	frame := func(payload []byte) []byte {
+		b, mark := beginFrame(nil, FrameStats)
+		return endFrame(append(b, payload...), mark)
+	}
+	fixed := func(count uint16) []byte {
+		p := binary.LittleEndian.AppendUint64(nil, 9)
+		return binary.LittleEndian.AppendUint16(p, count)
+	}
+	counter := func(name string) []byte {
+		p := append([]byte{byte(len(name))}, name...)
+		return binary.LittleEndian.AppendUint64(p, 42)
+	}
+	if _, _, err := Decode(frame(append(fixed(1), counter("ok")...))); err != nil {
+		t.Fatalf("well-formed payload: %v", err)
+	}
+	for name, payload := range map[string][]byte{
+		"short fixed part": fixed(0)[:9],
+		"empty name":       append(fixed(1), counter("")...),
+		"name of 65 bytes": append(fixed(1), counter(strings.Repeat("x", MaxCounterName+1))...),
+		"truncated value":  append(fixed(1), counter("ok")[:7]...),
+		"missing counter":  append(fixed(2), counter("ok")...),
+		"trailing bytes":   append(append(fixed(1), counter("ok")...), 0),
+	} {
+		if _, _, err := Decode(frame(payload)); err == nil || errors.Is(err, ErrShort) {
+			t.Errorf("%s: decode returned %v, want a permanent error", name, err)
+		}
 	}
 }
 
@@ -203,7 +240,7 @@ func TestEncodeReusesBuffer(t *testing.T) {
 	allocs := testing.AllocsPerRun(100, func() {
 		b := AppendSnapshotFrame(buf[:0], 1, 3, 10, 20, len(cliques), cliques, true)
 		b = AppendCliqueFrame(b[:0], 1, 0, 3, cliques[0])
-		_ = AppendStatsFrame(b[:0], 1, &Stats{})
+		_ = AppendStatsFrame(b[:0], 1, Stats{})
 	})
 	if allocs != 0 {
 		t.Fatalf("encode into a warm buffer allocates %.1f times per run", allocs)

@@ -115,8 +115,14 @@ func EncodeWireSubscribeRequestTenant(b []byte, tenant string) []byte {
 // its clique in the frame's Cliques list, or -1 when uncovered.
 type WireLookup = wire.Lookup
 
-// WireStats is the counter block of a stats frame.
+// WireStats is the counter block of a stats frame: every service and
+// engine counter the server lists, each with its name, in the server's
+// order. Get reads a counter by name, so a server that adds a counter
+// changes no frame layout.
 type WireStats = wire.Stats
+
+// WireCounter is one named value of a stats frame.
+type WireCounter = wire.Counter
 
 // ErrWireShort is returned by DecodeWireFrame when data holds only a
 // prefix of a frame — callers reading from a stream should wait for
