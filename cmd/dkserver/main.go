@@ -34,7 +34,7 @@
 // With -tcp ADDR a second, wire-native transport listens alongside HTTP:
 // persistent connections speaking internal/wire request/response frames
 // with pipelining, plus a subscribe mode that pushes snapshot deltas
-// (see internal/framesrv and workload.FrameClient). Both transports
+// (see internal/framesrv and wire.Client). Both transports
 // answer every read through internal/respcache — one snapshot-body
 // cache, one lookup resolver, one table of stats counters — so a binary
 // body is the same bytes on either, and a graceful shutdown drains both
@@ -115,7 +115,7 @@ func main() {
 		maxBatch    = flag.Int("batch", 0, "max ops coalesced per engine batch (0 = default)")
 		dataDir     = flag.String("data", "", "durable store directory (WAL + checkpoints); empty = in-memory")
 		fsyncMode   = flag.String("fsync", "batch", `WAL sync policy with -data: "batch" or "none"`)
-		ckptEvery   = flag.Int("checkpoint", 0, "applied ops between checkpoints with -data or -tcp; followers install from the latest (0 = default)")
+		ckptEvery   = flag.Int("checkpoint", 0, "applied ops between checkpoints with -data or -tcp; followers install from the latest (0 = default). A follower ignores it: a durable one checkpoints every 131072 replicated ops")
 		maxOps      = flag.Int("maxops", 8192, "maximum ops per /update request and nodes per /cliques batch")
 		maxBody     = flag.Int64("maxbody", 1<<20, "maximum /update request body bytes")
 		drain       = flag.Duration("drain", 15*time.Second, "graceful-shutdown timeout for in-flight requests")

@@ -12,10 +12,10 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/serve"
-	"repro/internal/workload"
+	"repro/internal/wire"
 )
 
-// End-to-end raw-TCP benchmarks: FrameClient goroutines against a real
+// End-to-end raw-TCP benchmarks: wire.Client goroutines against a real
 // frame server over loopback, on the same graph as the HTTP rows of
 // internal/httpapi — so BENCH_tcp.json composes directly with
 // BENCH_wire.json: same snapshot, same cached bodies, the HTTP machinery
@@ -52,7 +52,7 @@ func benchSetup(b *testing.B) {
 		bench.g = g
 		bench.svc = svc
 		bench.addr = ln.Addr().String()
-		c, err := workload.DialFrame(bench.addr)
+		c, err := wire.Dial(bench.addr)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -66,8 +66,8 @@ func benchSetup(b *testing.B) {
 // pipelined drives one client with up to depth requests in flight:
 // send() buffers one request, and the batch is flushed and drained
 // whenever it fills (and once more at the end).
-func pipelined(b *testing.B, pb *testing.PB, depth int, send func(c *workload.FrameClient)) {
-	c, err := workload.DialFrame(bench.addr)
+func pipelined(b *testing.B, pb *testing.PB, depth int, send func(c *wire.Client)) {
+	c, err := wire.Dial(bench.addr)
 	if err != nil {
 		b.Error(err)
 		return
@@ -118,7 +118,7 @@ func BenchmarkTCPSnapshot(b *testing.B) {
 				b.SetBytes(int64(bench.fullLen))
 			}
 			b.RunParallel(func(pb *testing.PB) {
-				pipelined(b, pb, row.depth, func(c *workload.FrameClient) {
+				pipelined(b, pb, row.depth, func(c *wire.Client) {
 					c.SendSnapshot(row.full)
 				})
 			})
@@ -141,7 +141,7 @@ func BenchmarkTCPCliqueOf(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			b.RunParallel(func(pb *testing.PB) {
 				rng := rand.New(rand.NewSource(seq.Add(1)))
-				pipelined(b, pb, depth, func(c *workload.FrameClient) {
+				pipelined(b, pb, depth, func(c *wire.Client) {
 					c.SendCliqueOf(int32(rng.Intn(n)))
 				})
 			})
@@ -160,7 +160,7 @@ func BenchmarkTCPCliques(b *testing.B) {
 		b.RunParallel(func(pb *testing.PB) {
 			rng := rand.New(rand.NewSource(seq.Add(1)))
 			nodes := make([]int32, batch)
-			pipelined(b, pb, 8, func(c *workload.FrameClient) {
+			pipelined(b, pb, 8, func(c *wire.Client) {
 				for i := range nodes {
 					nodes[i] = int32(rng.Intn(n))
 				}
@@ -174,7 +174,7 @@ func BenchmarkTCPCliques(b *testing.B) {
 func BenchmarkTCPStats(b *testing.B) {
 	benchSetup(b)
 	b.RunParallel(func(pb *testing.PB) {
-		pipelined(b, pb, 32, func(c *workload.FrameClient) {
+		pipelined(b, pb, 32, func(c *wire.Client) {
 			c.SendStats()
 		})
 	})

@@ -69,9 +69,9 @@ func startServer(t testing.TB, s *serve.Service, opt Options) string {
 	return ln.Addr().String()
 }
 
-func dial(t testing.TB, addr string) *workload.FrameClient {
+func dial(t testing.TB, addr string) *wire.Client {
 	t.Helper()
-	c, err := workload.DialFrame(addr)
+	c, err := wire.Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +247,7 @@ func TestPipelining(t *testing.T) {
 	addr, s, _ := newTestServer(t, Options{})
 	snap := s.Snapshot()
 
-	run := func(t *testing.T, c *workload.FrameClient) {
+	run := func(t *testing.T, c *wire.Client) {
 		const depth = 64
 		nodes := make([]int32, depth)
 		for i := range nodes {
@@ -284,7 +284,7 @@ func TestPipelining(t *testing.T) {
 		}
 		fc := faultconn.Wrap(conn, faultconn.Options{Seed: 1, FragmentProb: 1})
 		t.Cleanup(func() { fc.Close() })
-		run(t, workload.NewFrameClient(fc))
+		run(t, wire.NewClient(fc))
 	})
 }
 
@@ -306,7 +306,7 @@ func TestProtocolError(t *testing.T) {
 			if _, err := conn.Write(raw); err != nil {
 				t.Fatal(err)
 			}
-			c := workload.NewFrameClient(conn)
+			c := wire.NewClient(conn)
 			if _, err := c.Recv(); err == nil {
 				t.Fatal("protocol violation did not produce an error")
 			}
@@ -342,7 +342,7 @@ func TestOversizedRequestRejected(t *testing.T) {
 	}
 
 	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	c := workload.NewFrameClient(conn)
+	c := wire.NewClient(conn)
 	if _, err := c.Recv(); err == nil {
 		t.Fatal("oversized request header did not draw an error")
 	}
@@ -364,7 +364,7 @@ func TestSubscribeEndsWhenServiceCloses(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	c := workload.NewFrameClient(conn)
+	c := wire.NewClient(conn)
 	if err := c.Subscribe(); err != nil {
 		t.Fatal(err)
 	}
@@ -398,7 +398,7 @@ func TestDeltaStream(t *testing.T) {
 	if err := sub.Subscribe(); err != nil {
 		t.Fatal(err)
 	}
-	var rep workload.Replica
+	var rep wire.Replica
 	// advance applies deltas until the replica reaches version v.
 	advance := func(v uint64) {
 		t.Helper()
@@ -593,7 +593,7 @@ func TestConcurrentPipelines(t *testing.T) {
 		readers.Add(1)
 		go func(seed int64) {
 			defer readers.Done()
-			c, err := workload.DialFrame(addr)
+			c, err := wire.Dial(addr)
 			if err != nil {
 				errs <- err
 				return
@@ -640,7 +640,7 @@ func TestConcurrentPipelines(t *testing.T) {
 	readers.Add(1)
 	go func() {
 		defer readers.Done()
-		c, err := workload.DialFrame(addr)
+		c, err := wire.Dial(addr)
 		if err != nil {
 			errs <- err
 			return
@@ -650,7 +650,7 @@ func TestConcurrentPipelines(t *testing.T) {
 			errs <- err
 			return
 		}
-		var rep workload.Replica
+		var rep wire.Replica
 		for i := 0; i < 40; i++ {
 			f, err := c.Recv()
 			if err != nil {

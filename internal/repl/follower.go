@@ -19,7 +19,6 @@ import (
 	"repro/internal/serve"
 	"repro/internal/wal"
 	"repro/internal/wire"
-	"repro/internal/workload"
 )
 
 // FollowerOptions configures a Follower; zero values pick defaults.
@@ -41,7 +40,7 @@ type FollowerOptions struct {
 	// with an install, on reconnect.
 	Fsync wal.SyncPolicy
 	// Dial connects to the primary; nil uses a TCP dial bounded by
-	// workload.DialTimeout. Fault-injection tests wrap it.
+	// wire.DialTimeout. Fault-injection tests wrap it.
 	Dial func(ctx context.Context, addr string) (net.Conn, error)
 	// BackoffMin/BackoffMax bound the exponential reconnect backoff
 	// (jittered ±50%). Defaults 50ms and 3s.
@@ -57,7 +56,7 @@ type FollowerOptions struct {
 func (o FollowerOptions) withDefaults() FollowerOptions {
 	if o.Dial == nil {
 		o.Dial = func(ctx context.Context, addr string) (net.Conn, error) {
-			d := net.Dialer{Timeout: workload.DialTimeout}
+			d := net.Dialer{Timeout: wire.DialTimeout}
 			return d.DialContext(ctx, "tcp", addr)
 		}
 	}
@@ -292,7 +291,7 @@ func (f *Follower) stream1(ctx context.Context) (applied bool, err error) {
 		f.mu.Unlock()
 	}()
 
-	c := workload.NewFrameClient(conn)
+	c := wire.NewClient(conn)
 	f.mu.Lock()
 	epoch, version := f.epoch, f.version
 	haveState := f.svc.Load() != nil && !f.stateBad

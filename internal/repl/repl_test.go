@@ -419,7 +419,7 @@ func TestEpochFencePrimaryRefuses(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	c := workload.NewFrameClient(conn)
+	c := wire.NewClient(conn)
 	c.SetIOTimeout(5 * time.Second)
 	if err := c.SendReplicate(2, 10, true); err != nil {
 		t.Fatal(err)

@@ -367,8 +367,7 @@ func open(dir string, opt Options, follower bool) (*Service, error) {
 		return nil, err
 	}
 	removeStaleWALs(dir, ckptGen, gen)
-	s := wrapEngine(eng, opt)
-	s.follower = follower
+	s := wrapEngine(eng, opt, follower)
 	s.dur = &durable{dir: dir, log: lg, lock: lock, gen: gen}
 	// Anchor the checkpoint schedule to the replayed backlog so a service
 	// that keeps crashing before its first rollover cannot grow the WAL
@@ -376,7 +375,7 @@ func open(dir string, opt Options, follower bool) (*Service, error) {
 	s.sinceCkpt = int(recovered)
 	s.recovered.Store(recovered)
 	s.dur.startPipeline(s, opt)
-	s.start(opt.MaxBatch)
+	go s.run(opt.MaxBatch)
 	ok = true
 	return s, nil
 }
@@ -398,23 +397,10 @@ func removeStaleWALs(dir string, lo, hi int64) {
 	}
 }
 
-// appendWAL logs one about-to-be-applied batch (the follower replication
-// path applies exactly one record per stream item; the local writer uses
-// appendWALGroup). Called by the writer goroutine only.
-func (s *Service) appendWAL(ops []graph.Op) error {
-	nb, err := s.dur.log.Append(ops)
-	if err != nil {
-		return err
-	}
-	s.walBatches.Add(1)
-	s.walBytes.Add(uint64(nb))
-	s.dur.sync.noteAppend(len(ops))
-	return nil
-}
-
-// appendWALGroup logs a whole drain cycle ahead of application: one
-// record per maxBatch chunk — mirroring the ApplyBatch chunking — framed
-// into a single vectored write. Called by the writer goroutine only.
+// appendWALGroup logs ops ahead of application: one record per maxBatch
+// chunk — mirroring the ApplyBatch chunking — framed into a single
+// vectored write. The drain loop logs a whole cycle this way, Replicate
+// one shipped batch as one record. Called by the writer goroutine only.
 func (s *Service) appendWALGroup(buf []graph.Op, maxBatch int) error {
 	d := s.dur
 	chunks := d.chunks[:0]

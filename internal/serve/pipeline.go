@@ -91,15 +91,11 @@ func (y *groupSyncer) noteAppend(ops int) {
 	}
 }
 
-// await registers waiters to be woken strictly after the next completed
-// fsync (or after the failure latch is set) and requests a commit. The
-// slice's elements are copied; the caller may reuse it.
-func (y *groupSyncer) await(ws []syncWaiter) {
-	if len(ws) == 0 {
-		return
-	}
+// await registers a waiter to be woken strictly after the next completed
+// fsync (or after the failure latch is set) and requests a commit.
+func (y *groupSyncer) await(w syncWaiter) {
 	y.mu.Lock()
-	y.waiters = append(y.waiters, ws...)
+	y.waiters = append(y.waiters, w)
 	y.mu.Unlock()
 	y.cond.Signal()
 }
@@ -112,7 +108,7 @@ func (y *groupSyncer) await(ws []syncWaiter) {
 // counted like every other group commit.
 func (y *groupSyncer) drain() error {
 	ch := make(chan struct{})
-	y.await([]syncWaiter{{ch: ch}})
+	y.await(syncWaiter{ch: ch})
 	<-ch
 	return y.s.Err()
 }

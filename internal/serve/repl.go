@@ -19,10 +19,10 @@ import (
 // logged), and every checkpoint it takes together with the image it
 // captured. A follower Service is the receiving side: local writes are
 // refused with ErrNotPrimary and state advances only through Replicate,
-// which applies the primary's exact batch sequence through the same
-// single-writer loop — so MVCC snapshots are byte-identical to the
-// primary's at every shipped version. Service.checkpoint states why
-// checkpoints need no place in the stream.
+// a writer barrier that logs each of the primary's batches as one record
+// and applies it through the step local chunks take — so MVCC snapshots
+// are byte-identical to the primary's at every shipped version.
+// Service.checkpoint states why checkpoints need no place in the stream.
 
 // ErrNotPrimary is returned by Enqueue on a follower-mode service:
 // followers take writes only from the replication stream.
@@ -148,13 +148,13 @@ func (s *Service) Checkpoint(ctx context.Context) (uint64, []byte, error) {
 	return c.version, c.image, nil
 }
 
-// Barrier runs fn on the writer goroutine at a batch boundary at or
-// after the call, with the writer quiescent until fn returns — the
-// vantage point no concurrent batch can straddle, where Checkpoint
-// captures and a replication sink attaches. It returns fn's error, or
-// the context's/service's if fn never ran; fn may still run after the
-// context gave up, so it must not hand results back through variables
-// the caller reads.
+// Barrier runs fn on the writer goroutine once every op queued before
+// the call has been applied, with the writer quiescent until fn returns —
+// the vantage point no concurrent batch can straddle, where Flush acks,
+// Replicate applies, Checkpoint captures and a replication sink attaches.
+// It returns fn's error, or the context's/service's if fn never ran; fn
+// may still run after the context gave up, so it must not hand results
+// back through variables the caller reads.
 func (s *Service) Barrier(ctx context.Context, fn func() error) error {
 	if s.closed.Load() {
 		return ErrClosed
@@ -162,22 +162,29 @@ func (s *Service) Barrier(ctx context.Context, fn func() error) error {
 	if err := s.Err(); err != nil {
 		return err
 	}
-	req := &barrierReq{fn: fn, done: make(chan error, 1)}
+	done := make(chan error, 1) // buffered; the writer never blocks on it
+	run := func() {
+		if err := s.Err(); err != nil {
+			done <- err
+			return
+		}
+		done <- fn()
+	}
 	select {
-	case s.in <- item{barrier: req}:
+	case s.in <- item{barrier: run}:
 	case <-ctx.Done():
 		return ctx.Err()
 	case <-s.done:
 		return ErrClosed
 	}
 	select {
-	case err := <-req.done:
+	case err := <-done:
 		return err
 	case <-ctx.Done():
 		return ctx.Err()
 	case <-s.done:
 		select {
-		case err := <-req.done:
+		case err := <-done:
 			return err
 		default:
 			return ErrClosed
@@ -186,10 +193,10 @@ func (s *Service) Barrier(ctx context.Context, fn func() error) error {
 }
 
 // Replicate applies one shipped batch on a follower — the primary's
-// exact ApplyBatch unit, logged to the follower's own WAL first when it
-// is durable, never coalesced or split — and returns the engine version
-// it produced (the caller checks it against the version the stream
-// promised). It refuses to run on a primary.
+// exact ApplyBatch unit, logged to the follower's own WAL first as one
+// record when it is durable, never coalesced or split — and returns the
+// engine version it produced (the caller checks it against the version
+// the stream promised). It refuses to run on a primary.
 func (s *Service) Replicate(ctx context.Context, ops []graph.Op) (uint64, error) {
 	if !s.follower {
 		return 0, errors.New("serve: Replicate on a primary service")
@@ -199,96 +206,32 @@ func (s *Service) Replicate(ctx context.Context, ops []graph.Op) (uint64, error)
 			return 0, fmt.Errorf("serve: invalid replicated op (%d,%d) for %d nodes", op.U, op.V, s.n)
 		}
 	}
-	if s.closed.Load() {
-		return 0, ErrClosed
-	}
-	if err := s.Err(); err != nil {
+	// Buffered: the closure may run after ctx has given up on it.
+	version := make(chan uint64, 1)
+	err := s.Barrier(ctx, func() error {
+		if s.dur != nil {
+			if err := s.appendWALGroup(ops, len(ops)); err != nil {
+				s.fail(err)
+				return err
+			}
+		}
+		// Count replicated ops through the same Enqueued/Applied pair so
+		// the QueueDepth gauge (Enqueued - Applied) stays zero instead of
+		// wrapping.
+		s.enqueued.Add(uint64(len(ops)))
+		err := s.step(ops)
+		s.notifyPublished()
+		version <- s.eng.Snapshot().Version()
+		return err
+	})
+	if err != nil {
 		return 0, err
 	}
-	req := &replReq{ops: ops, done: make(chan replResult, 1)}
-	select {
-	case s.in <- item{repl: req}:
-	case <-ctx.Done():
-		return 0, ctx.Err()
-	case <-s.done:
-		return 0, ErrClosed
-	}
-	select {
-	case res := <-req.done:
-		return res.version, res.err
-	case <-ctx.Done():
-		return 0, ctx.Err()
-	case <-s.done:
-		select {
-		case res := <-req.done:
-			return res.version, res.err
-		default:
-			return 0, ErrClosed
-		}
-	}
+	return <-version, nil
 }
 
 // Follower reports whether the service is in follower mode.
 func (s *Service) Follower() bool { return s.follower }
-
-// replReq is a follower-side replication work item: one exact batch to
-// apply.
-type replReq struct {
-	ops  []graph.Op
-	done chan replResult // buffered; the writer never blocks on it
-}
-
-type replResult struct {
-	version uint64
-	err     error
-}
-
-// barrierReq runs a closure on the quiescent writer.
-type barrierReq struct {
-	fn   func() error
-	done chan error // buffered; the writer never blocks on it
-}
-
-// applyRepl executes one replication item on the writer goroutine.
-func (s *Service) applyRepl(req *replReq) {
-	if err := s.Err(); err != nil {
-		req.done <- replResult{err: err}
-		return
-	}
-	if s.dur != nil {
-		if err := s.appendWAL(req.ops); err != nil {
-			s.fail(err)
-			req.done <- replResult{err: err}
-			return
-		}
-	}
-	changed := s.eng.ApplyBatch(req.ops)
-	n := uint64(len(req.ops))
-	// Count replicated ops through the same Enqueued/Applied pair so the
-	// QueueDepth gauge (Enqueued - Applied) stays zero instead of
-	// wrapping.
-	s.enqueued.Add(n)
-	s.applied.Add(n)
-	s.changed.Add(uint64(changed))
-	s.batches.Add(1)
-	ver := s.eng.Snapshot().Version()
-	if changed > 0 {
-		if sink := s.replSink(); sink != nil {
-			sink.ReplBatch(req.ops, ver)
-		}
-	}
-	err := s.maybeCheckpoint(len(req.ops))
-	s.notifyPublished()
-	req.done <- replResult{version: ver, err: err}
-}
-
-// runBarrier executes a Barrier closure on the writer goroutine.
-func (s *Service) runBarrier(fn func() error) error {
-	if err := s.Err(); err != nil {
-		return err
-	}
-	return fn()
-}
 
 // NewFollowerFromCheckpoint builds a follower-mode Service from a
 // dynamic.WriteCheckpoint image (the payload of a replication install
@@ -303,19 +246,7 @@ func NewFollowerFromCheckpoint(r io.Reader, opt Options) (*Service, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := wrapEngine(eng, opt)
-	s.follower = true
-	if opt.Dir != "" {
-		dur, err := initStore(opt, eng)
-		if err != nil {
-			return nil, err
-		}
-		s.dur = dur
-		s.checkpoints.Add(1)
-		dur.startPipeline(s, opt)
-	}
-	s.start(opt.MaxBatch)
-	return s, nil
+	return create(eng, opt, true)
 }
 
 // OpenFollower resumes a durable follower store (created by

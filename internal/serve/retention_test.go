@@ -14,6 +14,7 @@ import (
 	"repro/internal/respcache"
 	"repro/internal/serve"
 	"repro/internal/wal"
+	"repro/internal/wire"
 	"repro/internal/workload"
 )
 
@@ -86,8 +87,8 @@ func TestStackRetention(t *testing.T) {
 		<-served
 	}()
 
-	dial := func() *workload.FrameClient {
-		c, err := workload.DialFrame(ln.Addr().String())
+	dial := func() *wire.Client {
+		c, err := wire.Dial(ln.Addr().String())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,7 +100,7 @@ func TestStackRetention(t *testing.T) {
 	if err := sub.Subscribe(); err != nil {
 		t.Fatal(err)
 	}
-	var rep workload.Replica
+	var rep wire.Replica
 
 	ctx := context.Background()
 	step := func(i int) {

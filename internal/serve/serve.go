@@ -79,14 +79,12 @@ type Options struct {
 	// time and disk growth, and becomes the replication install base,
 	// bounding the history a primary keeps for resuming followers.
 	CheckpointEvery int
-	// ApplyGate, when non-nil, is acquired around every local ApplyBatch
-	// call so a process hosting many services can cap their aggregate
-	// apply parallelism (the engine fans each batch out to Workers
-	// goroutines; N unbounded tenants would mean N×Workers). The gate
-	// covers the engine work only — WAL appends, fsyncs, and checkpoint
-	// installs stay ungated, so a slow tenant's apply never blocks
-	// another's durability. Follower replication applies are ungated too:
-	// the stream applier is already one-in-flight.
+	// ApplyGate, when non-nil, is acquired around every ApplyBatch call so
+	// a process hosting many services can cap their aggregate apply
+	// parallelism (the engine fans each batch out to Workers goroutines;
+	// N unbounded tenants would mean N×Workers). The gate covers the
+	// engine work only — WAL appends, fsyncs, and checkpoint installs stay
+	// ungated, so a slow tenant's apply never blocks another's durability.
 	ApplyGate Gate
 }
 
@@ -160,15 +158,13 @@ type Stats struct {
 	SnapshotAge uint64
 }
 
-// item is one unit of the writer's input queue: ops to apply and/or a
-// flush marker to close once everything before it has been applied.
-// repl and barrier are replication specials (see repl.go); they run on
-// the writer after the batch group they arrived in has been applied.
+// item is one unit of the writer's input queue: ops to apply, or a
+// barrier to run once everything queued before it has been applied (see
+// Barrier). Flush, Replicate, Checkpoint and a replication sink's attach
+// are barriers.
 type item struct {
 	ops     []graph.Op
-	flush   chan struct{}
-	repl    *replReq
-	barrier *barrierReq
+	barrier func()
 }
 
 // Service owns a dynamic engine behind a single writer goroutine. All
@@ -243,7 +239,14 @@ func New(g *graph.Graph, k int, initial [][]int32, opt Options) (*Service, error
 	if err != nil {
 		return nil, err
 	}
-	s := wrapEngine(eng, opt)
+	return create(eng, opt, false)
+}
+
+// create is the tail New and NewFollowerFromCheckpoint share: it wraps a
+// freshly built engine, initialises its durable store when opt.Dir is
+// set, and starts the writer.
+func create(eng *dynamic.Engine, opt Options, follower bool) (*Service, error) {
+	s := wrapEngine(eng, opt, follower)
 	if opt.Dir != "" {
 		dur, err := initStore(opt, eng)
 		if err != nil {
@@ -253,28 +256,26 @@ func New(g *graph.Graph, k int, initial [][]int32, opt Options) (*Service, error
 		s.checkpoints.Add(1)
 		dur.startPipeline(s, opt)
 	}
-	s.start(opt.MaxBatch)
+	go s.run(opt.MaxBatch)
 	return s, nil
 }
 
 // wrapEngine builds the Service shell around an engine without starting
-// the writer; New and Open attach durability state in between.
-func wrapEngine(eng *dynamic.Engine, opt Options) *Service {
+// the writer; create and open attach durability state in between.
+func wrapEngine(eng *dynamic.Engine, opt Options, follower bool) *Service {
 	return &Service{
-		eng:   eng,
-		k:     eng.K(),
-		n:     eng.Graph().N(),
-		gate:  opt.ApplyGate,
-		every: opt.CheckpointEvery,
-		in:    make(chan item, opt.QueueCapacity),
-		quit:  make(chan struct{}),
-		done:  make(chan struct{}),
-		pubCh: make(chan struct{}),
+		eng:      eng,
+		k:        eng.K(),
+		n:        eng.Graph().N(),
+		gate:     opt.ApplyGate,
+		follower: follower,
+		every:    opt.CheckpointEvery,
+		in:       make(chan item, opt.QueueCapacity),
+		quit:     make(chan struct{}),
+		done:     make(chan struct{}),
+		pubCh:    make(chan struct{}),
 	}
 }
-
-// start launches the writer goroutine.
-func (s *Service) start(maxBatch int) { go s.run(maxBatch) }
 
 // Err returns the sticky durability error that fail-stopped the service,
 // or nil. Always nil for in-memory services.
@@ -330,17 +331,19 @@ func (s *Service) finalPublish() {
 
 // run is the single writer: it blocks for the next queue item, then
 // greedily collects everything already queued (up to maxBatch ops) and
-// applies it as one ApplyBatch call, so bursts coalesce into few engine
-// batches while an idle service applies single updates immediately.
+// applies it in ApplyBatch calls of at most maxBatch ops, so bursts
+// coalesce into few engine batches while an idle service applies single
+// updates immediately. A barrier first applies the ops collected before
+// it, so it sees every op queued ahead of it, and then runs.
 func (s *Service) run(maxBatch int) {
 	defer close(s.done)
 	defer s.finalPublish()
 	buf := make([]graph.Op, 0, maxBatch)
-	var pendingFlush []chan struct{}
-	var specials []item
-	var waiterBuf []syncWaiter
 	apply := func() {
-		if s.dur != nil && len(buf) > 0 && s.Err() == nil {
+		if len(buf) == 0 {
+			return
+		}
+		if s.dur != nil && s.Err() == nil {
 			// Write-ahead for the whole drain cycle: every chunk's record
 			// reaches the log file — in one vectored write — before any
 			// chunk is applied. On a log failure the service fail-stops:
@@ -358,81 +361,32 @@ func (s *Service) run(maxBatch int) {
 			if s.dur != nil && s.Err() != nil {
 				break
 			}
-			end := min(off+maxBatch, len(buf))
-			chunk := buf[off:end]
-			changed := s.applyChunk(chunk)
-			s.applied.Add(uint64(end - off))
-			s.changed.Add(uint64(changed))
-			s.batches.Add(1)
-			if changed > 0 {
-				// Ship S-changing batches (the only ones that bump the
-				// version) before maybeCheckpoint, so the sink sees them in
-				// version order and a checkpoint's image covers every batch
-				// shipped before it. chunk aliases buf — the sink copies
-				// what it retains.
-				if sink := s.replSink(); sink != nil {
-					sink.ReplBatch(chunk, s.eng.Snapshot().Version())
-				}
-			}
-			if s.maybeCheckpoint(end-off) != nil {
+			if s.step(buf[off:min(off+maxBatch, len(buf))]) != nil {
 				break
 			}
 		}
 		buf = buf[:0]
-		// Acking a flush promises durability. Durable: hand the markers
-		// to the syncer — they ride the next group commit and wake strictly
-		// after the covering fsync (or after the failure latch), without
-		// stalling the writer here. In-memory: ack on the spot.
-		if s.dur != nil {
-			waiterBuf = waiterBuf[:0]
-			for _, f := range pendingFlush {
-				waiterBuf = append(waiterBuf, syncWaiter{ch: f, flush: true})
-			}
-			s.dur.sync.await(waiterBuf)
-		} else {
-			for _, f := range pendingFlush {
-				// Count before waking the flusher: a caller returning from
-				// Flush must observe its own flush in Stats.
-				s.flushes.Add(1)
-				close(f)
-			}
-		}
-		pendingFlush = pendingFlush[:0]
 		// Wake the delta subscribers after the engine published.
 		s.notifyPublished()
-		// Replication specials run at the batch boundary, in arrival
-		// order: a follower's stream applier is synchronous (one item in
-		// flight), so order relative to local ops never matters on the
-		// services that receive them.
-		for _, sp := range specials {
-			switch {
-			case sp.repl != nil:
-				s.applyRepl(sp.repl)
-			case sp.barrier != nil:
-				sp.barrier.done <- s.runBarrier(sp.barrier.fn)
-			}
-		}
-		specials = specials[:0]
 	}
-	collect := func(it item) {
-		buf = append(buf, it.ops...)
-		if it.flush != nil {
-			pendingFlush = append(pendingFlush, it.flush)
+	take := func(it item) {
+		if it.barrier == nil {
+			buf = append(buf, it.ops...)
+			return
 		}
-		if it.repl != nil || it.barrier != nil {
-			specials = append(specials, it)
-		}
+		apply()
+		it.barrier()
 	}
 	for {
 		select {
 		case it := <-s.in:
-			collect(it)
+			take(it)
 			// Coalesce whatever else is already queued.
 		collecting:
 			for len(buf) < maxBatch {
 				select {
 				case more := <-s.in:
-					collect(more)
+					take(more)
 				default:
 					break collecting
 				}
@@ -444,7 +398,7 @@ func (s *Service) run(maxBatch int) {
 			for {
 				select {
 				case it := <-s.in:
-					collect(it)
+					take(it)
 					if len(buf) >= maxBatch {
 						apply()
 					}
@@ -457,14 +411,32 @@ func (s *Service) run(maxBatch int) {
 	}
 }
 
-// applyChunk runs one ApplyBatch call under the cross-service apply
-// gate, if one was configured. Writer goroutine only.
-func (s *Service) applyChunk(chunk []graph.Op) int {
+// step applies one ApplyBatch unit, a local chunk or a replicated batch:
+// the engine call under the cross-service apply gate, the counters, the
+// replication sink's copy of a graph-changing unit, and the checkpoint
+// schedule. Writer goroutine only.
+func (s *Service) step(ops []graph.Op) error {
 	if s.gate != nil {
 		s.gate.Acquire()
-		defer s.gate.Release()
 	}
-	return s.eng.ApplyBatch(chunk)
+	changed := s.eng.ApplyBatch(ops)
+	if s.gate != nil {
+		s.gate.Release()
+	}
+	s.applied.Add(uint64(len(ops)))
+	s.changed.Add(uint64(changed))
+	s.batches.Add(1)
+	if changed > 0 {
+		// Ship graph-changing units (the only ones that bump the version)
+		// before maybeCheckpoint, so the sink sees them in version order
+		// and a checkpoint's image covers every unit shipped before it.
+		// ops may alias the writer's buffer — the sink copies what it
+		// retains.
+		if sink := s.replSink(); sink != nil {
+			sink.ReplBatch(ops, s.eng.Snapshot().Version())
+		}
+	}
+	return s.maybeCheckpoint(len(ops))
 }
 
 // Enqueue queues edge updates for the writer and returns once they are
@@ -530,35 +502,33 @@ func (s *Service) Enqueue(ctx context.Context, ops ...graph.Op) error {
 // — and, for a durable service, synced to the write-ahead log — or until
 // the context is cancelled or the service closes. A nil return is the
 // durability ack: those ops survive a crash.
+//
+// Flush is a barrier. A durable one hands its ack to the group-commit
+// syncer, which wakes it strictly after the fsync covering every op
+// logged before it, without stalling the writer; an in-memory one is
+// acked on the spot.
 func (s *Service) Flush(ctx context.Context) error {
-	if s.closed.Load() {
-		return ErrClosed
-	}
-	if err := s.Err(); err != nil {
+	acked := make(chan struct{})
+	err := s.Barrier(ctx, func() error {
+		if s.dur != nil {
+			s.dur.sync.await(syncWaiter{ch: acked, flush: true})
+			return nil
+		}
+		// Count before waking the flusher: a caller returning from Flush
+		// must observe its own flush in Stats.
+		s.flushes.Add(1)
+		close(acked)
+		return nil
+	})
+	if err != nil {
 		return err
 	}
-	marker := make(chan struct{})
+	// The syncer wakes every waiter it holds, even while it stops.
 	select {
-	case s.in <- item{flush: marker}:
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-s.done:
-		return ErrClosed
-	}
-	select {
-	case <-marker:
+	case <-acked:
 		return s.Err()
 	case <-ctx.Done():
 		return ctx.Err()
-	case <-s.done:
-		// The writer's final drain closes collected markers; if it exited
-		// without reaching ours, report closure.
-		select {
-		case <-marker:
-			return s.Err()
-		default:
-			return ErrClosed
-		}
 	}
 }
 

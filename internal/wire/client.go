@@ -1,4 +1,4 @@
-package workload
+package wire
 
 import (
 	"bufio"
@@ -7,26 +7,23 @@ import (
 	"io"
 	"net"
 	"time"
-
-	"repro/internal/wire"
 )
 
-// FrameClient is a closed-loop/pipelined client for the raw TCP frame
-// transport (internal/framesrv) — the wire-native counterpart of
-// HTTPClient. The Send* methods append request frames to an outgoing
-// buffer without touching the network; Flush writes the whole batch in
-// one syscall; RecvRaw/Recv consume responses in request order. The
-// closed-loop helpers (Snapshot, CliqueOf, Cliques, Stats) bundle
-// send+flush+receive for one request at a time.
+// Client is a closed-loop/pipelined client for the raw TCP frame
+// transport (internal/framesrv). The Send* methods append request frames
+// to an outgoing buffer without touching the network; Flush writes the
+// whole batch in one syscall; RecvRaw/Recv consume responses in request
+// order. The closed-loop helpers (Snapshot, CliqueOf, Cliques, Stats)
+// bundle send+flush+receive for one request at a time.
 //
-// Like HTTPClient, the Raw receive path drains responses rather than
-// decoding them — frame headers are parsed to find boundaries and
-// payloads are discarded — so benchmarks measure the server, not the
-// client's parser. Recv fully decodes, for tests and the subscribe
-// stream.
+// The Raw receive path drains responses rather than decoding them —
+// frame headers are parsed to find boundaries and payloads are
+// discarded — so benchmarks measure the server, not the client's parser.
+// Recv fully decodes, for tests, the subscribe stream and replication
+// followers.
 //
 // Not safe for concurrent use; give each goroutine its own client.
-type FrameClient struct {
+type Client struct {
 	conn    net.Conn
 	br      *bufio.Reader
 	out     []byte // accumulated request frames, written by Flush
@@ -36,34 +33,27 @@ type FrameClient struct {
 	tenant  string // tenant name stamped on every request ("" = default)
 }
 
-// DialTimeout bounds DialFrame's connection attempt. A hung or
+// DialTimeout bounds a client's connection attempt. A hung or
 // blackholed address fails within this budget instead of inheriting the
 // OS connect timeout (minutes).
 const DialTimeout = 5 * time.Second
 
-// DialFrame connects a frame client to a framesrv address, bounded by
-// DialTimeout.
-func DialFrame(addr string) (*FrameClient, error) {
-	return DialFrameTimeout(addr, DialTimeout)
-}
-
-// DialFrameTimeout connects with an explicit dial budget; d <= 0 means
-// no bound.
-func DialFrameTimeout(addr string, d time.Duration) (*FrameClient, error) {
-	conn, err := net.DialTimeout("tcp", addr, d)
+// Dial connects a client to a framesrv address, bounded by DialTimeout.
+func Dial(addr string) (*Client, error) {
+	conn, err := net.DialTimeout("tcp", addr, DialTimeout)
 	if err != nil {
 		return nil, err
 	}
-	return NewFrameClient(conn), nil
+	return NewClient(conn), nil
 }
 
-// NewFrameClient wraps an established connection.
-func NewFrameClient(conn net.Conn) *FrameClient {
-	return &FrameClient{conn: conn, br: bufio.NewReaderSize(conn, 64<<10)}
+// NewClient wraps an established connection.
+func NewClient(conn net.Conn) *Client {
+	return &Client{conn: conn, br: bufio.NewReaderSize(conn, 64<<10)}
 }
 
 // Close hangs up.
-func (c *FrameClient) Close() error { return c.conn.Close() }
+func (c *Client) Close() error { return c.conn.Close() }
 
 // SetIOTimeout sets the per-operation I/O deadline: every Flush bounds
 // its write and every Recv/RecvRaw bounds its reads by d from the
@@ -71,10 +61,10 @@ func (c *FrameClient) Close() error { return c.conn.Close() }
 // instead of blocking the client forever. d <= 0 (the default) disables
 // deadlines — required for subscribe/replication streams, which block
 // on reads for as long as the server has nothing to push.
-func (c *FrameClient) SetIOTimeout(d time.Duration) { c.timeout = d }
+func (c *Client) SetIOTimeout(d time.Duration) { c.timeout = d }
 
 // armRead sets the read deadline for one receive operation.
-func (c *FrameClient) armRead() {
+func (c *Client) armRead() {
 	if c.timeout > 0 {
 		c.conn.SetReadDeadline(time.Now().Add(c.timeout))
 	}
@@ -82,39 +72,39 @@ func (c *FrameClient) armRead() {
 
 // Pending returns the number of requests sent (or buffered) whose
 // responses have not been received yet.
-func (c *FrameClient) Pending() int { return c.pending }
+func (c *Client) Pending() int { return c.pending }
 
 // SetTenant targets every subsequent request at the named tenant of a
 // multi-tenant server ("" reverts to the server's default tenant).
-func (c *FrameClient) SetTenant(name string) { c.tenant = name }
+func (c *Client) SetTenant(name string) { c.tenant = name }
 
 // SendSnapshot buffers a snapshot request; full selects the whole
 // member list over the lean header-only variant.
-func (c *FrameClient) SendSnapshot(full bool) {
-	c.out = wire.AppendSnapshotRequest(c.out, full, c.tenant)
+func (c *Client) SendSnapshot(full bool) {
+	c.out = AppendSnapshotRequest(c.out, full, c.tenant)
 	c.pending++
 }
 
 // SendCliqueOf buffers a point-lookup request.
-func (c *FrameClient) SendCliqueOf(node int32) {
-	c.out = wire.AppendCliqueRequest(c.out, node, c.tenant)
+func (c *Client) SendCliqueOf(node int32) {
+	c.out = AppendCliqueRequest(c.out, node, c.tenant)
 	c.pending++
 }
 
 // SendCliques buffers a batched-lookup request.
-func (c *FrameClient) SendCliques(nodes []int32) {
-	c.out = wire.AppendCliquesRequest(c.out, nodes, c.tenant)
+func (c *Client) SendCliques(nodes []int32) {
+	c.out = AppendCliquesRequest(c.out, nodes, c.tenant)
 	c.pending++
 }
 
 // SendStats buffers a stats request.
-func (c *FrameClient) SendStats() {
-	c.out = wire.AppendStatsRequest(c.out, c.tenant)
+func (c *Client) SendStats() {
+	c.out = AppendStatsRequest(c.out, c.tenant)
 	c.pending++
 }
 
 // Flush writes every buffered request in one syscall.
-func (c *FrameClient) Flush() error {
+func (c *Client) Flush() error {
 	if len(c.out) == 0 {
 		return nil
 	}
@@ -130,38 +120,38 @@ func (c *FrameClient) Flush() error {
 // header is parsed for the boundary, the payload discarded. It returns
 // the frame type and total frame size. An error frame is decoded and
 // returned as an error (the frame is consumed).
-func (c *FrameClient) RecvRaw() (wire.FrameType, int, error) {
+func (c *Client) RecvRaw() (FrameType, int, error) {
 	typ, plen, err := c.readHeader()
 	if err != nil {
 		return 0, 0, err
 	}
-	if typ == wire.FrameError {
+	if typ == FrameError {
 		return typ, 0, c.readError(plen)
 	}
 	if err := discard(c.br, plen); err != nil {
 		return 0, 0, err
 	}
 	c.pending--
-	return typ, wire.HeaderSize + plen, nil
+	return typ, HeaderSize + plen, nil
 }
 
 // Recv consumes and fully decodes the next response frame. Error frames
 // come back as an error, like RecvRaw.
-func (c *FrameClient) Recv() (*wire.Frame, error) {
+func (c *Client) Recv() (*Frame, error) {
 	_, plen, err := c.readHeader()
 	if err != nil {
 		return nil, err
 	}
 	c.growResp(plen)
-	if _, err := io.ReadFull(c.br, c.resp[wire.HeaderSize:]); err != nil {
+	if _, err := io.ReadFull(c.br, c.resp[HeaderSize:]); err != nil {
 		return nil, err
 	}
-	f, _, err := wire.Decode(c.resp)
+	f, _, err := Decode(c.resp)
 	if err != nil {
 		return nil, err
 	}
 	c.pending--
-	if f.Type == wire.FrameError {
+	if f.Type == FrameError {
 		return nil, fmt.Errorf("server error %d: %s", f.Status, f.Message)
 	}
 	return f, nil
@@ -170,42 +160,42 @@ func (c *FrameClient) Recv() (*wire.Frame, error) {
 // readHeader reads one frame header into the decode scratch and returns
 // the frame type and payload length. It arms the per-operation read
 // deadline, which the payload reads that follow it inherit.
-func (c *FrameClient) readHeader() (wire.FrameType, int, error) {
+func (c *Client) readHeader() (FrameType, int, error) {
 	c.armRead()
-	if cap(c.resp) < wire.HeaderSize {
-		c.resp = make([]byte, wire.HeaderSize, 4096)
+	if cap(c.resp) < HeaderSize {
+		c.resp = make([]byte, HeaderSize, 4096)
 	}
-	c.resp = c.resp[:wire.HeaderSize]
+	c.resp = c.resp[:HeaderSize]
 	if _, err := io.ReadFull(c.br, c.resp); err != nil {
 		return 0, 0, err
 	}
 	plen := int(binary.LittleEndian.Uint32(c.resp[8:12]))
-	if plen > wire.MaxPayload {
+	if plen > MaxPayload {
 		return 0, 0, fmt.Errorf("frame payload of %d bytes exceeds the limit", plen)
 	}
-	return wire.FrameType(c.resp[4]), plen, nil
+	return FrameType(c.resp[4]), plen, nil
 }
 
 // growResp widens the decode scratch to hold a full frame of plen
 // payload bytes, preserving the header readHeader already filled.
-func (c *FrameClient) growResp(plen int) {
-	need := wire.HeaderSize + plen
+func (c *Client) growResp(plen int) {
+	need := HeaderSize + plen
 	if cap(c.resp) < need {
 		buf := make([]byte, need)
-		copy(buf, c.resp[:wire.HeaderSize])
+		copy(buf, c.resp[:HeaderSize])
 		c.resp = buf
 	}
 	c.resp = c.resp[:need]
 }
 
 // readError decodes an error frame's payload into a Go error.
-func (c *FrameClient) readError(plen int) error {
+func (c *Client) readError(plen int) error {
 	c.growResp(plen)
-	if _, err := io.ReadFull(c.br, c.resp[wire.HeaderSize:]); err != nil {
+	if _, err := io.ReadFull(c.br, c.resp[HeaderSize:]); err != nil {
 		return err
 	}
 	c.pending--
-	f, _, err := wire.Decode(c.resp)
+	f, _, err := Decode(c.resp)
 	if err != nil {
 		return err
 	}
@@ -226,7 +216,7 @@ func discard(br *bufio.Reader, n int) error {
 
 // Snapshot fetches the point-in-time result set closed-loop and reports
 // the frame size; full=false asks for the lean header-only variant.
-func (c *FrameClient) Snapshot(full bool) (int, error) {
+func (c *Client) Snapshot(full bool) (int, error) {
 	c.SendSnapshot(full)
 	if err := c.Flush(); err != nil {
 		return 0, err
@@ -236,7 +226,7 @@ func (c *FrameClient) Snapshot(full bool) (int, error) {
 }
 
 // CliqueOf fetches the point lookup for one node closed-loop.
-func (c *FrameClient) CliqueOf(node int32) (int, error) {
+func (c *Client) CliqueOf(node int32) (int, error) {
 	c.SendCliqueOf(node)
 	if err := c.Flush(); err != nil {
 		return 0, err
@@ -246,7 +236,7 @@ func (c *FrameClient) CliqueOf(node int32) (int, error) {
 }
 
 // Cliques fetches the batched lookup for nodes closed-loop.
-func (c *FrameClient) Cliques(nodes []int32) (int, error) {
+func (c *Client) Cliques(nodes []int32) (int, error) {
 	c.SendCliques(nodes)
 	if err := c.Flush(); err != nil {
 		return 0, err
@@ -256,7 +246,7 @@ func (c *FrameClient) Cliques(nodes []int32) (int, error) {
 }
 
 // Stats fetches the counters closed-loop.
-func (c *FrameClient) Stats() (int, error) {
+func (c *Client) Stats() (int, error) {
 	c.SendStats()
 	if err := c.Flush(); err != nil {
 		return 0, err
@@ -268,8 +258,8 @@ func (c *FrameClient) Stats() (int, error) {
 // Subscribe switches the connection into the delta push stream. After
 // it returns, Recv yields delta frames (feed them to a Replica) until
 // the connection closes; sending anything else is a protocol error.
-func (c *FrameClient) Subscribe() error {
-	c.out = wire.AppendSubscribeRequest(c.out, c.tenant)
+func (c *Client) Subscribe() error {
+	c.out = AppendSubscribeRequest(c.out, c.tenant)
 	return c.Flush()
 }
 
@@ -279,8 +269,8 @@ func (c *FrameClient) Subscribe() error {
 // connection closes. Like Subscribe, it must be the last request on the
 // connection, and the stream blocks on reads indefinitely — leave the
 // I/O timeout unset or the watchdog disconnects an idle primary.
-func (c *FrameClient) SendReplicate(lastEpoch, lastVersion uint64, haveState bool) error {
-	c.out = wire.AppendReplicateRequest(c.out, lastEpoch, lastVersion, haveState)
+func (c *Client) SendReplicate(lastEpoch, lastVersion uint64, haveState bool) error {
+	c.out = AppendReplicateRequest(c.out, lastEpoch, lastVersion, haveState)
 	return c.Flush()
 }
 
@@ -317,8 +307,8 @@ func (r *Replica) Cliques() [][]int32 { return r.cliques }
 // one linear three-way merge rebuilds the state in O(size) regardless of
 // delta churn — no per-id splicing (which would go quadratic on the big
 // base delta a fresh subscription starts with).
-func (r *Replica) Apply(f *wire.Frame) error {
-	if f.Type != wire.FrameDelta {
+func (r *Replica) Apply(f *Frame) error {
+	if f.Type != FrameDelta {
 		return fmt.Errorf("replica: frame type %d is not a delta", f.Type)
 	}
 	if f.FromVersion != r.version {
@@ -380,5 +370,5 @@ func strictlyAscending(ids []int32) bool {
 // replica's current state — byte-identical to the server's cached
 // /snapshot body of the same version.
 func (r *Replica) SnapshotFrame(b []byte) []byte {
-	return wire.AppendSnapshotFrame(b, r.version, r.k, r.n, r.m, r.size, r.cliques, true)
+	return AppendSnapshotFrame(b, r.version, r.k, r.n, r.m, r.size, r.cliques, true)
 }

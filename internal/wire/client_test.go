@@ -1,4 +1,4 @@
-package workload
+package wire
 
 import (
 	"net"
@@ -6,8 +6,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"repro/internal/wire"
 )
 
 // TestRecvLargeFrame pins the header-preserving buffer growth of Recv: a
@@ -26,7 +24,7 @@ func TestRecvLargeFrame(t *testing.T) {
 		}
 		cliques[i] = c
 	}
-	raw := wire.AppendSnapshotFrame(nil, 9, k, int(next), 0, size, cliques, true)
+	raw := AppendSnapshotFrame(nil, 9, k, int(next), 0, size, cliques, true)
 	if len(raw) <= 4096 {
 		t.Fatalf("test frame is %d bytes, need > 4096", len(raw))
 	}
@@ -35,14 +33,14 @@ func TestRecvLargeFrame(t *testing.T) {
 	defer server.Close()
 	go server.Write(raw)
 
-	c := NewFrameClient(client)
+	c := NewClient(client)
 	defer c.Close()
 	client.SetReadDeadline(time.Now().Add(5 * time.Second))
 	f, err := c.Recv()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.Type != wire.FrameSnapshot || f.Version != 9 || f.Size != size {
+	if f.Type != FrameSnapshot || f.Version != 9 || f.Size != size {
 		t.Fatalf("decoded type %d version %d size %d", f.Type, f.Version, f.Size)
 	}
 	if !reflect.DeepEqual(f.Cliques, cliques) {
@@ -52,10 +50,10 @@ func TestRecvLargeFrame(t *testing.T) {
 
 // deltaFrame round-trips a delta through the codec so Apply sees exactly
 // what a subscription would deliver.
-func deltaFrame(t *testing.T, from, to uint64, k, size int, removed, addedIDs []int32, added [][]int32) *wire.Frame {
+func deltaFrame(t *testing.T, from, to uint64, k, size int, removed, addedIDs []int32, added [][]int32) *Frame {
 	t.Helper()
-	raw := wire.AppendDeltaFrame(nil, from, to, k, 0, 0, size, removed, addedIDs, added)
-	f, _, err := wire.Decode(raw)
+	raw := AppendDeltaFrame(nil, from, to, k, 0, 0, size, removed, addedIDs, added)
+	f, _, err := Decode(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,19 +95,19 @@ func TestReplicaApplyMerge(t *testing.T) {
 // leave the replica state untouched.
 func TestReplicaApplyErrors(t *testing.T) {
 	for name, tc := range map[string]struct {
-		frame func(t *testing.T) *wire.Frame
+		frame func(t *testing.T) *Frame
 		want  string
 	}{
 		"version-mismatch": {
-			frame: func(t *testing.T) *wire.Frame {
+			frame: func(t *testing.T) *Frame {
 				return deltaFrame(t, 7, 8, 2, 3, nil, nil, nil)
 			},
 			want: "delta from version",
 		},
 		"not-a-delta": {
-			frame: func(t *testing.T) *wire.Frame {
-				raw := wire.AppendSnapshotFrame(nil, 1, 2, 0, 0, 0, nil, false)
-				f, _, err := wire.Decode(raw)
+			frame: func(t *testing.T) *Frame {
+				raw := AppendSnapshotFrame(nil, 1, 2, 0, 0, 0, nil, false)
+				f, _, err := Decode(raw)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -118,25 +116,25 @@ func TestReplicaApplyErrors(t *testing.T) {
 			want: "not a delta",
 		},
 		"unknown-removed": {
-			frame: func(t *testing.T) *wire.Frame {
+			frame: func(t *testing.T) *Frame {
 				return deltaFrame(t, 1, 2, 2, 2, []int32{4}, nil, nil)
 			},
 			want: "unknown clique id 4",
 		},
 		"duplicate-added": {
-			frame: func(t *testing.T) *wire.Frame {
+			frame: func(t *testing.T) *Frame {
 				return deltaFrame(t, 1, 2, 2, 4, nil, []int32{5}, [][]int32{{6, 7}})
 			},
 			want: "duplicate clique id 5",
 		},
 		"unsorted-removed": {
-			frame: func(t *testing.T) *wire.Frame {
+			frame: func(t *testing.T) *Frame {
 				return deltaFrame(t, 1, 2, 2, 1, []int32{9, 5}, nil, nil)
 			},
 			want: "strictly ascending",
 		},
 		"size-mismatch": {
-			frame: func(t *testing.T) *wire.Frame {
+			frame: func(t *testing.T) *Frame {
 				return deltaFrame(t, 1, 2, 2, 7, []int32{5}, nil, nil)
 			},
 			want: "frame says 7",

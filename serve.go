@@ -101,7 +101,9 @@ func (s *Service) Enqueue(ctx context.Context, ops ...Update) error {
 }
 
 // Flush blocks until every update enqueued before the call has been
-// applied, the context is cancelled, or the service closes.
+// applied, the context is cancelled, or the service closes. On a durable
+// service it also waits for the WAL fsync covering those updates, so a
+// nil return means they survive a crash.
 func (s *Service) Flush(ctx context.Context) error { return s.s.Flush(ctx) }
 
 // Close stops the writer after draining the queue. Later Enqueue/Flush
