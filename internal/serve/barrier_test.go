@@ -31,6 +31,19 @@ func (g *heldGate) Acquire() {
 
 func (g *heldGate) Release() {}
 
+// waitQueued waits until s's queue holds n items, while gate holds the
+// writer; on a timeout it lets the writer go and fails the test.
+func waitQueued(t *testing.T, s *Service, gate *heldGate, n int) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); len(s.in) < n; {
+		if time.Now().After(deadline) {
+			close(gate.open)
+			t.Fatalf("queue holds %d items, want %d", len(s.in), n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // checkpointImage is ref's dynamic.WriteCheckpoint image.
 func checkpointImage(t *testing.T, ref *dynamic.Engine) []byte {
 	t.Helper()
@@ -94,13 +107,7 @@ func TestBarrierSeesQueuedOps(t *testing.T) {
 			}()
 			// Let the writer go only once A and the barrier both wait in
 			// the queue.
-			for deadline := time.Now().Add(10 * time.Second); len(s.in) < 2; {
-				if time.Now().After(deadline) {
-					close(gate.open)
-					t.Fatalf("queue holds %d items, want A and the barrier", len(s.in))
-				}
-				time.Sleep(time.Millisecond)
-			}
+			waitQueued(t, s, gate, 2)
 			close(gate.open)
 			c := <-got
 			if c.err != nil {
@@ -124,6 +131,81 @@ func TestBarrierSeesQueuedOps(t *testing.T) {
 				t.Fatalf("Stats().Flushes = %d when Flush returned, want 1", got)
 			}
 			ref.ApplyBatch(b)
+			sameState(t, s.Snapshot(), ref.Snapshot())
+		})
+	}
+}
+
+// TestFlushesShareOneCycle: Flushes queued in one drain cycle do not
+// split it. Four Enqueue+Flush pairs queue, one pair after the other,
+// behind an apply the test holds; once it is let go their ops must land
+// in one ApplyBatch unit (one WAL record when durable), leaving the
+// snapshot of an engine that applied them in one ApplyBatch call.
+func TestFlushesShareOneCycle(t *testing.T) {
+	for _, durable := range []bool{false, true} {
+		name := "in-memory"
+		if durable {
+			name = "durable"
+		}
+		t.Run(name, func(t *testing.T) {
+			ctx := context.Background()
+			g := testGraph(t)
+			res, err := core.Find(g, core.Options{K: 3, Algorithm: core.LP})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := dynamic.New(g, 3, res.Cliques)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gate := &heldGate{entered: make(chan struct{}), open: make(chan struct{})}
+			opt := Options{ApplyGate: gate}
+			if durable {
+				opt.Dir = t.TempDir()
+			}
+			s, err := New(g, 3, res.Cliques, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			rng := rand.New(rand.NewSource(127))
+			first := randomOps(g, rng, 32)
+			if err := s.Enqueue(ctx, first...); err != nil {
+				t.Fatal(err)
+			}
+			<-gate.entered
+
+			const flushers = 4
+			var flushed []graph.Op
+			errs := make(chan error, flushers)
+			for i := range flushers {
+				ops := randomOps(g, rng, 16)
+				flushed = append(flushed, ops...)
+				go func() {
+					if err := s.Enqueue(ctx, ops...); err != nil {
+						errs <- err
+						return
+					}
+					errs <- s.Flush(ctx)
+				}()
+				waitQueued(t, s, gate, 2*(i+1))
+			}
+			close(gate.open)
+			for range flushers {
+				if err := <-errs; err != nil {
+					t.Fatal(err)
+				}
+			}
+			st := s.Stats()
+			if st.Batches != 2 || st.Flushes != flushers {
+				t.Fatalf("%d ApplyBatch units and %d flushes, want 2 (the held one, then every flushed op) and %d",
+					st.Batches, st.Flushes, flushers)
+			}
+			if durable && st.WALBatches != 2 {
+				t.Fatalf("%d WAL records, want 2", st.WALBatches)
+			}
+			ref.ApplyBatch(first)
+			ref.ApplyBatch(flushed)
 			sameState(t, s.Snapshot(), ref.Snapshot())
 		})
 	}

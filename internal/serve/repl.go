@@ -152,6 +152,8 @@ func (s *Service) Checkpoint(ctx context.Context) (uint64, []byte, error) {
 // the call has been applied, with the writer quiescent until fn returns —
 // the vantage point no concurrent batch can straddle, where Flush acks,
 // Replicate applies, Checkpoint captures and a replication sink attaches.
+// fn runs at the end of the writer's drain cycle, after every op that
+// cycle collected, so it may also see ops queued just after the call.
 // It returns fn's error, or the context's/service's if fn never ran; fn
 // may still run after the context gave up, so it must not hand results
 // back through variables the caller reads.

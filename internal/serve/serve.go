@@ -333,49 +333,55 @@ func (s *Service) finalPublish() {
 // greedily collects everything already queued (up to maxBatch ops) and
 // applies it in ApplyBatch calls of at most maxBatch ops, so bursts
 // coalesce into few engine batches while an idle service applies single
-// updates immediately. A barrier first applies the ops collected before
-// it, so it sees every op queued ahead of it, and then runs.
+// updates immediately. Barriers are collected beside the ops and run in
+// arrival order once the cycle's ops are applied, so each sees every op
+// queued ahead of it, and concurrent Flushes share the cycle's one WAL
+// append, one publish and its ApplyBatch units.
 func (s *Service) run(maxBatch int) {
 	defer close(s.done)
 	defer s.finalPublish()
 	buf := make([]graph.Op, 0, maxBatch)
+	var barriers []func()
 	apply := func() {
-		if len(buf) == 0 {
-			return
-		}
-		if s.dur != nil && s.Err() == nil {
-			// Write-ahead for the whole drain cycle: every chunk's record
-			// reaches the log file — in one vectored write — before any
-			// chunk is applied. On a log failure the service fail-stops:
-			// nothing below applies, so the durable state stays a
-			// prefix-exact image of the engine. Record boundaries equal the
-			// maxBatch chunking below, so the log replays through the exact
-			// ApplyBatch calls the live engine saw.
-			if err := s.appendWALGroup(buf, maxBatch); err != nil {
-				s.fail(err)
+		if len(buf) > 0 {
+			if s.dur != nil && s.Err() == nil {
+				// Write-ahead for the whole drain cycle: every chunk's
+				// record reaches the log file — in one vectored write —
+				// before any chunk is applied. On a log failure the service
+				// fail-stops: nothing below applies, so the durable state
+				// stays a prefix-exact image of the engine. Record
+				// boundaries equal the maxBatch chunking below, so the log
+				// replays through the exact ApplyBatch calls the live engine
+				// saw.
+				if err := s.appendWALGroup(buf, maxBatch); err != nil {
+					s.fail(err)
+				}
 			}
-		}
-		// Chunk to maxBatch so one oversized Enqueue cannot stall the
-		// writer (and snapshot freshness) for an unbounded mega-batch.
-		for off := 0; off < len(buf); off += maxBatch {
-			if s.dur != nil && s.Err() != nil {
-				break
+			// Chunk to maxBatch so one oversized Enqueue cannot stall the
+			// writer (and snapshot freshness) for an unbounded mega-batch.
+			for off := 0; off < len(buf); off += maxBatch {
+				if s.dur != nil && s.Err() != nil {
+					break
+				}
+				if s.step(buf[off:min(off+maxBatch, len(buf))]) != nil {
+					break
+				}
 			}
-			if s.step(buf[off:min(off+maxBatch, len(buf))]) != nil {
-				break
-			}
+			buf = buf[:0]
+			// Wake the delta subscribers after the engine published.
+			s.notifyPublished()
 		}
-		buf = buf[:0]
-		// Wake the delta subscribers after the engine published.
-		s.notifyPublished()
+		for i, b := range barriers {
+			b()
+			barriers[i] = nil // let the closure go
+		}
+		barriers = barriers[:0]
 	}
 	take := func(it item) {
-		if it.barrier == nil {
-			buf = append(buf, it.ops...)
-			return
+		buf = append(buf, it.ops...)
+		if it.barrier != nil {
+			barriers = append(barriers, it.barrier)
 		}
-		apply()
-		it.barrier()
 	}
 	for {
 		select {

@@ -10,12 +10,8 @@ import (
 	"repro/internal/wire"
 )
 
-// FrameClient is the raw TCP frame transport's client, wire.Client,
-// under the name the benchmark harness uses.
-type FrameClient = wire.Client
-
 // DialFrame connects a frame client to a framesrv address (wire.Dial).
-func DialFrame(addr string) (*FrameClient, error) { return wire.Dial(addr) }
+func DialFrame(addr string) (*wire.Client, error) { return wire.Dial(addr) }
 
 // HTTPClient is a closed-loop serving client that drives the dkserver
 // read path over real HTTP connections — the end-to-end counterpart of
