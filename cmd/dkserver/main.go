@@ -110,12 +110,12 @@ func main() {
 		genSpec     = flag.String("gen", "", "generate a community graph: NODES,EDGES,SEED")
 		k           = flag.Int("k", 3, "clique size (>= 3)")
 		algName     = flag.String("alg", "LP", "static algorithm for the initial set")
-		workers     = flag.Int("workers", 0, "engine worker goroutines (0 = GOMAXPROCS)")
+		workers     = flag.Int("workers", 0, "worker goroutines for the solve and the engine's index builds (0 = GOMAXPROCS)")
 		queueCap    = flag.Int("queue", 0, "update queue capacity (0 = default)")
 		maxBatch    = flag.Int("batch", 0, "max ops coalesced per engine batch (0 = default)")
 		dataDir     = flag.String("data", "", "durable store directory (WAL + checkpoints); empty = in-memory")
 		fsyncMode   = flag.String("fsync", "batch", `WAL sync policy with -data: "batch" or "none"`)
-		ckptEvery   = flag.Int("checkpoint", 0, "applied ops between checkpoints with -data or -tcp; followers install from the latest (0 = default). A follower ignores it: a durable one checkpoints every 131072 replicated ops")
+		ckptEvery   = flag.Int("checkpoint", 0, "applied ops between checkpoints with -data or -tcp; followers install from the latest (0 = default). A durable follower checkpoints every -checkpoint replicated ops")
 		maxOps      = flag.Int("maxops", 8192, "maximum ops per /update request and nodes per /cliques batch")
 		maxBody     = flag.Int64("maxbody", 1<<20, "maximum /update request body bytes")
 		drain       = flag.Duration("drain", 15*time.Second, "graceful-shutdown timeout for in-flight requests")
@@ -200,7 +200,7 @@ func main() {
 	case *follow != "":
 		f, err := repl.NewFollower(repl.FollowerOptions{
 			Addr: *follow, Dir: *dataDir, Workers: *workers, Fsync: policy,
-			LagBound: *readyLag, Logf: log.Printf,
+			CheckpointEvery: *ckptEvery, LagBound: *readyLag, Logf: log.Printf,
 		})
 		if err != nil {
 			fatal(err)

@@ -1,0 +1,19 @@
+//go:build unix
+
+package dkclique
+
+import (
+	"syscall"
+	"time"
+)
+
+// processCPU returns the user plus system CPU time the process has used
+// so far, from getrusage. The file is unix-only like the serving stack
+// the benchmarks drive (internal/serve locks its store with flock).
+func processCPU() time.Duration {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		return 0
+	}
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
+}

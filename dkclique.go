@@ -16,8 +16,7 @@
 // under edge insertions and deletions in microseconds per update (Section V
 // of the paper). Single updates apply with InsertEdge / DeleteEdge; a queue
 // of accumulated updates drains fastest through ApplyBatch, which coalesces
-// the index maintenance they share and rebuilds the affected cliques
-// concurrently:
+// the index maintenance they share into one settle step:
 //
 //	dyn, _ := dkclique.NewDynamic(g, 4, res.Cliques)
 //	dyn.InsertEdge(17, 42)
@@ -38,9 +37,10 @@
 //	snap := svc.Snapshot() // safe from any goroutine, never mutated
 //
 // Every parallel path — Find's score counting and heap initialisation,
-// index construction, batched updates — honours Options.Workers (or the
-// NewDynamicWorkers bound) and produces worker-count-independent results:
-// identical sets under Options.StrictTies, identical sizes otherwise.
+// and the dynamic engine's index construction — honours Options.Workers
+// (or the NewDynamicWorkers bound) and produces worker-count-independent
+// results: identical sets under Options.StrictTies, identical sizes
+// otherwise. Updates run on the caller's goroutine.
 //
 // Internally, the static algorithms and the dynamic maintenance engine
 // run the same k-clique enumeration core over a substrate-neutral

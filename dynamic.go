@@ -37,10 +37,10 @@ func NewDynamic(g *Graph, k int, initial [][]int32) (*Dynamic, error) {
 }
 
 // NewDynamicWorkers is NewDynamic with an explicit parallelism bound for
-// the index construction (Algorithm 5) and later ApplyBatch enumeration;
-// workers <= 0 means GOMAXPROCS. The maintainer built — and every result
-// it later produces — is identical for any worker count; workers only
-// changes how fast the enumeration-heavy phases run.
+// the index construction (Algorithm 5); workers <= 0 means GOMAXPROCS.
+// Updates run on the caller's goroutine whatever the bound. The
+// maintainer built — and every result it later produces — is identical
+// for any worker count; workers only changes how fast the index builds.
 func NewDynamicWorkers(g *Graph, k int, initial [][]int32, workers int) (*Dynamic, error) {
 	e, err := dynamic.NewWorkers(g.g, k, initial, workers)
 	if err != nil {
@@ -61,14 +61,14 @@ func (d *Dynamic) DeleteEdge(u, v int32) bool { return d.e.DeleteEdge(u, v) }
 // ApplyBatch applies a stream of edge updates as one unit and returns how
 // many changed the graph. The expensive candidate enumeration is coalesced
 // — each node the batch freed and each clique it installed is enumerated
-// once per batch, not once per update — and runs concurrently on the
-// worker pool, so draining a queue of accumulated updates is much faster
-// than replaying it one by one. Swaps run once, after the whole batch, so
-// the resulting set can differ from calling InsertEdge / DeleteEdge in
-// order. What holds either way: the same graph, a maximal disjoint
-// k-clique set, a valid candidate index, and a result identical for every
-// worker count; in the repository's tests a batched set stays within 95%
-// of the op-by-op set's size.
+// once per batch, not once per update, on the caller's goroutine — so
+// draining a queue of accumulated updates is much faster than replaying
+// it one by one. Swaps run once, after the whole batch, so the resulting
+// set can differ from calling InsertEdge / DeleteEdge in order. What
+// holds either way: the same graph, a maximal disjoint k-clique set, a
+// valid candidate index, and a result identical for every worker count;
+// in the repository's tests a batched set stays within 95% of the
+// op-by-op set's size.
 func (d *Dynamic) ApplyBatch(ops []Update) int { return d.e.ApplyBatch(ops) }
 
 // Size returns the current |S|.

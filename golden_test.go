@@ -24,7 +24,7 @@ func TestWALRecordGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	ops := []Update{{Insert: true, U: 1, V: 2}, {U: 70000, V: 3}, {Insert: true, U: 0x7fffffff, V: 0}}
-	if _, err := l.Append(ops); err != nil {
+	if _, err := l.AppendGroup([][]Update{ops}); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {

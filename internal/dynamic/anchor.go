@@ -53,10 +53,6 @@ func (b nodeBits) has(u int32) bool { return b[u>>6]&(1<<(u&63)) != 0 }
 // is linear in deg(w) plus the degrees of w's bound neighbours (a binary
 // search over anchors aside): N(w) is marked once and each bound
 // neighbour's row is filtered against the mark, never merged with N(w).
-//
-// Reads only the graph, S, the free status and the index, and writes
-// only sc, so concurrent calls with distinct scratches are safe as long
-// as no writer mutates them.
 func (e *Engine) anchoredCandidates(sc *enumScratch, anchors []int32, w int32) {
 	nw := e.g.Neighbors(w)
 	sc.near.fit(e.g.N())

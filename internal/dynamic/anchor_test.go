@@ -218,7 +218,7 @@ func TestAnchorConstructedCases(t *testing.T) {
 // anchors, the runs of Algorithm 5's enumeration over B = C ∪ N_F(C)
 // (candidatesOf) must be exactly the anchored runs, in the same order:
 // owners ascending, each owner's cliques in enumeration order. Checked
-// inline and on the worker pool, at k = 3..5.
+// at k = 3..5.
 func TestAnchoredMatchesOwnerRebuild(t *testing.T) {
 	for _, k := range []int{3, 4, 5} {
 		g := gen.CommunitySocial(1500, 10, 0.25, 7500, int64(40+k))
@@ -260,12 +260,9 @@ func TestAnchoredMatchesOwnerRebuild(t *testing.T) {
 			for off := 0; off < len(sc.runs); off += k + 1 {
 				want = append(want, sc.runs[off:off+k+1])
 			}
-			for _, parallel := range []bool{false, true} {
-				got := e.collectRuns(anchors, nil, parallel)
-				if !slices.EqualFunc(got, want, slices.Equal[[]int32]) {
-					t.Fatalf("k=%d round %d parallel=%v: anchored runs differ from owner rebuilds:\n got %v\nwant %v",
-						k, round, parallel, got, want)
-				}
+			if got := e.collectRuns(anchors, nil); !slices.EqualFunc(got, want, slices.Equal[[]int32]) {
+				t.Fatalf("k=%d round %d: anchored runs differ from owner rebuilds:\n got %v\nwant %v",
+					k, round, got, want)
 			}
 			total += len(want)
 		}

@@ -23,14 +23,14 @@ import (
 //
 // Ops in one unit coalesce: a node freed by twenty ops is enumerated
 // through once, not twenty times, and a clique installed and dissolved
-// within the unit is never enumerated at all. A unit of many ops settles
-// on the worker pool; units of one op and swap units settle inline.
+// within the unit is never enumerated at all. Every unit settles inline,
+// on the caller's goroutine and the engine scratch; the worker pool runs
+// only whole-index builds (buildIndex).
 //
-// The result is deterministic for any worker count: the enumeration only
-// computes the missing candidates (a pure function of graph, S and free
-// status), which install serially in (owner, members) order — the
-// cliques older than the unit first, then the ones it installed, in
-// ascending id order.
+// The enumeration only computes the missing candidates (a pure function
+// of graph, S and free status), which install in (owner, members) order
+// — the cliques older than the unit first, then the ones it installed,
+// in ascending id order.
 
 // unit is the deferred work of the mutation in progress. It lives on the
 // engine and its buffers are reused, so a unit allocates nothing once they
@@ -74,7 +74,7 @@ func (e *Engine) applyOne(op graph.Op) bool {
 	if !e.update(op) {
 		return false
 	}
-	e.trySwap(e.settle(false))
+	e.trySwap(e.settle())
 	e.publish()
 	return true
 }
@@ -86,12 +86,12 @@ func (e *Engine) applyOne(op graph.Op) bool {
 // invariant holds on return, but intermediate states are internal —
 // callers observing the engine mid-batch is not supported.
 //
-// Updates whose neighbourhoods do not interact are independent: their
-// deferred enumerations run concurrently. Updates that do interact
-// coalesce instead — a node freed by twenty updates is enumerated
-// through once, not twenty times. Swaps run once, after the whole batch,
-// so the set can differ from applying the same ops one by one; it is
-// maximal either way, and identical for every worker count.
+// The deferred enumeration runs once for the whole batch, on the
+// caller's goroutine, so updates that interact coalesce: a node freed by
+// twenty updates is enumerated through once, not twenty times. Swaps run
+// once, after the whole batch, so the set can differ from applying the
+// same ops one by one; it is maximal either way, and identical for every
+// worker count.
 func (e *Engine) ApplyBatch(ops []graph.Op) int {
 	if len(ops) == 0 {
 		return 0
@@ -105,7 +105,7 @@ func (e *Engine) ApplyBatch(ops []graph.Op) int {
 	}
 	e.stats.Batches++
 	e.stats.BatchedOps += len(ops)
-	e.trySwap(e.settle(len(ops) > 1))
+	e.trySwap(e.settle())
 	// A batch of pure no-ops changed neither the graph nor S, so it
 	// publishes no phantom version.
 	if applied > 0 {
@@ -117,9 +117,9 @@ func (e *Engine) ApplyBatch(ops []graph.Op) int {
 // settle runs the deferred part of the open unit — sweep, anchored
 // refresh, enumeration of the installed cliques — and returns the owners
 // to try swapping, ascending and without repeats (some may have left S).
-// parallel puts the enumeration on the worker pool. The result lives in
-// the unit and stays valid until the next unit begins.
-func (e *Engine) settle(parallel bool) []int32 {
+// The result lives in the unit and stays valid until the next unit
+// begins.
+func (e *Engine) settle() []int32 {
 	un := &e.unit
 	slices.Sort(un.freed)
 	un.freed = slices.Compact(un.freed)
@@ -138,7 +138,7 @@ func (e *Engine) settle(parallel bool) []int32 {
 			owners = append(owners, id)
 		}
 	}
-	queue := e.installRuns(e.collectRuns(anchors, owners, parallel), un.pending)
+	queue := e.installRuns(e.collectRuns(anchors, owners), un.pending)
 	slices.Sort(queue)
 	un.pending = slices.Compact(queue)
 	return un.pending

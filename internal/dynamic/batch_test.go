@@ -4,6 +4,8 @@ import (
 	"maps"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"runtime/debug"
 	"slices"
 	"testing"
 
@@ -111,6 +113,68 @@ func TestApplyBatchWorkerInvariance(t *testing.T) {
 			t.Fatalf("k=%d: the stream swapped nothing", k)
 		}
 	}
+}
+
+// TestApplyBatchSettlesInline: a batch settles on the caller's
+// goroutine, whatever the engine's worker bound. Two engines built from
+// one graph and initial set, with 1 and 8 workers, apply the same
+// S-changing batches after a warm-up and must allocate exactly as often;
+// a settle on a worker pool would add its goroutines and per-worker
+// scratches to the 8-worker side. Allocations are counted the way
+// testing.AllocsPerRun counts them: runtime.MemStats.Mallocs deltas
+// under GOMAXPROCS 1. The collector is off while they are counted, since
+// what the runtime does after a GC cycle allocates too, and the maps are
+// presized (presizeMaps).
+func TestApplyBatchSettlesInline(t *testing.T) {
+	start, stream := batchTestSetupK(t, 4, 800, 600, 5)
+	const size = 32
+	apply := func(e *Engine, ops []workload.Op) {
+		for len(ops) > 0 {
+			n := min(size, len(ops))
+			e.ApplyBatch(ops[:n])
+			ops = ops[n:]
+		}
+	}
+	warm, measured := stream[:len(stream)/2], stream[len(stream)/2:]
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var mallocs [2]uint64
+	for i, workers := range []int{1, 8} {
+		e := start(workers)
+		apply(e, warm)
+		presizeMaps(e)
+		before, swaps := e.Result(), e.Stats().Swaps
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		mallocs[i] = ms.Mallocs
+		apply(e, measured)
+		runtime.ReadMemStats(&ms)
+		mallocs[i] = ms.Mallocs - mallocs[i]
+		if slices.EqualFunc(before, e.Result(), slices.Equal[[]int32]) || e.Stats().Swaps == swaps {
+			t.Fatalf("workers=%d: the measured batches swapped nothing or left S as it was", workers)
+		}
+		if err := e.Verify(); err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+	}
+	if mallocs[0] != mallocs[1] {
+		t.Fatalf("the same batches made %d heap allocations with 1 worker and %d with 8", mallocs[0], mallocs[1])
+	}
+	t.Logf("%d heap allocations with either worker bound", mallocs[0])
+}
+
+// presizeMaps moves the engine's clique-id-keyed maps to copies with
+// room for far more entries than a test adds, so they never grow while
+// it counts allocations. When such a map grows depends on where its
+// random hash seed puts the keys, so two engines that apply the same ops
+// would otherwise allocate a few times more or less than each other.
+func presizeMaps(e *Engine) {
+	cliques := make(map[int32][]int32, 1<<14)
+	maps.Copy(cliques, e.cliques)
+	e.cliques = cliques
+	byOwner := make(map[int32]candList, 1<<14)
+	maps.Copy(byOwner, e.index.byOwner)
+	e.index.byOwner = byOwner
 }
 
 // TestApplyBatchChunked: chunked batches end in a valid state after every
@@ -250,7 +314,7 @@ func TestCandidatesOfOwnerLocal(t *testing.T) {
 				want = append(want, runs...)
 				indexed += n
 			}
-			got := e.collectRuns(nil, owners, true)
+			got := e.collectRuns(nil, owners)
 			if !slices.EqualFunc(got, want, slices.Equal[[]int32]) {
 				t.Fatalf("workers=%d round %d: runs %v; global probe: %v", workers, round, got, want)
 			}

@@ -76,8 +76,9 @@ type Engine struct {
 	// path never re-converts.
 	view graph.View
 
-	// workers bounds parallelism for index construction and the parallel
-	// phases of ApplyBatch; <= 0 means GOMAXPROCS.
+	// workers bounds the parallelism of whole-index builds (buildIndex:
+	// construction, LoadCheckpoint, CanonicalizeIndex); <= 0 means
+	// GOMAXPROCS. Updates always settle on the caller's goroutine.
 	workers int
 
 	cliques    map[int32][]int32 // S: clique id -> sorted members
@@ -93,20 +94,12 @@ type Engine struct {
 	unit unit
 
 	// esc is the single-writer enumeration scratch: every update and every
-	// inline settle enumerates through these reusable buffers, so the
-	// steady-state update path allocates nothing. A settle on the worker
-	// pool uses the wsc per-worker scratches instead (collectRuns), kept
-	// for the engine's lifetime so a long-running service reuses them
-	// batch after batch — the same pooling discipline internal/kclique
-	// applies to the static counting oracles.
+	// settle enumerates through these reusable buffers, so the
+	// steady-state update path allocates nothing. Its kc.NoStamp puts
+	// every enumeration on the merge recursion of the unified core
+	// (DisableUnifiedFastPath), and index builds copy it to their
+	// per-worker scratches.
 	esc *enumScratch
-	wsc []*enumScratch
-
-	// noStamp puts every enumeration on the merge recursion of the
-	// unified core (kclique.Scratch.NoStamp; ablation: cmd/experiments
-	// -unified=off). Results are identical either way; only the
-	// intersection strategy changes.
-	noStamp bool
 
 	// snapSlab / snapUsed carve published Snapshot structs out of
 	// slab-allocated blocks so S-preserving publication is allocation-free
@@ -161,13 +154,7 @@ func (e *Engine) DisableSwaps() { e.noSwaps = true }
 // by the cmd/experiments -unified=off ablation to make the speedup of the
 // shared fast paths reproducible; the maintained result is identical
 // either way.
-func (e *Engine) DisableUnifiedFastPath() {
-	e.noStamp = true
-	e.esc.kc.NoStamp = true
-	for _, sc := range e.wsc {
-		sc.kc.NoStamp = true
-	}
-}
+func (e *Engine) DisableUnifiedFastPath() { e.esc.kc.NoStamp = true }
 
 // New builds an engine from a static graph and an initial disjoint
 // k-clique set (typically the output of the static LP algorithm), then
@@ -177,8 +164,10 @@ func New(g *graph.Graph, k int, initial [][]int32) (*Engine, error) {
 }
 
 // NewWorkers is New with an explicit parallelism bound for the Algorithm-5
-// index construction and later ApplyBatch enumeration; workers <= 0 means
-// GOMAXPROCS. The constructed engine is identical for every worker count.
+// index construction, which LoadCheckpoint and CanonicalizeIndex also
+// run; workers <= 0 means GOMAXPROCS. Updates settle on the caller's
+// goroutine whatever the bound. The constructed engine is identical for
+// every worker count.
 func NewWorkers(g *graph.Graph, k int, initial [][]int32, workers int) (*Engine, error) {
 	if k < 3 {
 		return nil, fmt.Errorf("dynamic: k must be >= 3, got %d", k)

@@ -14,10 +14,10 @@ const anyOwner int32 = -2
 
 // enumScratch holds the reusable buffers of the engine's enumeration
 // adapters: the kclique.Scratch the unified core recurses through, plus
-// the engine-specific staging buffers around it. The single-writer update
-// path and inline settles use the engine-level instance (e.esc), so
-// steady-state updates allocate nothing; a settle on the worker pool
-// hands each worker its own instance (e.wsc, reused across batches).
+// the engine-specific staging buffers around it. Every update and every
+// settle uses the engine-level instance (e.esc), so steady-state updates
+// allocate nothing; an index build hands each worker an instance of its
+// own for that build only (buildIndex).
 type enumScratch struct {
 	kc        *kclique.Scratch // unified-core recursion state (stack, levels, marks)
 	edge      [2]int32         // prefix buffer for edge-anchored enumeration
@@ -27,7 +27,6 @@ type enumScratch struct {
 	near      nodeBits         // anchoredCandidates: N(w) of the current anchor
 	runs      []int32          // missing candidates: (owner, k members) runs
 	runRefs   [][]int32        // collectRuns: runs in install order
-	spans     []runSpan        // collectRuns: where each item's runs landed
 	owned     []int32          // candidatesOf: the owner's candidates' slots
 	swapQ     []int32          // trySwap: the FIFO queue
 	swapLists [][]int32        // ownedMembers: member lists for greedyDisjoint
@@ -159,67 +158,37 @@ func (e *Engine) candidatesOf(sc *enumScratch, id int32) {
 	})
 }
 
-// collectRuns gathers the candidates the index lacks: those through each
-// anchor (sorted free nodes) for the S-cliques older than the open unit
-// (anchoredCandidates), and Algorithm 5's for each given owner
-// (candidatesOf, owners ascending). With parallel set the work runs on
-// the worker pool, one scratch per worker; otherwise inline on the engine
-// scratch. The runs come back in install order, sorted by (owner,
-// members), so the result is the same for every worker count; they live
-// in the scratches until the next call.
-func (e *Engine) collectRuns(anchors, owners []int32, parallel bool) [][]int32 {
-	n := len(anchors) + len(owners)
-	e.esc.spans = slices.Grow(e.esc.spans[:0], n)[:n]
-	if parallel {
-		e.growWorkerScratches(n)
-		for _, sc := range e.wsc {
-			sc.runs = sc.runs[:0]
-		}
-		kclique.ParallelIndex(n, e.workers, func(worker, i int) {
-			e.collectOne(e.wsc[worker], anchors, owners, i)
-		})
-	} else {
-		e.esc.runs = e.esc.runs[:0]
-		for i := range n {
-			e.collectOne(e.esc, anchors, owners, i)
-		}
+// collectRuns gathers, on the engine scratch, the candidates the index
+// lacks: those through each anchor (sorted free nodes) for the S-cliques
+// older than the open unit (anchoredCandidates), and Algorithm 5's for
+// each given owner (candidatesOf, owners ascending). The runs come back
+// in install order, sorted by (owner, members); they live in the scratch
+// until the next call.
+func (e *Engine) collectRuns(anchors, owners []int32) [][]int32 {
+	sc := e.esc
+	sc.runs = sc.runs[:0]
+	for _, w := range anchors {
+		e.anchoredCandidates(sc, anchors, w)
+	}
+	anchored := len(sc.runs)
+	for _, id := range owners {
+		e.candidatesOf(sc, id)
 	}
 	// An older owner's runs come from several anchors and need sorting. A
 	// whole owner's enumeration already emits its cliques in ascending
 	// order of their sorted members, and every given owner is younger
 	// than the anchored ones.
-	spans := e.esc.spans
-	refs := appendRuns(e.esc.runRefs[:0], spans[:len(anchors)], e.k)
+	refs := appendRuns(sc.runRefs[:0], sc.runs[:anchored], e.k)
 	slices.SortFunc(refs, slices.Compare[[]int32])
-	refs = appendRuns(refs, spans[len(anchors):], e.k)
-	e.esc.runRefs = refs
+	refs = appendRuns(refs, sc.runs[anchored:], e.k)
+	sc.runRefs = refs
 	return refs
 }
 
-// collectOne is item i of collectRuns, the anchors first, then the
-// owners; it records where in sc its runs landed.
-func (e *Engine) collectOne(sc *enumScratch, anchors, owners []int32, i int) {
-	lo := len(sc.runs)
-	if i < len(anchors) {
-		e.anchoredCandidates(sc, anchors, anchors[i])
-	} else {
-		e.candidatesOf(sc, owners[i-len(anchors)])
-	}
-	e.esc.spans[i] = runSpan{sc, lo, len(sc.runs)}
-}
-
-// runSpan locates the runs of one collectRuns item: sc.runs[lo:hi].
-type runSpan struct {
-	sc     *enumScratch
-	lo, hi int
-}
-
-// appendRuns appends to refs each k+1-value run the spans hold, in order.
-func appendRuns(refs [][]int32, spans []runSpan, k int) [][]int32 {
-	for _, sp := range spans {
-		for off := sp.lo; off < sp.hi; off += k + 1 {
-			refs = append(refs, sp.sc.runs[off:off+k+1])
-		}
+// appendRuns appends to refs each k+1-value run of runs, in order.
+func appendRuns(refs [][]int32, runs []int32, k int) [][]int32 {
+	for off := 0; off < len(runs); off += k + 1 {
+		refs = append(refs, runs[off:off+k+1])
 	}
 	return refs
 }
@@ -238,33 +207,43 @@ func (e *Engine) installRuns(refs [][]int32, queue []int32) []int32 {
 	return queue
 }
 
-// growWorkerScratches makes sure e.wsc holds a scratch for every worker
-// a parallel pass over n items will use.
-func (e *Engine) growWorkerScratches(n int) {
-	for len(e.wsc) < kclique.Workers(e.workers, n) {
-		sc := newEnumScratch(e.k)
-		sc.kc.NoStamp = e.noStamp
-		e.wsc = append(e.wsc, sc)
-	}
+// runSpan locates the runs of one owner in a build: sc.runs[lo:hi].
+type runSpan struct {
+	sc     *enumScratch
+	lo, hi int
 }
 
 // buildIndex constructs the whole candidate index from the current S —
 // Algorithm 5, with the per-clique enumeration running root-parallel
-// exactly as its line 1 prescribes. S must already be maximal. Candidates
+// exactly as its line 1 prescribes. It is the engine's only work on the
+// worker pool. Each worker enumerates through a scratch of its own, made
+// for this build and dropped with it, since the runs of a whole index
+// are far larger than any unit's. S must already be maximal. Candidates
 // install in (owner, members) order, so list orders and stats are
-// deterministic. The runs of a whole index are far larger than any
-// update's, so the scratches let go of them afterwards.
+// deterministic.
 func (e *Engine) buildIndex() {
 	ids := make([]int32, 0, len(e.cliques))
 	for id := range e.cliques {
 		ids = append(ids, id)
 	}
 	slices.Sort(ids)
-	e.installRuns(e.collectRuns(nil, ids, true), nil)
-	e.esc.runRefs, e.esc.spans = nil, nil
-	for _, sc := range e.wsc {
-		sc.runs = nil
+	scs := make([]*enumScratch, kclique.Workers(e.workers, len(ids)))
+	for i := range scs {
+		scs[i] = newEnumScratch(e.k)
+		scs[i].kc.NoStamp = e.esc.kc.NoStamp
 	}
+	spans := make([]runSpan, len(ids))
+	kclique.ParallelIndex(len(ids), e.workers, func(worker, i int) {
+		sc := scs[worker]
+		lo := len(sc.runs)
+		e.candidatesOf(sc, ids[i])
+		spans[i] = runSpan{sc, lo, len(sc.runs)}
+	})
+	var refs [][]int32
+	for _, sp := range spans {
+		refs = appendRuns(refs, sp.sc.runs[sp.lo:sp.hi], e.k)
+	}
+	e.installRuns(refs, nil)
 }
 
 // installClique adds a new S-clique over currently free nodes. Candidates

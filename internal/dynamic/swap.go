@@ -123,5 +123,5 @@ func (e *Engine) executeSwap(cid int32, sdis [][]int32) []int32 {
 	for _, c := range sdis {
 		e.installClique(c)
 	}
-	return e.settle(false)
+	return e.settle()
 }

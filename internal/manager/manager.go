@@ -8,9 +8,10 @@
 //
 //   - Engine apply parallelism is bounded process-wide through a
 //     serve.Gate (Options.ApplyBudget): every tenant's writer acquires a
-//     slot around ApplyBatch, so N tenants never mean N×Workers
-//     goroutines of concurrent index work. (The kclique scratch pool is
-//     already a package-level sync.Pool and shares itself.)
+//     slot around ApplyBatch, and an apply runs on its writer's
+//     goroutine, so N tenants with queued writes never take more than
+//     ApplyBudget cores of engine maintenance. (The kclique scratch pool
+//     is already a package-level sync.Pool and shares itself.)
 //   - Response-body caches are strictly per tenant: each Tenant owns one
 //     respcache.Snapshot keyed by its own snapshot versions, so a cached
 //     body can never be served to another tenant — versions are
@@ -98,8 +99,8 @@ type Options struct {
 	// neighbour-starved queue. 0 disables the quota.
 	MaxQueuedOps int
 	// ApplyBudget bounds how many tenants may run engine applies at the
-	// same time (each apply fans out to Service.Workers goroutines
-	// internally). Default 2.
+	// same time (each apply is one goroutine, its tenant's writer).
+	// Default 2.
 	ApplyBudget int
 	// Service is the per-tenant serve configuration template. Dir and
 	// ApplyGate are owned by the manager and overwritten per tenant.

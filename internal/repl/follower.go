@@ -34,11 +34,14 @@ type FollowerOptions struct {
 	Workers int
 	// Fsync is the follower store's WAL sync policy. The default,
 	// SyncEveryBatch, syncs every shipped batch. SyncNone defers syncs
-	// to the follower's own checkpoints, taken on the
-	// serve.Options.CheckpointEvery schedule; a crash can then lose the
-	// tail past the last one, which the primary re-ships, or replaces
-	// with an install, on reconnect.
+	// to the follower's own checkpoints, taken every CheckpointEvery
+	// replicated ops; a crash can then lose the tail past the last one,
+	// which the primary re-ships, or replaces with an install, on
+	// reconnect.
 	Fsync wal.SyncPolicy
+	// CheckpointEvery is the number of replicated ops between the
+	// checkpoints of a durable follower's store (serve.Options).
+	CheckpointEvery int
 	// Dial connects to the primary; nil uses a TCP dial bounded by
 	// wire.DialTimeout. Fault-injection tests wrap it.
 	Dial func(ctx context.Context, addr string) (net.Conn, error)
@@ -73,6 +76,12 @@ func (o FollowerOptions) withDefaults() FollowerOptions {
 		o.Logf = func(string, ...any) {}
 	}
 	return o
+}
+
+// serveOptions configures the follower's service: durable when Dir is
+// set.
+func (o FollowerOptions) serveOptions() serve.Options {
+	return serve.Options{Workers: o.Workers, Dir: o.Dir, Fsync: o.Fsync, CheckpointEvery: o.CheckpointEvery}
 }
 
 // epochName is the follower's persisted fencing epoch inside Dir.
@@ -142,9 +151,7 @@ func NewFollower(opt FollowerOptions) (*Follower, error) {
 		rng:       rand.New(rand.NewSource(time.Now().UnixNano())),
 	}
 	if opt.Dir != "" && serve.StoreExists(opt.Dir) {
-		svc, err := serve.OpenFollower(opt.Dir, serve.Options{
-			Workers: opt.Workers, Dir: opt.Dir, Fsync: opt.Fsync,
-		})
+		svc, err := serve.OpenFollower(opt.Dir, opt.serveOptions())
 		if err != nil {
 			return nil, err
 		}
@@ -398,14 +405,12 @@ func (f *Follower) install(fr *wire.Frame) error {
 		}
 		f.markBad()
 	}
-	opt := serve.Options{Workers: f.opt.Workers, Fsync: f.opt.Fsync}
 	if f.opt.Dir != "" {
 		if err := serve.ClearStore(f.opt.Dir); err != nil {
 			return fmt.Errorf("clear store for install: %w", err)
 		}
-		opt.Dir = f.opt.Dir
 	}
-	svc, err := serve.NewFollowerFromCheckpoint(bytes.NewReader(fr.Checkpoint), opt)
+	svc, err := serve.NewFollowerFromCheckpoint(bytes.NewReader(fr.Checkpoint), f.opt.serveOptions())
 	if err != nil {
 		return fmt.Errorf("install checkpoint @%d: %w", fr.Version, err)
 	}

@@ -508,6 +508,52 @@ func TestReplCheckpointSchedule(t *testing.T) {
 	})
 }
 
+// TestFollowerCheckpointEvery: a durable follower checkpoints its store
+// on the interval its options give, counting the ops it replicates, and
+// a reopen of that store holds the same image. The follower checkpoints
+// every 64 ops and installs before 280 ops are replicated in 8-op
+// batches, so it must take at least 4 checkpoints (with the 131,072-op
+// default it would take only its store's first). The primary keeps the
+// default interval: each checkpoint it took would trim its history, and
+// a trim that lands before the stream has shipped the last batch
+// re-installs the follower into a fresh store, which restarts the count.
+func TestFollowerCheckpointEvery(t *testing.T) {
+	g := testGraph(t)
+	dirF := t.TempDir()
+	prim := newPrimaryService(t, g, serve.Options{Dir: t.TempDir()})
+	_, addr := startRepl(t, prim, 1, PrimaryOptions{})
+	f := newTestFollower(t, addr, func(o *FollowerOptions) {
+		o.Dir = dirF
+		o.CheckpointEvery = 64
+	})
+	cancel := runFollower(t, f)
+	ctx, stop := context.WithTimeout(context.Background(), 10*time.Second)
+	defer stop()
+	if err := f.WaitInstalled(ctx); err != nil {
+		t.Fatal(err)
+	}
+	applyOps(t, prim, toggleOps(g, 280), 8)
+	ver := prim.Snapshot().Version()
+	waitFor(t, 15*time.Second, "follower sync", func() bool { return f.Status().Version >= ver })
+	if n, inst := f.Service().Stats().Checkpoints, f.Status().Installs; n < 4 || inst != 1 {
+		t.Fatalf("follower took %d checkpoints over 280 replicated ops at CheckpointEvery 64 and %d installs, want at least 4 and 1", n, inst)
+	}
+	fver, fimg := captureImage(t, f.Service())
+	cancel()
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rf, err := serve.OpenFollower(dirF, serve.Options{CheckpointEvery: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rf.Close()
+	if rver, rimg := captureImage(t, rf); rver != fver || !bytes.Equal(rimg, fimg) {
+		t.Fatalf("reopened follower image (version %d, %d bytes) != live one (version %d, %d bytes)",
+			rver, len(rimg), fver, len(fimg))
+	}
+}
+
 // TestFaultScheduleConvergence is the fault-injection property test:
 // for several seeded fault schedules (fragmented writes, short reads,
 // delays, and injected connection kills on every dial), a follower

@@ -53,8 +53,9 @@ type Gate interface {
 // Options tunes a Service; the zero value of every field selects a
 // sensible default.
 type Options struct {
-	// Workers bounds the engine's parallelism for index construction and
-	// batch rebuilds; <= 0 means GOMAXPROCS.
+	// Workers bounds the engine's parallelism for index builds (at
+	// construction, recovery and follower installs); <= 0 means
+	// GOMAXPROCS. Applies run on the writer goroutine.
 	Workers int
 	// QueueCapacity bounds the update queue (in Enqueue calls, not ops);
 	// a full queue makes Enqueue block. Default 1024.
@@ -80,11 +81,11 @@ type Options struct {
 	// bounding the history a primary keeps for resuming followers.
 	CheckpointEvery int
 	// ApplyGate, when non-nil, is acquired around every ApplyBatch call so
-	// a process hosting many services can cap their aggregate apply
-	// parallelism (the engine fans each batch out to Workers goroutines;
-	// N unbounded tenants would mean N×Workers). The gate covers the
-	// engine work only — WAL appends, fsyncs, and checkpoint installs stay
-	// ungated, so a slow tenant's apply never blocks another's durability.
+	// a process hosting many services can cap how many of them apply at
+	// once (each apply is one goroutine, its writer; N ungated tenants
+	// could take N cores). The gate covers the engine work only — WAL
+	// appends, fsyncs, and checkpoint installs stay ungated, so a slow
+	// tenant's apply never blocks another's durability.
 	ApplyGate Gate
 }
 

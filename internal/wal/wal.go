@@ -53,10 +53,10 @@ const (
 type SyncPolicy int
 
 const (
-	// SyncEveryBatch fsyncs after every Append: each acked batch survives
+	// SyncEveryBatch fsyncs after every append: each acked batch survives
 	// a machine crash. The default, and the slowest.
 	SyncEveryBatch SyncPolicy = iota
-	// SyncNone never fsyncs on Append; the OS flushes at its leisure.
+	// SyncNone never fsyncs on append; the OS flushes at its leisure.
 	// Explicit Sync calls (the serving layer issues one per Flush and on
 	// Close) still force the data down, so "flushed implies durable"
 	// holds under both policies — SyncNone only weakens un-flushed ops.
@@ -90,7 +90,7 @@ func openedFile(path string, f *os.File) File {
 
 // Log is an open write-ahead log positioned for appending.
 //
-// Concurrency: appends (Append/AppendGroup) belong to a single owner —
+// Concurrency: appends (AppendGroup) belong to a single owner —
 // the serving layer's writer goroutine. Sync may be called by ONE other
 // goroutine concurrently with appends; that is the group-commit split
 // (the writer appends batch N+1 while a background syncer fsyncs batch
@@ -186,26 +186,15 @@ func (l *Log) encode(b []byte, ops []graph.Op) []byte {
 	return b
 }
 
-// Append writes one batch record and, under SyncEveryBatch, syncs it. It
-// returns the number of bytes appended. An error leaves the log unusable
-// for further appends (the file may hold a torn record, which replay
-// tolerates); callers should fail-stop.
-func (l *Log) Append(ops []graph.Op) (int, error) {
-	payload := graph.OpsSize(len(ops))
-	if payload > maxRecordPayload {
-		return 0, fmt.Errorf("wal: batch of %d ops exceeds the record bound", len(ops))
-	}
-	l.grow(recHdrSize + payload)
-	return l.append(l.encode(l.buf[:0], ops))
-}
-
 // AppendGroup writes one record per batch in a single vectored write:
 // every record is framed into the shared scratch, headers and payloads
 // back to back, and the whole group reaches the file in one syscall —
 // the write-ahead cost of a multi-chunk drain cycle is one write instead
 // of one per chunk. Under SyncEveryBatch the group is synced once, which
-// is the degenerate (inline) form of group commit. An error means none
-// of the group's batches may be applied; callers should fail-stop.
+// is the degenerate (inline) form of group commit. It returns the number
+// of bytes appended. An error means none of the group's batches may be
+// applied and leaves the log unusable for further appends (the file may
+// hold a torn record, which replay tolerates); callers should fail-stop.
 func (l *Log) AppendGroup(batches [][]graph.Op) (int, error) {
 	need := 0
 	for _, ops := range batches {

@@ -47,7 +47,7 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 		var want [][]graph.Op
 		for i := 0; i < 20; i++ {
 			ops := randOps(rng, 1+rng.Intn(50))
-			if _, err := l.Append(ops); err != nil {
+			if _, err := l.AppendGroup([][]graph.Op{ops}); err != nil {
 				t.Fatal(err)
 			}
 			want = append(want, ops)
@@ -71,7 +71,7 @@ func TestEmptyBatchRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.Append(nil); err != nil {
+	if _, err := l.AppendGroup([][]graph.Op{nil}); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
@@ -98,7 +98,7 @@ func TestTruncatedTail(t *testing.T) {
 	size := int64(HeaderSize)
 	for i := 0; i < 8; i++ {
 		ops := randOps(rng, 1+rng.Intn(10))
-		n, err := l.Append(ops)
+		n, err := l.AppendGroup([][]graph.Op{ops})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -153,10 +153,10 @@ func TestCorruptedRecord(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(11))
 	first := randOps(rng, 5)
-	l.Append(first)
+	l.AppendGroup([][]graph.Op{first})
 	afterFirst := l.Size()
-	l.Append(randOps(rng, 5))
-	l.Append(randOps(rng, 5))
+	l.AppendGroup([][]graph.Op{randOps(rng, 5)})
+	l.AppendGroup([][]graph.Op{randOps(rng, 5)})
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -182,8 +182,8 @@ func TestResumeAfterTear(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(13))
 	a, b := randOps(rng, 4), randOps(rng, 4)
-	l.Append(a)
-	l.Append(b)
+	l.AppendGroup([][]graph.Op{a})
+	l.AppendGroup([][]graph.Op{b})
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestResumeAfterTear(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := randOps(rng, 4)
-	if _, err := l.Append(c); err != nil {
+	if _, err := l.AppendGroup([][]graph.Op{c}); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
@@ -226,7 +226,7 @@ func TestResumeHeaderlessFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	ops := []graph.Op{{Insert: true, U: 1, V: 2}}
-	if _, err := l.Append(ops); err != nil {
+	if _, err := l.AppendGroup([][]graph.Op{ops}); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
@@ -246,9 +246,10 @@ func TestReplayMissingFile(t *testing.T) {
 }
 
 // TestAppendZeroAlloc pins the warm append path at zero allocations:
-// after the scratch buffer has grown to the record size once, neither
-// Append nor AppendGroup may allocate. This is load-bearing for the
-// serve writer loop, which appends on the hot path of every batch.
+// after the scratch buffer has grown to the record size once, neither a
+// one-batch nor a three-batch AppendGroup may allocate. This is
+// load-bearing for the serve writer loop, which appends on the hot path
+// of every batch.
 func TestAppendZeroAlloc(t *testing.T) {
 	dir := t.TempDir()
 	l, err := Create(filepath.Join(dir, "wal.log"), SyncNone)
@@ -258,20 +259,21 @@ func TestAppendZeroAlloc(t *testing.T) {
 	defer l.Close()
 	rng := rand.New(rand.NewSource(7))
 	ops := randOps(rng, 256)
+	one := [][]graph.Op{ops}
 	group := [][]graph.Op{ops[:100], ops[100:200], ops[200:]}
 	// Warm: grow the scratch to its steady-state size.
-	if _, err := l.Append(ops); err != nil {
+	if _, err := l.AppendGroup(one); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := l.AppendGroup(group); err != nil {
 		t.Fatal(err)
 	}
 	if n := testing.AllocsPerRun(50, func() {
-		if _, err := l.Append(ops); err != nil {
+		if _, err := l.AppendGroup(one); err != nil {
 			t.Fatal(err)
 		}
 	}); n != 0 {
-		t.Fatalf("warm Append allocates %.1f times per run, want 0", n)
+		t.Fatalf("warm one-batch AppendGroup allocates %.1f times per run, want 0", n)
 	}
 	if n := testing.AllocsPerRun(50, func() {
 		if _, err := l.AppendGroup(group); err != nil {

@@ -2,6 +2,7 @@
 # benchgate.sh BASE.txt PR.txt [MAX_REGRESSION_PCT] [BENCH_NAME] [UNIT]
 # benchgate.sh --speedup PR.txt MIN_RATIO FAST_BENCH SLOW_BENCH [UNIT]
 # benchgate.sh --overhead PR.txt MAX_PCT BASE_BENCH LOADED_BENCH [UNIT]
+# benchgate.sh --median FILE BENCH [UNIT]
 #
 # Minimal benchstat-style regression gate: extracts the ns/op samples of
 # one benchmark from two `go test -bench` outputs, compares their medians,
@@ -26,6 +27,9 @@
 # feature that is supposed to cost (almost) nothing on an existing path —
 # e.g. multi-tenant routing on cached snapshot reads, where the routed
 # row adds tenant resolution to an otherwise identical request.
+#
+# --median gates nothing: it prints BENCH's median UNIT in FILE, for a
+# metric that is recorded before a base exists to gate it against.
 #
 # The gate fails loudly — never vacuously: a missing/empty input file, a
 # bench run that ended in FAIL, or an input with zero samples of the
@@ -80,6 +84,17 @@ if [ "${1:-}" = "--speedup" ]; then
         exit (ratio < m) ? 1 : 0
     }' || { echo "benchgate: FAIL — $fast is less than ${min_ratio}x faster than $slow" >&2; exit 1; }
     echo "benchgate: OK"
+    exit 0
+fi
+
+if [ "${1:-}" = "--median" ]; then
+    shift
+    [ $# -ge 2 ] || die "usage: benchgate.sh --median FILE BENCH [UNIT]"
+    file=$1 bench=$2 unit=${3:-ns/op}
+    check_file "$file"
+    v=$(median "$file" "$bench" "$unit")
+    [ "$v" != "NA" ] || die "no $bench $unit samples in $file — wrong -bench filter or the bench run failed"
+    echo "benchgate: $bench median $unit: $v"
     exit 0
 fi
 
